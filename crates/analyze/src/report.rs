@@ -2,8 +2,9 @@
 //!
 //! JSON emission is hand-rolled (the analyzer is dependency-free by
 //! design); the schema is small and flat enough that a string builder
-//! with a correct escaper is simpler than pulling in a serializer.
+//! over [`escape`] is simpler than pulling in a serializer.
 
+use crate::json::escape;
 use crate::rules::{Finding, RuleId};
 use crate::suppress::Suppression;
 
@@ -83,7 +84,7 @@ impl Report {
         let mut o = String::from("{\n");
         o.push_str(&format!("  \"schema\": {REPORT_SCHEMA},\n"));
         o.push_str("  \"tool\": \"glacsweb-analyze\",\n");
-        o.push_str(&format!("  \"root\": {},\n", json_str(&self.root)));
+        o.push_str(&format!("  \"root\": {},\n", escape(&self.root)));
         o.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         o.push_str("  \"rules\": [\n");
         let rules: Vec<String> = RuleId::ALL
@@ -91,8 +92,8 @@ impl Report {
             .map(|r| {
                 format!(
                     "    {{\"name\": {}, \"description\": {}}}",
-                    json_str(r.name()),
-                    json_str(r.description())
+                    escape(r.name()),
+                    escape(r.description())
                 )
             })
             .collect();
@@ -106,10 +107,10 @@ impl Report {
                 format!(
                     "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \
                      \"suppressed\": {}}}",
-                    json_str(f.rule.name()),
-                    json_str(&f.file),
+                    escape(f.rule.name()),
+                    escape(&f.file),
                     f.line,
-                    json_str(&f.message),
+                    escape(&f.message),
                     f.suppressed
                 )
             })
@@ -128,10 +129,10 @@ impl Report {
                 format!(
                     "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}, \
                      \"used\": {}}}",
-                    json_str(s.rule.name()),
-                    json_str(&s.file),
+                    escape(s.rule.name()),
+                    escape(&s.file),
                     s.line,
-                    json_str(&s.reason),
+                    escape(&s.reason),
                     s.used
                 )
             })
@@ -154,23 +155,4 @@ impl Report {
         o.push_str("  }\n}\n");
         o
     }
-}
-
-/// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

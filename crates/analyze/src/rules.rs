@@ -123,7 +123,7 @@ impl RuleId {
 }
 
 /// One diagnostic produced by a rule.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Finding {
     /// Which rule fired.
     pub rule: RuleId,

@@ -64,7 +64,7 @@ pub fn to_sarif(report: &Report) -> String {
                             ),
                             (
                                 "region".into(),
-                                Jv::Obj(vec![("startLine".into(), Jv::Num(f.line.max(1) as f64))]),
+                                Jv::Obj(vec![("startLine".into(), Jv::Num(f.line.max(1).into()))]),
                             ),
                         ]),
                     )])]),
@@ -125,6 +125,7 @@ pub fn to_sarif(report: &Report) -> String {
 mod tests {
     use super::*;
     use crate::rules::{Finding, RuleId};
+    use serde::Value;
 
     fn sample_report() -> Report {
         let mut report = Report {
@@ -152,48 +153,50 @@ mod tests {
         report
     }
 
+    fn parse(text: &str) -> Value {
+        serde_json::from_str(text).expect("valid JSON")
+    }
+
     #[test]
     fn sarif_parses_and_carries_all_findings() {
-        let text = to_sarif(&sample_report());
-        let doc = crate::json::parse(text.trim_end()).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Jv::as_str), Some("2.1.0"));
-        let runs = doc.get("runs").and_then(Jv::as_arr).expect("runs");
+        let doc = parse(&to_sarif(&sample_report()));
+        assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
+        let runs = doc.get("runs").and_then(Value::as_seq).expect("runs");
         let results = runs[0]
             .get("results")
-            .and_then(Jv::as_arr)
+            .and_then(Value::as_seq)
             .expect("results");
         assert_eq!(results.len(), 2);
         let rules = runs[0]
             .get("tool")
             .and_then(|t| t.get("driver"))
             .and_then(|d| d.get("rules"))
-            .and_then(Jv::as_arr)
+            .and_then(Value::as_seq)
             .expect("rules");
         assert_eq!(rules.len(), RuleId::ALL.len());
     }
 
     #[test]
     fn suppressed_findings_are_notes_with_suppression_objects() {
-        let text = to_sarif(&sample_report());
-        let doc = crate::json::parse(text.trim_end()).expect("valid JSON");
-        let runs = doc.get("runs").and_then(Jv::as_arr).expect("runs");
+        let doc = parse(&to_sarif(&sample_report()));
+        let runs = doc.get("runs").and_then(Value::as_seq).expect("runs");
         let results = runs[0]
             .get("results")
-            .and_then(Jv::as_arr)
+            .and_then(Value::as_seq)
             .expect("results");
-        let suppressed: Vec<&Jv> = results
+        let suppressed: Vec<&Value> = results
             .iter()
             .filter(|r| r.get("suppressions").is_some())
             .collect();
         assert_eq!(suppressed.len(), 1);
         assert_eq!(
-            suppressed[0].get("level").and_then(Jv::as_str),
+            suppressed[0].get("level").and_then(Value::as_str),
             Some("note")
         );
-        let live: Vec<&Jv> = results
+        let live: Vec<&Value> = results
             .iter()
             .filter(|r| r.get("suppressions").is_none())
             .collect();
-        assert_eq!(live[0].get("level").and_then(Jv::as_str), Some("error"));
+        assert_eq!(live[0].get("level").and_then(Value::as_str), Some("error"));
     }
 }

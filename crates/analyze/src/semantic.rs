@@ -3,7 +3,7 @@
 //!
 //! Analysis is two-phase. [`extract_facts`] reduces one file's item
 //! table to a [`FileFacts`] — a pure function of the file's text, which
-//! is what makes per-file results cacheable. [`check`] then joins the
+//! is what lets files analyze in parallel. [`check`] then joins the
 //! facts of every file into a workspace item table and runs three packs:
 //!
 //! * **snapshot-coverage** — a type with hand-written GLACSNAP serde
@@ -26,9 +26,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{Item, ItemKind};
 use crate::rules::{classify, Finding, RuleId};
 
-/// Saturation cap for draw-interval arithmetic. Small enough to stay
-/// exact through the cache's number representation, large enough that
-/// any real budget mismatch is still visible.
+/// Saturation cap for draw-interval arithmetic: large enough that any
+/// real budget mismatch is still visible.
 pub const DRAW_CAP: u64 = 1_000_000;
 
 /// RNG methods that retire raw draws, with their (min, max) weight.
@@ -51,7 +50,7 @@ const DERIVED_NAME_SUFFIXES: &[&str] = &["_buf", "_scratch", "_memo", "_cache"];
 
 /// How many draws a region of code can retire, as a tree mirroring the
 /// region's control flow.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum DrawTree {
     /// Sequential composition: intervals add.
     Seq(Vec<DrawTree>),
@@ -87,8 +86,8 @@ pub enum DrawTree {
     },
 }
 
-/// One named field of a struct, as cached.
-#[derive(Debug, Clone, PartialEq)]
+/// One named field of a struct.
+#[derive(Debug)]
 pub struct FieldFact {
     /// Field name.
     pub name: String,
@@ -101,7 +100,7 @@ pub struct FieldFact {
 }
 
 /// One struct definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct StructFact {
     /// Type name.
     pub name: String,
@@ -115,7 +114,7 @@ pub struct StructFact {
 
 /// One hand-written trait impl the packs care about
 /// (`Serialize` / `Deserialize` / `PartialEq`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct ImplFact {
     /// Trait's final path segment.
     pub trait_name: String,
@@ -130,7 +129,7 @@ pub struct ImplFact {
 }
 
 /// One fn definition with its draw tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct FnFact {
     /// Fn name.
     pub name: String,
@@ -145,7 +144,7 @@ pub struct FnFact {
 }
 
 /// Everything the semantic packs need to know about one file.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct FileFacts {
     /// Workspace-relative path.
     pub rel: String,

@@ -17,7 +17,7 @@
 use crate::rules::{Finding, RuleId};
 
 /// One parsed `glacsweb: allow(...)` comment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Suppression {
     /// The rule being suppressed.
     pub rule: RuleId,

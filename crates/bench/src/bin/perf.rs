@@ -67,8 +67,7 @@
 //! `BENCH_PERF.json` holds an **array** of schema-versioned records, one
 //! per `perf` invocation, oldest first. Appending rather than overwriting
 //! is what keeps kernel-rewrite claims auditable: the pre-rewrite entry
-//! stays in the file next to the post-rewrite entry. A legacy schema-1
-//! file holding a single bare object is absorbed as the first record.
+//! stays in the file next to the post-rewrite entry.
 //!
 //! # The CI regression gate
 //!
@@ -77,13 +76,11 @@
 //! counterpart in the last record of `--out`: the process exits
 //! non-zero when fresh throughput drops more than 20 % below that
 //! record, or when service p99 latency grows more than 50 % above it
-//! (latency jitters more than throughput on shared runners). Each
-//! comparison is skipped with a note when the baseline binary could
-//! not produce it — a schema-3 baseline carries no fleet record, a
-//! schema-4 baseline no service record, and a schema-5 baseline's
-//! lockstep latency is not comparable to the pipelined p99, so the
-//! latency gate waits for a schema-6 record — the gate never fails on
-//! a measurement the baseline binary could not produce. Absolute
+//! (latency jitters more than throughput on shared runners). The
+//! baseline must be a schema-6 (or newer) record carrying every gated
+//! figure; a missing record or field fails the check with a message
+//! naming it. A fleet or service gate measured at another scale is
+//! skipped with a note, since it is not like for like. Absolute
 //! sim-days/sec are hardware-dependent, so the comparison is only
 //! meaningful when both numbers come from the same machine. CI therefore
 //! never checks against the committed `BENCH_PERF.json` (recorded on
@@ -99,6 +96,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use glacsweb::{Deployment, DeploymentBuilder};
+use glacsweb_bench::{exit_with_usage, flag_value, CliError};
 use glacsweb_env::{EnvConfig, Environment};
 use glacsweb_fleet::{Fleet, FleetConfig};
 use glacsweb_link::GprsConfig;
@@ -326,7 +324,11 @@ struct Args {
     fleet_out: Option<String>,
 }
 
-fn parse(mut argv: impl Iterator<Item = String>) -> Args {
+const USAGE: &str = "usage: perf [--days N] [--cells K] [--threads N] [--repeat R] \
+                     [--label S] [--out PATH] [--check] [--fleet-out PATH] \
+                     [--checkpoint-every D] [--snapshot PATH] [--restore PATH]";
+
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
     let mut args = Args {
         days: DEFAULT_DAYS,
         cells: DEFAULT_CELLS,
@@ -340,48 +342,36 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Args {
         restore: None,
         fleet_out: None,
     };
+    let at_least_one = |flag: &str, n: u64| {
+        if n == 0 {
+            Err(CliError::Bad(format!("{flag} must be at least 1")))
+        } else {
+            Ok(n)
+        }
+    };
     while let Some(arg) = argv.next() {
-        let mut value = |flag: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         match arg.as_str() {
-            "--days" => args.days = value("--days").parse().expect("--days must be a number"),
-            "--cells" => args.cells = value("--cells").parse().expect("--cells must be a number"),
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")
-                        .parse()
-                        .expect("--threads must be a number"),
-                )
-            }
+            "--days" => args.days = flag_value(&mut argv, "--days")?,
+            "--cells" => args.cells = flag_value(&mut argv, "--cells")?,
+            "--threads" => args.threads = Some(flag_value(&mut argv, "--threads")?),
             "--repeat" => {
-                args.repeat = value("--repeat")
-                    .parse()
-                    .expect("--repeat must be a number");
-                assert!(args.repeat >= 1, "--repeat must be at least 1");
+                args.repeat = at_least_one("--repeat", flag_value(&mut argv, "--repeat")?)?;
             }
-            "--label" => args.label = value("--label"),
-            "--out" => args.out = value("--out"),
+            "--label" => args.label = flag_value(&mut argv, "--label")?,
+            "--out" => args.out = flag_value(&mut argv, "--out")?,
             "--check" => args.check = true,
             "--checkpoint-every" => {
-                let every: u64 = value("--checkpoint-every")
-                    .parse()
-                    .expect("--checkpoint-every must be a number of sim-days");
-                assert!(every >= 1, "--checkpoint-every must be at least 1 day");
-                args.checkpoint_every = Some(every);
+                let every = flag_value(&mut argv, "--checkpoint-every")?;
+                args.checkpoint_every = Some(at_least_one("--checkpoint-every", every)?);
             }
-            "--snapshot" => args.snapshot = value("--snapshot"),
-            "--restore" => args.restore = Some(value("--restore")),
-            "--fleet-out" => args.fleet_out = Some(value("--fleet-out")),
-            other => panic!(
-                "unknown argument {other:?}; perf [--days N] [--cells K] [--threads N] \
-                 [--repeat R] [--label S] [--out PATH] [--check] [--fleet-out PATH] \
-                 [--checkpoint-every D] [--snapshot PATH] [--restore PATH]"
-            ),
+            "--snapshot" => args.snapshot = flag_value(&mut argv, "--snapshot")?,
+            "--restore" => args.restore = Some(flag_value(&mut argv, "--restore")?),
+            "--fleet-out" => args.fleet_out = Some(flag_value(&mut argv, "--fleet-out")?),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Bad(format!("unknown argument {other:?}"))),
         }
     }
-    args
+    Ok(args)
 }
 
 /// The standard field deployment (the Fig 5 configuration), unstarted.
@@ -938,60 +928,69 @@ fn measure_kernel(days: u64) -> Kernel {
     }
 }
 
-/// Parses `path` as the record history: an array of records, a single
-/// legacy (schema-1) object, or nothing.
-fn read_history(path: &str) -> Vec<Value> {
+/// Parses `path` as the record history: an array of records, or
+/// nothing when the file does not exist yet.
+fn read_history(path: &str) -> Result<Vec<Value>, String> {
     let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     match serde_json::from_str::<Value>(&text) {
-        Ok(Value::Seq(records)) => records,
-        Ok(legacy @ Value::Map(_)) => vec![legacy],
-        _ => panic!("{path} exists but is not a JSON array or object"),
+        Ok(Value::Seq(records)) => Ok(records),
+        _ => Err(format!("{path} exists but is not a JSON array of records")),
     }
 }
 
-/// The baseline sim-days/sec: the last record's single-run throughput.
-fn baseline_sim_days_per_sec(history: &[Value]) -> Option<f64> {
-    history
-        .last()?
-        .get("single_run")?
-        .get("sim_days_per_sec")?
-        .as_f64()
+/// The figures `--check` gates on, read from the baseline record.
+struct Baseline {
+    sim_days_per_sec: f64,
+    fleet_stations: u64,
+    fleet_days: u64,
+    fleet_station_days_per_sec: f64,
+    service_stations: u64,
+    service_days: u64,
+    service_requests_per_sec: f64,
+    service_p99_us: f64,
 }
 
-/// The baseline fleet gate, where the last record is new enough to carry
-/// one: `(stations, days, station_days_per_sec)`.
-fn baseline_fleet_gate(history: &[Value]) -> Option<(u64, u64, f64)> {
-    let fleet = history.last()?.get("fleet")?;
-    Some((
-        fleet.get("gate_stations")?.as_u64()?,
-        fleet.get("gate_days")?.as_u64()?,
-        fleet.get("gate_station_days_per_sec")?.as_f64()?,
-    ))
-}
-
-/// The baseline service gate, where the last record is new enough to
-/// carry one: `(stations, days, requests_per_sec, p99_us)`. The p99
-/// figure is `None` for a schema-5 baseline — those records carry the
-/// field, but the lockstep (pipeline-1) latency distribution is not
-/// comparable to the pipelined one this binary measures, so the
-/// latency gate only engages against a schema-6-or-newer record.
-fn baseline_service_gate(history: &[Value]) -> Option<(u64, u64, f64, Option<f64>)> {
-    let record = history.last()?;
-    let service = record.get("service")?;
-    let schema = record.get("schema").and_then(Value::as_u64).unwrap_or(1);
-    let p99 = if schema >= 6 {
-        service.get("p99_us").and_then(Value::as_f64)
-    } else {
-        None
+/// Reads the gated figures from the last record of the history. A
+/// missing record or field is an error naming it: the baseline must be
+/// a schema-6 record (the first whose service p99 is pipelined, like
+/// this binary's), and every gated figure must be there.
+fn read_baseline(history: &[Value], path: &str) -> Result<Baseline, String> {
+    let record = history
+        .last()
+        .ok_or_else(|| format!("--check needs at least one record in {path}"))?;
+    let field = |keys: &[&str]| {
+        keys.iter()
+            .try_fold(record, |v, k| v.get(k))
+            .ok_or_else(|| format!("baseline record in {path} has no `{}`", keys.join(".")))
     };
-    Some((
-        service.get("stations")?.as_u64()?,
-        service.get("days")?.as_u64()?,
-        service.get("requests_per_sec")?.as_f64()?,
-        p99,
-    ))
+    let num = |keys: &[&str]| {
+        field(keys)?
+            .as_f64()
+            .ok_or_else(|| format!("baseline `{}` is not a number", keys.join(".")))
+    };
+    let int = |keys: &[&str]| {
+        field(keys)?
+            .as_u64()
+            .ok_or_else(|| format!("baseline `{}` is not an integer", keys.join(".")))
+    };
+    let schema = int(&["schema"])?;
+    if schema < 6 {
+        return Err(format!(
+            "baseline record in {path} is schema {schema}; --check needs schema 6 or newer"
+        ));
+    }
+    Ok(Baseline {
+        sim_days_per_sec: num(&["single_run", "sim_days_per_sec"])?,
+        fleet_stations: int(&["fleet", "gate_stations"])?,
+        fleet_days: int(&["fleet", "gate_days"])?,
+        fleet_station_days_per_sec: num(&["fleet", "gate_station_days_per_sec"])?,
+        service_stations: int(&["service", "stations"])?,
+        service_days: int(&["service", "days"])?,
+        service_requests_per_sec: num(&["service", "requests_per_sec"])?,
+        service_p99_us: num(&["service", "p99_us"])?,
+    })
 }
 
 /// One `--check` comparison: fails (or warns under the override) when
@@ -1048,76 +1047,66 @@ fn gate_lower(name: &str, unit: &str, fresh: f64, baseline: f64) -> bool {
 }
 
 fn main() {
-    let args = parse(std::env::args().skip(1));
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| exit_with_usage(e, USAGE));
 
     if args.check {
-        let history = read_history(&args.out);
-        let Some(baseline) = baseline_sim_days_per_sec(&history) else {
-            eprintln!(
-                "--check needs at least one committed record in {}",
-                args.out
-            );
-            std::process::exit(1);
+        let baseline = match read_history(&args.out).and_then(|h| read_baseline(&h, &args.out)) {
+            Ok(b) => b,
+            Err(msg) => {
+                eprintln!("bench-perf check: {msg}");
+                std::process::exit(1);
+            }
         };
         let (secs, fingerprint) = measure_single(args.days, args.repeat, &args);
         let fresh = args.days as f64 / secs;
         println!("bench-perf check: single-run summary {fingerprint:?}");
-        let mut ok = gate("single-run", "sim-days/sec", fresh, baseline);
-        // Fleet gate, like-for-like only: a schema-3 baseline (recorded
-        // by a binary that predates the fleet kernel) carries no fleet
-        // record, so there is nothing comparable to gate against.
-        match baseline_fleet_gate(&history) {
-            Some((stations, days, fleet_baseline)) => {
-                let (s, p, d, _) = FLEET_SCALES[FLEET_GATE];
-                let comparable = stations == u64::from(s) * u64::from(p) && days == d;
-                if comparable {
-                    let threads = glacsweb_sweep::resolve_threads(args.threads);
-                    let fleet_fresh = measure_fleet_gate(threads, args.repeat);
-                    ok &= gate("fleet", "station-days/sec", fleet_fresh, fleet_baseline);
-                } else {
-                    println!(
-                        "bench-perf check: baseline fleet gate covers {stations} stations x \
-                         {days} days, current gate differs — skipping fleet comparison"
-                    );
-                }
-            }
-            None => println!(
-                "bench-perf check: baseline record predates the fleet kernel (schema < 4); \
-                 skipping fleet comparison"
-            ),
+        let mut ok = gate(
+            "single-run",
+            "sim-days/sec",
+            fresh,
+            baseline.sim_days_per_sec,
+        );
+        // Fleet and service gates compare like for like only: a baseline
+        // measured at another scale is skipped with a note.
+        let (s, p, d, _) = FLEET_SCALES[FLEET_GATE];
+        if baseline.fleet_stations == u64::from(s) * u64::from(p) && baseline.fleet_days == d {
+            let threads = glacsweb_sweep::resolve_threads(args.threads);
+            let fleet_fresh = measure_fleet_gate(threads, args.repeat);
+            ok &= gate(
+                "fleet",
+                "station-days/sec",
+                fleet_fresh,
+                baseline.fleet_station_days_per_sec,
+            );
+        } else {
+            println!(
+                "bench-perf check: baseline fleet gate covers {} stations x {} days, \
+                 current gate differs — skipping fleet comparison",
+                baseline.fleet_stations, baseline.fleet_days
+            );
         }
-        // Service gate, like-for-like only: a schema-4 baseline (recorded
-        // by a binary that predates the HTTP front end) carries no
-        // service record, so there is nothing comparable to gate against.
-        match baseline_service_gate(&history) {
-            Some((stations, days, service_baseline, p99_baseline)) => {
-                let comparable = stations == u64::from(SERVICE_SITES) * u64::from(SERVICE_PER_SITE)
-                    && days == SERVICE_DAYS;
-                if comparable {
-                    let (service_fresh, p99_fresh) = measure_service_gate(args.repeat);
-                    ok &= gate("service", "req/sec", service_fresh, service_baseline);
-                    // p99 latency, lower-is-better — only against a
-                    // baseline whose latency shape is comparable.
-                    match p99_baseline {
-                        Some(p99) => {
-                            ok &= gate_lower("service-p99", "us", p99_fresh as f64, p99);
-                        }
-                        None => println!(
-                            "bench-perf check: baseline service record predates the pipelined \
-                             replay (schema < 6); skipping p99 latency comparison"
-                        ),
-                    }
-                } else {
-                    println!(
-                        "bench-perf check: baseline service gate covers {stations} stations x \
-                         {days} days, current gate differs — skipping service comparison"
-                    );
-                }
-            }
-            None => println!(
-                "bench-perf check: baseline record predates the service front end \
-                 (schema < 5); skipping service comparison"
-            ),
+        if baseline.service_stations == u64::from(SERVICE_SITES) * u64::from(SERVICE_PER_SITE)
+            && baseline.service_days == SERVICE_DAYS
+        {
+            let (service_fresh, p99_fresh) = measure_service_gate(args.repeat);
+            ok &= gate(
+                "service",
+                "req/sec",
+                service_fresh,
+                baseline.service_requests_per_sec,
+            );
+            ok &= gate_lower(
+                "service-p99",
+                "us",
+                p99_fresh as f64,
+                baseline.service_p99_us,
+            );
+        } else {
+            println!(
+                "bench-perf check: baseline service gate covers {} stations x {} days, \
+                 current gate differs — skipping service comparison",
+                baseline.service_stations, baseline.service_days
+            );
         }
         if !ok {
             std::process::exit(1);
@@ -1275,7 +1264,10 @@ fn main() {
         fleet,
         service,
     };
-    let mut history = read_history(&args.out);
+    let mut history = read_history(&args.out).unwrap_or_else(|msg| {
+        eprintln!("perf: {msg}");
+        std::process::exit(1);
+    });
     history.push(record.to_value());
     let mut f = std::fs::File::create(&args.out)
         .unwrap_or_else(|e| panic!("cannot create {}: {e}", args.out));

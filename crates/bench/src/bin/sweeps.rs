@@ -17,6 +17,7 @@
 //! parallelism); every cell is self-seeded, so the printed output is
 //! byte-identical for any thread count.
 
+use glacsweb_bench::{exit_with_usage, flag_value, CliError};
 use glacsweb_env::EnvConfig;
 use glacsweb_link::{GprsConfig, ProbeRadioLink};
 use glacsweb_power::budget;
@@ -127,19 +128,32 @@ fn misses_vs_wetness(seed: u64, threads: usize) {
     println!("{}", plot::sparkline(&values, rows.len()));
 }
 
-fn main() {
+const USAGE: &str = "usage: sweeps [SEED] [--threads N]";
+
+/// Parses `[SEED] [--threads N]` into `(seed, threads)`.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u64, Option<usize>), CliError> {
     let mut seed = 2009u64;
-    let mut threads_arg = None;
-    let mut args = std::env::args().skip(1);
+    let mut threads = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads_arg = Some(v.parse().expect("thread count must be a number"));
+            "--threads" => threads = Some(flag_value(&mut args, "--threads")?),
+            "--help" | "-h" => return Err(CliError::Help),
+            other if other.starts_with('-') => {
+                return Err(CliError::Bad(format!("unknown argument {other:?}")))
             }
-            other => seed = other.parse().expect("seed must be a number"),
+            other => {
+                seed = other
+                    .parse()
+                    .map_err(|e| CliError::Bad(format!("bad seed {other:?}: {e}")))?;
+            }
         }
     }
+    Ok((seed, threads))
+}
+
+fn main() {
+    let (seed, threads_arg) =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_with_usage(e, USAGE));
     let threads = glacsweb_sweep::resolve_threads(threads_arg);
     lifetime_vs_duty();
     survival_vs_capacity(seed, threads);

@@ -29,6 +29,7 @@
 use std::path::Path;
 
 use glacsweb::{Deployment, Scenario};
+use glacsweb_bench::{exit_with_usage, flag_value, CliError};
 use glacsweb_obs::{merge_all, MemoryRecorder, Origin};
 
 /// Number of cells in the observed seed sweep.
@@ -49,10 +50,10 @@ fn run_deployment(
     checkpoint_every: Option<u64>,
     snapshot: &str,
     restore: Option<&str>,
-) -> MemoryRecorder {
+) -> Result<MemoryRecorder, String> {
     let mut d = match restore {
         Some(path) => Deployment::resume(Path::new(path))
-            .unwrap_or_else(|e| panic!("cannot restore {path}: {e}")),
+            .map_err(|e| format!("cannot restore {path}: {e}"))?,
         None => Scenario::iceland_2008().seed(seed).observe().build(),
     };
     let horizon = d.start() + glacsweb_sim::SimDuration::from_days(days);
@@ -62,12 +63,12 @@ fn run_deployment(
                 let leg = (d.now() + glacsweb_sim::SimDuration::from_days(every)).min(horizon);
                 d.run_until(leg);
                 d.checkpoint(Path::new(snapshot))
-                    .unwrap_or_else(|e| panic!("cannot checkpoint {snapshot}: {e}"));
+                    .map_err(|e| format!("cannot checkpoint {snapshot}: {e}"))?;
             }
         }
         None => d.run_until(horizon),
     }
-    d.telemetry().unwrap_or_default()
+    Ok(d.telemetry().unwrap_or_default())
 }
 
 /// An observed sweep over neighbouring seeds: each cell records into its
@@ -84,51 +85,74 @@ fn run_sweep(seed: u64, threads: usize) -> (Vec<(u64, u64)>, MemoryRecorder) {
     })
 }
 
-fn main() {
-    let mut seed = 2008u64;
-    let mut days = 30u64;
-    let mut threads_arg = None;
-    let mut out = String::from("TELEMETRY.json");
-    let mut checkpoint_every = None;
-    let mut snapshot = String::from("glacsweb-telemetry.snap");
-    let mut restore = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+const USAGE: &str = "usage: telemetry [--seed N] [--days N] [--threads N] [--out PATH] \
+                     [--checkpoint-every D] [--snapshot PATH] [--restore PATH]";
+
+struct Args {
+    seed: u64,
+    days: u64,
+    threads: Option<usize>,
+    out: String,
+    checkpoint_every: Option<u64>,
+    snapshot: String,
+    restore: Option<String>,
+}
+
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
+    let mut args = Args {
+        seed: 2008,
+        days: 30,
+        threads: None,
+        out: String::from("TELEMETRY.json"),
+        checkpoint_every: None,
+        snapshot: String::from("glacsweb-telemetry.snap"),
+        restore: None,
+    };
+    while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                seed = v.parse().expect("seed must be a number");
-            }
-            "--days" => {
-                let v = args.next().expect("--days needs a value");
-                days = v.parse().expect("days must be a number");
-            }
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads_arg = Some(v.parse().expect("thread count must be a number"));
-            }
-            "--out" => {
-                out = args.next().expect("--out needs a path");
-            }
+            "--seed" => args.seed = flag_value(&mut argv, "--seed")?,
+            "--days" => args.days = flag_value(&mut argv, "--days")?,
+            "--threads" => args.threads = Some(flag_value(&mut argv, "--threads")?),
+            "--out" => args.out = flag_value(&mut argv, "--out")?,
             "--checkpoint-every" => {
-                let v = args.next().expect("--checkpoint-every needs a value");
-                let every: u64 = v.parse().expect("checkpoint interval must be sim-days");
-                assert!(every >= 1, "--checkpoint-every must be at least 1 day");
-                checkpoint_every = Some(every);
+                let every: u64 = flag_value(&mut argv, "--checkpoint-every")?;
+                if every == 0 {
+                    return Err(CliError::Bad(
+                        "--checkpoint-every must be at least 1 day".to_string(),
+                    ));
+                }
+                args.checkpoint_every = Some(every);
             }
-            "--snapshot" => {
-                snapshot = args.next().expect("--snapshot needs a path");
-            }
-            "--restore" => {
-                restore = Some(args.next().expect("--restore needs a path"));
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--snapshot" => args.snapshot = flag_value(&mut argv, "--snapshot")?,
+            "--restore" => args.restore = Some(flag_value(&mut argv, "--restore")?),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::Bad(format!("unknown argument {other:?}"))),
         }
     }
-    let threads = glacsweb_sweep::resolve_threads(threads_arg);
+    Ok(args)
+}
+
+fn main() {
+    let Args {
+        seed,
+        days,
+        threads,
+        out,
+        checkpoint_every,
+        snapshot,
+        restore,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_with_usage(e, USAGE));
+    let threads = glacsweb_sweep::resolve_threads(threads);
 
     println!("== glacsweb telemetry export (seed {seed}, {days} days) ==");
-    let deployment = run_deployment(seed, days, checkpoint_every, &snapshot, restore.as_deref());
+    let deployment =
+        match run_deployment(seed, days, checkpoint_every, &snapshot, restore.as_deref()) {
+            Ok(recorder) => recorder,
+            Err(msg) => {
+                eprintln!("telemetry: {msg}");
+                std::process::exit(1);
+            }
+        };
     let (cells, sweep) = run_sweep(seed, threads);
     for &(cell_seed, windows) in &cells {
         println!("sweep cell seed {cell_seed}: {windows} windows over {SWEEP_DAYS} days");
@@ -163,6 +187,9 @@ fn main() {
     );
 
     let json = merged.to_json();
-    std::fs::write(&out, json.as_bytes()).expect("write telemetry JSON");
+    if let Err(e) = std::fs::write(&out, json.as_bytes()) {
+        eprintln!("telemetry: cannot write {out}: {e}");
+        std::process::exit(1);
+    }
     println!("wrote {out}");
 }

@@ -11,6 +11,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 /// Names of all experiments the binary understands, in run order.
 pub const EXPERIMENTS: &[&str] = &[
     "table1",
@@ -31,6 +34,48 @@ pub const EXPERIMENTS: &[&str] = &[
     "chaos",
     "checkpoint",
 ];
+
+/// Why a bin's command line did not parse into options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// A bad argument: print this message and the usage, exit 2.
+    Bad(String),
+}
+
+/// Takes the value after `flag` off `args` and parses it as `T`.
+///
+/// # Errors
+///
+/// [`CliError::Bad`] when the value is missing or does not parse.
+pub fn flag_value<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, CliError>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let v = args
+        .next()
+        .ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))?;
+    v.parse()
+        .map_err(|e| CliError::Bad(format!("bad {flag} value {v:?}: {e}")))
+}
+
+/// Ends the process for a command line that did not parse: `--help`
+/// prints `usage` to stdout and exits 0; a bad argument prints the
+/// message and `usage` to stderr and exits 2.
+pub fn exit_with_usage(err: CliError, usage: &str) -> ! {
+    match err {
+        CliError::Help => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        CliError::Bad(msg) => {
+            eprintln!("{msg}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
 
 /// Parsed command line of the `experiments` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,6 +197,16 @@ mod tests {
         assert!(parse_args(args(&["--seed"])).is_err());
         assert!(parse_args(args(&["--json"])).is_err());
         assert!(parse_args(args(&["--seed", "abc"])).is_err());
+    }
+
+    #[test]
+    fn flag_value_parses_or_names_the_problem() {
+        let mut it = args(&["12", "x"]).into_iter();
+        assert_eq!(flag_value::<u64>(&mut it, "--days"), Ok(12));
+        let bad = flag_value::<u64>(&mut it, "--days");
+        assert!(matches!(bad, Err(CliError::Bad(m)) if m.contains("bad --days value \"x\"")));
+        let missing = flag_value::<u64>(&mut it, "--days");
+        assert_eq!(missing, Err(CliError::Bad("--days needs a value".into())));
     }
 
     #[test]
