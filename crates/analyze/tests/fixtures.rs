@@ -72,7 +72,7 @@ fn determinism_skips_test_and_example_files() {
     );
     assert_eq!(fire("examples/fake.rs", src, RuleId::Determinism), 0);
     assert_eq!(
-        fire("crates/bench/src/bin/perf.rs", src, RuleId::Determinism),
+        fire("crates/bench/src/bin/gate.rs", src, RuleId::Determinism),
         0
     );
 }

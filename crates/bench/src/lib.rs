@@ -6,13 +6,17 @@
 //!   number of the paper (run `cargo run -p glacsweb-bench --bin
 //!   experiments --release`);
 //! * `benches/bench_*.rs` — Criterion benchmarks timing each experiment's
-//!   underlying machinery (one bench target per paper artifact).
+//!   underlying machinery (one bench target per paper artifact);
+//! * [`gate`] — the CI regression gate over `glacbench` results (the
+//!   `gate` binary).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;
 use std::str::FromStr;
+
+pub mod gate;
 
 /// Names of all experiments the binary understands, in run order.
 pub const EXPERIMENTS: &[&str] = &[

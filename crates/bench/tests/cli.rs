@@ -6,7 +6,7 @@ use std::process::{Command, Output};
 const BINS: [&str; 3] = [
     env!("CARGO_BIN_EXE_sweeps"),
     env!("CARGO_BIN_EXE_telemetry"),
-    env!("CARGO_BIN_EXE_perf"),
+    env!("CARGO_BIN_EXE_gate"),
 ];
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -50,51 +50,4 @@ fn bad_arguments_print_usage_and_exit_two() {
             assert!(stderr(&out).contains("usage:"), "{bin} {args:?}");
         }
     }
-}
-
-/// Runs `perf --check` against a baseline file holding `history`.
-fn check_against(name: &str, history: &str) -> Output {
-    let path = std::env::temp_dir().join(format!(
-        "glacsweb_perf_check_{name}_{}.json",
-        std::process::id()
-    ));
-    std::fs::write(&path, history).expect("write baseline");
-    let out = run(
-        env!("CARGO_BIN_EXE_perf"),
-        &["--check", "--out", path.to_str().expect("utf-8 temp path")],
-    );
-    let _ = std::fs::remove_file(&path);
-    out
-}
-
-#[test]
-fn check_fails_on_a_baseline_missing_a_gated_field() {
-    let out = check_against(
-        "missing",
-        r#"[{"schema": 6, "single_run": {"sim_days_per_sec": 1000.0}}]"#,
-    );
-    assert_no_panic("perf", &out);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        stderr(&out).contains("has no `fleet.gate_stations`"),
-        "{}",
-        stderr(&out)
-    );
-}
-
-#[test]
-fn check_fails_on_an_old_or_bare_baseline() {
-    let old = check_against(
-        "old",
-        r#"[{"schema": 5, "single_run": {"sim_days_per_sec": 1000.0}}]"#,
-    );
-    assert_eq!(old.status.code(), Some(1));
-    assert!(stderr(&old).contains("schema 5"), "{}", stderr(&old));
-    let bare = check_against("bare", r#"{"schema": 1}"#);
-    assert_eq!(bare.status.code(), Some(1));
-    assert!(
-        stderr(&bare).contains("not a JSON array"),
-        "{}",
-        stderr(&bare)
-    );
 }

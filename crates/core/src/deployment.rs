@@ -409,6 +409,12 @@ impl Deployment {
     }
 
     /// Runs the event loop until `until`.
+    ///
+    /// Stations integrate their power rails only at their own events
+    /// (the half-hourly ticks and the windows), never at the horizon, so
+    /// where a run stops cannot change its trajectory: `run_until(a)`
+    /// then `run_until(b)` equals `run_until(b)` for any `a <= b`, and a
+    /// snapshot taken at any second resumes onto the uninterrupted run.
     pub fn run_until(&mut self, until: SimTime) {
         // Pre-size the metric buffers from the horizon so the half-hourly
         // recording loop appends without reallocating (values unaffected).
@@ -429,15 +435,8 @@ impl Deployment {
                 WorldEvent::FaultOff(spec) => self.handle_fault_off(spec, t),
             }
         }
-        // Advance everything to the horizon.
         self.now = until;
         self.env.advance_to(until);
-        if let Some(s) = self.base.as_mut() {
-            s.advance(&mut self.env, until);
-        }
-        if let Some(s) = self.reference.as_mut() {
-            s.advance(&mut self.env, until);
-        }
     }
 
     /// Runs `days` further days.

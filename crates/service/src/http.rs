@@ -6,7 +6,9 @@
 //! anyway. This module implements exactly the subset the fleet uses:
 //! request line + headers + optional `Content-Length` body, keep-alive
 //! with pipelining, bounded header/body sizes, per-connection read
-//! timeouts, and a fixed pool of blocking worker threads.
+//! timeouts, and a fixed pool of blocking worker threads. A request
+//! whose body length is ambiguous — a `Transfer-Encoding` header, or
+//! `Content-Length` headers that disagree — is refused.
 //!
 //! Every malformed input maps to a typed [`HttpError`] and a plain-text
 //! `error=<kind>` response — never a panic. This crate sits in
@@ -35,7 +37,7 @@
 //!
 //! After the first few requests warm the buffers, serving a request
 //! allocates nothing (pinned by the counting-allocator harness in
-//! `tests/alloc_count.rs` and reported in `BENCH_PERF.json`).
+//! `tests/alloc_count.rs`).
 //!
 //! # Endpoints
 //!
@@ -126,6 +128,11 @@ pub enum HttpError {
     BodyTooLarge,
     /// A POST without a `Content-Length` header.
     LengthRequired,
+    /// Two `Content-Length` headers with different values (RFC 9112
+    /// §6.3): the body's end is ambiguous.
+    ConflictingLength,
+    /// A `Transfer-Encoding` header: no transfer coding is implemented.
+    TransferEncoding,
     /// A required query parameter (or batch body field) was missing or
     /// unparsable.
     BadParam(&'static str),
@@ -152,6 +159,8 @@ impl HttpError {
             }
             HttpError::BodyTooLarge => (413, "Content Too Large", "body-too-large"),
             HttpError::LengthRequired => (411, "Length Required", "length-required"),
+            HttpError::ConflictingLength => (400, "Bad Request", "conflicting-length"),
+            HttpError::TransferEncoding => (501, "Not Implemented", "transfer-encoding"),
             HttpError::BadParam(_) => (400, "Bad Request", "bad-param"),
             HttpError::NotFound => (404, "Not Found", "not-found"),
             HttpError::MethodNotAllowed => (405, "Method Not Allowed", "method-not-allowed"),
@@ -619,8 +628,15 @@ fn read_request<S: Read + Write>(
                 continue;
             }
             let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = Some(value.trim().parse().map_err(|_| HttpError::BadHeader)?);
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                let length = value.trim().parse().map_err(|_| HttpError::BadHeader)?;
+                if content_length.is_some_and(|first| first != length) {
+                    return Err(HttpError::ConflictingLength);
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(HttpError::TransferEncoding);
             }
         }
         let (path_len, query_len) = match target.split_once('?') {
@@ -969,6 +985,54 @@ mod tests {
         assert_eq!(
             HttpError::Core(CoreError::UnknownStation(9)).status().0,
             404
+        );
+    }
+
+    /// Reads one request off `bytes` on a fresh connection.
+    fn parse_one(bytes: &[u8]) -> Result<Option<Parsed>, HttpError> {
+        let mut stream = io::Cursor::new(bytes.to_vec());
+        read_request(
+            &mut stream,
+            &mut ConnBuffers::default(),
+            &ServerConfig::default(),
+        )
+    }
+
+    #[test]
+    fn differing_content_lengths_are_refused() {
+        let differing =
+            b"POST /api/ack HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc";
+        assert_eq!(
+            parse_one(differing).err(),
+            Some(HttpError::ConflictingLength)
+        );
+        assert_eq!(
+            HttpError::ConflictingLength.status(),
+            (400, "Bad Request", "conflicting-length")
+        );
+        let repeated =
+            b"POST /api/ack HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc";
+        let parsed = parse_one(repeated).expect("identical repeats are accepted");
+        assert_eq!(parsed.map(|p| p.body.1), Some(3));
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused() {
+        for request in [
+            &b"POST /api/checkin-batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+            b"POST /api/ack HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"GET /health HTTP/1.1\r\ntransfer-encoding: identity\r\n\r\n",
+        ] {
+            assert_eq!(
+                parse_one(request).err(),
+                Some(HttpError::TransferEncoding),
+                "{}",
+                String::from_utf8_lossy(request)
+            );
+        }
+        assert_eq!(
+            HttpError::TransferEncoding.status(),
+            (501, "Not Implemented", "transfer-encoding")
         );
     }
 

@@ -67,6 +67,16 @@ fn typed_errors_for_every_malformed_shape() {
         (b"POST /api/checkin?station=0&at=0&soc=1 HTTP/1.1\r\n\r\n", 411, "error=length-required"),
         (b"GET / HTTP/1.1\r\nBroken header line\r\n\r\n", 400, "error=bad-header"),
         (
+            b"POST /api/ack HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
+            400,
+            "error=conflicting-length",
+        ),
+        (
+            b"POST /api/checkin-batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            501,
+            "error=transfer-encoding",
+        ),
+        (
             b"POST /api/checkin?station=0&at=0&soc=1 HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
             413,
             "error=body-too-large",

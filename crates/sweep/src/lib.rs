@@ -13,7 +13,7 @@
 //! Thread count resolution (see [`threads`]): an explicit
 //! [`with_threads`] override (used by tests), then the
 //! `GLACSWEB_THREADS` environment variable (set by the `--threads N`
-//! flag of the `experiments`/`sweeps`/`perf` binaries), then
+//! flag of the `experiments` binary), then
 //! [`std::thread::available_parallelism`].
 //!
 //! No external dependencies: the pool is scoped threads + atomics from
