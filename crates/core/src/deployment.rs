@@ -475,6 +475,7 @@ impl Deployment {
             .map(|&p| warehouse.probe_series(p).len())
             .sum();
         let faults = self.metrics.fault_summary();
+        let fixes = warehouse.differential_fixes();
         DeploymentSummary {
             days: (self.now.saturating_since(self.start)).as_days_f64(),
             windows_run,
@@ -486,8 +487,8 @@ impl Deployment {
             probes_alive: self.probes_alive(),
             probes_deployed: self.probes.len(),
             probe_readings_received: readings,
-            dgps_fixes: warehouse.differential_fixes().len(),
-            dgps_pairing_yield: warehouse.pairing_yield(),
+            dgps_fixes: fixes.len(),
+            dgps_pairing_yield: warehouse.pairing_yield(&fixes),
             base_energy_discharged: base_discharged,
             faults_injected: faults.injected,
             faults_recovered: faults.recovered,

@@ -5,7 +5,7 @@ use serde::{de, Deserialize, Serialize, Value};
 
 use crate::cafe::cafe_mains_available;
 use crate::config::EnvConfig;
-use crate::daycache::{DayPair, SodTable};
+use crate::daycache::{DayCell, MinuteTable, SodTable};
 use crate::hydrology::Hydrology;
 use crate::motion::GlacierMotion;
 use crate::snow::SnowPack;
@@ -42,7 +42,7 @@ impl Season {
 ///
 /// Call [`Environment::advance_to`] from the simulation's main loop before
 /// querying; queries are cheap and side-effect free.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     config: EnvConfig,
     solar: SolarModel,
@@ -57,17 +57,49 @@ pub struct Environment {
     started: bool,
     /// Memo of the per-day solar products `(sin φ·sin δ, cos φ·cos δ)`.
     // glacsweb: derived-state
-    solar_day: DayPair,
+    solar_day: DayCell<(f64, f64)>,
     /// Memo of `cos(hour angle)` — a pure function of second-of-day.
     // glacsweb: derived-state
     cos_hour: SodTable,
+    /// Memo of the clear-sky solar fraction at whole sim-minutes, shared
+    /// by every station's rail.
+    // glacsweb: derived-state
+    clear_sky: MinuteTable,
+    /// Memo of the café-mains season for the current civil day.
+    // glacsweb: derived-state
+    mains: DayCell<bool>,
+}
+
+// Serialization is hand-written to keep the snapshot bytes fixed. Every
+// memo is derived state: `solar_day` and `cos_hour` keep the `Null`
+// entries the derived form always wrote for them, and the minute table
+// and the mains memo stay off the wire altogether.
+impl Serialize for Environment {
+    fn to_value(&self) -> Value {
+        let entry = |key: &str, value: Value| (Value::Str(String::from(key)), value);
+        Value::Map(vec![
+            entry("config", self.config.to_value()),
+            entry("solar", self.solar.to_value()),
+            entry("temperature", self.temperature.to_value()),
+            entry("wind", self.wind.to_value()),
+            entry("snow", self.snow.to_value()),
+            entry("hydrology", self.hydrology.to_value()),
+            entry("motion", self.motion.to_value()),
+            entry("cloud_factor", self.cloud_factor.to_value()),
+            entry("rng", self.rng.to_value()),
+            entry("now", self.now.to_value()),
+            entry("started", self.started.to_value()),
+            entry("solar_day", Value::Null),
+            entry("cos_hour", Value::Null),
+        ])
+    }
 }
 
 // Deserialization is hand-written so a snapshot cannot smuggle in a
 // configuration that `Environment::new` would have rejected with a panic:
-// restore validates and reports a typed error instead. The day/second
-// memos are derived state — they restart empty and refill bit-identically
-// on first use.
+// restore validates and reports a typed error instead. The memos are
+// derived state — they restart empty and refill bit-identically on first
+// use.
 impl Deserialize for Environment {
     fn from_value(v: &Value) -> Result<Self, de::Error> {
         let config: EnvConfig = de::field(v, "config")?;
@@ -89,8 +121,10 @@ impl Deserialize for Environment {
             rng: de::field(v, "rng")?,
             now: de::field(v, "now")?,
             started: de::field(v, "started")?,
-            solar_day: DayPair::default(),
+            solar_day: DayCell::default(),
             cos_hour: SodTable::default(),
+            clear_sky: MinuteTable::default(),
+            mains: DayCell::default(),
         })
     }
 }
@@ -136,8 +170,10 @@ impl Environment {
             rng,
             now: SimTime::EPOCH,
             started: false,
-            solar_day: DayPair::default(),
+            solar_day: DayCell::default(),
             cos_hour: SodTable::default(),
+            clear_sky: MinuteTable::default(),
+            mains: DayCell::default(),
         }
     }
 
@@ -196,31 +232,34 @@ impl Environment {
         }
     }
 
-    /// Memoised clear-sky fraction, bit-identical to
-    /// [`SolarModel::clear_sky_fraction`].
+    /// Clear-sky fraction, memoised per whole sim-minute and
+    /// bit-identical to [`SolarModel::clear_sky_fraction`].
     ///
-    /// The solar geometry factors exactly as the model computes it:
-    /// `sin el = (sin φ·sin δ) + (cos φ·cos δ)·cos H`, where the two
-    /// parenthesised products depend only on the civil day and `cos H`
-    /// only on the second of day. Memoising those whole subexpressions
-    /// and replaying the remaining chain (`asin → degrees → radians →
-    /// sin → max`) performs the same float operations in the same order
-    /// as the un-memoised model, so the result carries identical bits —
-    /// the power rail calls this every 60 s substep, so it is the
-    /// hottest transcendental path in the kernel.
+    /// The power rail calls this every 60 s substep of every station, so
+    /// it is the hottest transcendental path in the kernel. A whole
+    /// minute is computed once and then served to every rail from the
+    /// minute table. A miss, or an instant off the minute grid, replays
+    /// the model's own chain: `sin el = (sin φ·sin δ) + (cos φ·cos δ)·cos
+    /// H`, where the two parenthesised products depend only on the civil
+    /// day and `cos H` only on the second of day (each memoised), then
+    /// `asin → degrees → radians → sin → max`. Those are the model's
+    /// float operations in the model's order, so the result carries
+    /// identical bits.
     fn clear_sky_fraction(&self, t: SimTime) -> f64 {
-        let (a, b) = self.solar_day.get_or(t.unix() / 86_400, || {
-            let doy = f64::from(t.day_of_year());
-            let decl =
-                23.44_f64.to_radians() * (std::f64::consts::TAU * (284.0 + doy) / 365.0).sin();
-            let lat = self.solar.latitude_deg().to_radians();
-            (lat.sin() * decl.sin(), lat.cos() * decl.cos())
-        });
-        let cos_h = self.cos_hour.get_or(t.seconds_of_day(), || {
-            (15.0 * (t.hour_of_day_f64() - 12.0)).to_radians().cos()
-        });
-        let sin_el = a + b * cos_h;
-        sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+        self.clear_sky.get_or(t.unix(), || {
+            let (a, b) = self.solar_day.get_or(t.unix() / 86_400, || {
+                let doy = f64::from(t.day_of_year());
+                let decl =
+                    23.44_f64.to_radians() * (std::f64::consts::TAU * (284.0 + doy) / 365.0).sin();
+                let lat = self.solar.latitude_deg().to_radians();
+                (lat.sin() * decl.sin(), lat.cos() * decl.cos())
+            });
+            let cos_h = self.cos_hour.get_or(t.seconds_of_day(), || {
+                (15.0 * (t.hour_of_day_f64() - 12.0)).to_radians().cos()
+            });
+            let sin_el = a + b * cos_h;
+            sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+        })
     }
 
     /// Fraction of the solar panel's rated output available now, in
@@ -278,9 +317,12 @@ impl Environment {
         self.motion.slip_count()
     }
 
-    /// `true` if the café mains supply is live.
+    /// `true` if the café mains supply is live (the season is looked up
+    /// once per civil day).
     pub fn cafe_mains_available(&self, t: SimTime) -> bool {
-        cafe_mains_available(t, self.config.cafe_season_months)
+        self.mains.get_or(t.unix() / 86_400, || {
+            cafe_mains_available(t, self.config.cafe_season_months)
+        })
     }
 
     /// A deterministic fork of the environment RNG for co-simulated
@@ -298,6 +340,12 @@ mod tests {
     fn env() -> Environment {
         Environment::new(EnvConfig::vatnajokull(), 1)
     }
+
+    /// Length and FNV-1a digest of the `Debug` text of the value tree in
+    /// `wire_form_is_pinned`, as the derived `Serialize` with the
+    /// original memo fields produced it.
+    const WIRE_LEN: usize = 2300;
+    const WIRE_FNV: u64 = 0xbcdf_31e7_acf2_fbb9;
 
     #[test]
     fn deterministic_across_runs() {
@@ -388,23 +436,122 @@ mod tests {
         assert_eq!(midnight, 0.0, "no sun at equinox midnight at 64N");
     }
 
+    /// Instants that exercise the memos: whole minutes and off-grid
+    /// seconds, across a midnight that is also a month boundary and a
+    /// café-season edge (30 Sep → 1 Oct and 31 Mar → 1 Apr), around noon,
+    /// and across a year boundary.
+    fn memo_instants() -> Vec<SimTime> {
+        let mut out = vec![SimTime::from_ymd_hms(2009, 7, 4, 12, 3, 27)];
+        for start in [
+            SimTime::from_ymd_hms(2009, 9, 30, 23, 0, 0),
+            SimTime::from_ymd_hms(2010, 3, 31, 23, 0, 0),
+            SimTime::from_ymd_hms(2009, 6, 21, 11, 0, 0),
+            SimTime::from_ymd_hms(2009, 12, 31, 23, 0, 0),
+        ] {
+            for step in 0..120 {
+                let t = start + SimDuration::from_mins(step);
+                out.push(t);
+                out.push(t + SimDuration::from_secs(27));
+            }
+        }
+        out
+    }
+
+    /// `solar_factor` and `cafe_mains_available` carry the bits of the
+    /// un-memoised expressions at every instant, on the miss and on the
+    /// hit, in the given query order.
+    fn assert_memos_match_model(e: &Environment, instants: &[SimTime]) {
+        let model = SolarModel::new(e.config.latitude_deg);
+        let burial = e.snow.burial_factor(e.config.panel_burial_depth_m);
+        for &t in instants {
+            let solar = model.clear_sky_fraction(t) * e.cloud_factor * burial;
+            let mains = cafe_mains_available(t, e.config.cafe_season_months);
+            for pass in ["miss", "hit"] {
+                assert_eq!(e.solar_factor(t).to_bits(), solar.to_bits(), "{t} {pass}");
+                assert_eq!(e.cafe_mains_available(t), mains, "{t} {pass}");
+            }
+        }
+    }
+
+    /// The clear-sky memo (through `solar_factor`) and the café-mains
+    /// memo agree with the un-memoised model bit for bit.
     #[test]
     fn memoised_clear_sky_matches_model_bitwise() {
         let mut e = env();
-        let t0 = SimTime::from_ymd_hms(2008, 9, 1, 0, 0, 0);
+        e.advance_to(SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0));
+        let instants = memo_instants();
+        assert_memos_match_model(&e, &instants);
+        // Reverse order: every day tag flips back, so stale slots must
+        // miss rather than hit.
+        let reversed: Vec<SimTime> = instants.iter().rev().copied().collect();
+        assert_memos_match_model(&e, &reversed);
+        // A fresh environment queried two days apart in alternation, the
+        // way two rails a day out of step would.
+        let fresh = env();
+        let day = SimDuration::from_days(1);
+        let interleaved: Vec<SimTime> = instants.iter().flat_map(|&t| [t, t + day]).collect();
+        assert_memos_match_model(&fresh, &interleaved);
+    }
+
+    #[test]
+    fn memoised_terms_match_the_model_after_restore() {
+        let mut e = env();
+        let t0 = SimTime::from_ymd_hms(2009, 9, 28, 0, 0, 0);
         e.advance_to(t0);
-        let model = SolarModel::new(e.config().latitude_deg);
-        for step in 0..(2 * 1440) {
-            let t = t0 + SimDuration::from_mins(step);
-            let memoised = e.clear_sky_fraction(t);
+        e.advance_to(t0 + SimDuration::from_days(2));
+        let instants = memo_instants();
+        // Fill the memos before the snapshot: their contents must not
+        // travel, and the restored copy must refill to the same bits.
+        assert_memos_match_model(&e, &instants);
+        let restored = Environment::from_value(&e.to_value()).expect("round trip");
+        assert_eq!(restored, e);
+        assert_memos_match_model(&restored, &instants);
+        for &t in &instants {
             assert_eq!(
-                memoised.to_bits(),
-                model.clear_sky_fraction(t).to_bits(),
-                "step {step}"
+                restored.solar_factor(t).to_bits(),
+                e.solar_factor(t).to_bits()
             );
-            // Second call takes the hit path — same bits again.
-            assert_eq!(e.clear_sky_fraction(t).to_bits(), memoised.to_bits());
         }
+    }
+
+    #[test]
+    fn wire_form_is_pinned() {
+        // The value tree (and so the snapshot bytes) of a warmed-up
+        // environment with filled memos. The two memo entries stay `Null`
+        // under their fixed keys; the digest pins every other byte.
+        let mut e = env();
+        let t0 = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
+        e.advance_to(t0);
+        e.advance_to(t0 + SimDuration::from_days(3));
+        assert_memos_match_model(&e, &memo_instants());
+        let value = e.to_value();
+        let entries = value.as_map().expect("a map");
+        let keys: Vec<&str> = entries.iter().filter_map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "config",
+                "solar",
+                "temperature",
+                "wind",
+                "snow",
+                "hydrology",
+                "motion",
+                "cloud_factor",
+                "rng",
+                "now",
+                "started",
+                "solar_day",
+                "cos_hour"
+            ]
+        );
+        assert_eq!(value.get("solar_day"), Some(&Value::Null));
+        assert_eq!(value.get("cos_hour"), Some(&Value::Null));
+        let text = format!("{value:?}");
+        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((text.len(), fnv), (WIRE_LEN, WIRE_FNV), "{text}");
     }
 
     #[test]

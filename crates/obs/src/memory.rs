@@ -1,6 +1,7 @@
 //! The in-memory accumulating recorder and its `TELEMETRY.json` export.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use glacsweb_sim::{CivilDate, SimTime};
 
@@ -249,97 +250,68 @@ impl MemoryRecorder {
     /// `glacsweb-obs/1`), hand-rolled in the same style as
     /// `glacsweb-analyze`'s `ANALYSIS.json` — key order fixed, map
     /// sections sorted by their `BTreeMap` keys, events in record order.
+    /// Rows are written straight into the one output buffer.
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096);
         o.push_str("{\n");
         o.push_str("  \"schema\": \"glacsweb-obs/1\",\n");
-        o.push_str(&format!("  \"events_dropped\": {},\n", self.events_dropped));
+        let _ = writeln!(o, "  \"events_dropped\": {},", self.events_dropped);
 
         o.push_str("  \"counters\": [");
-        push_block(&mut o, self.counters.iter(), |o, ((origin, name), v)| {
-            o.push_str(&format!(
-                "{{\"component\": {}, \"station\": {}, \"name\": {}, \"value\": {v}}}",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name)
-            ));
+        push_block(&mut o, self.counters.iter(), |o, (&(origin, name), v)| {
+            o.push('{');
+            push_origin(o, origin, name, Layout::Pretty);
+            let _ = write!(o, ", \"value\": {v}}}");
         });
         o.push_str("],\n");
 
         o.push_str("  \"daily\": [");
-        push_block(&mut o, self.daily.iter(), |o, ((date, origin, name), v)| {
-            o.push_str(&format!(
-                "{{\"date\": \"{date}\", \"component\": {}, \"station\": {}, \
-                     \"name\": {}, \"value\": {v}}}",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name)
-            ));
-        });
+        push_block(
+            &mut o,
+            self.daily.iter(),
+            |o, (&(date, origin, name), v)| {
+                let _ = write!(o, "{{\"date\": \"{date}\", ");
+                push_origin(o, origin, name, Layout::Pretty);
+                let _ = write!(o, ", \"value\": {v}}}");
+            },
+        );
         o.push_str("],\n");
 
         o.push_str("  \"gauges\": [");
         push_block(
             &mut o,
             self.gauges.iter(),
-            |o, ((origin, name), (at, v))| {
-                o.push_str(&format!(
-                    "{{\"component\": {}, \"station\": {}, \"name\": {}, \
-                     \"at\": \"{at}\", \"value\": {}}}",
-                    json_str(origin.component),
-                    json_str(origin.station),
-                    json_str(name),
-                    json_f64(*v)
-                ));
+            |o, (&(origin, name), &(at, v))| {
+                o.push('{');
+                push_origin(o, origin, name, Layout::Pretty);
+                let _ = write!(o, ", \"at\": \"{at}\", \"value\": ");
+                push_json_f64(o, v);
+                o.push('}');
             },
         );
         o.push_str("],\n");
 
         o.push_str("  \"histograms\": [");
-        push_block(&mut o, self.histograms.iter(), |o, ((origin, name), h)| {
-            o.push_str(&format!(
-                "{{\"component\": {}, \"station\": {}, \"name\": {}, \
-                 \"total\": {}, \"sum\": {}, \"buckets\": [",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name),
+        push_block(&mut o, self.histograms.iter(), |o, (&(origin, name), h)| {
+            o.push('{');
+            push_origin(o, origin, name, Layout::Pretty);
+            let _ = write!(
+                o,
+                ", \"total\": {}, \"sum\": {}, \"buckets\": [",
                 h.total(),
                 h.sum()
-            ));
-            let mut first = true;
-            for (count, bound) in h.counts().iter().zip(
-                BUCKET_BOUNDS
-                    .iter()
-                    .map(|b| b.to_string())
-                    .chain(std::iter::once("\"inf\"".to_string())),
-            ) {
-                if !first {
-                    o.push_str(", ");
-                }
-                first = false;
-                o.push_str(&format!("{{\"le\": {bound}, \"count\": {count}}}"));
-            }
+            );
+            push_buckets(o, h, Layout::Pretty);
             o.push_str("]}");
         });
         o.push_str("],\n");
 
         o.push_str("  \"events\": [");
         push_block(&mut o, self.events.iter(), |o, event| {
-            o.push_str(&format!(
-                "{{\"at\": \"{}\", \"component\": {}, \"station\": {}, \"name\": {}, \"fields\": {{",
-                event.at,
-                json_str(event.origin.component),
-                json_str(event.origin.station),
-                json_str(event.name)
-            ));
-            let mut first = true;
-            for (key, value) in &event.fields {
-                if !first {
-                    o.push_str(", ");
-                }
-                first = false;
-                o.push_str(&format!("{}: {}", json_str(key), json_value(value)));
-            }
+            let _ = write!(o, "{{\"at\": \"{}\", ", event.at);
+            push_origin(o, event.origin, event.name, Layout::Pretty);
+            o.push_str(", \"fields\": {");
+            push_fields(o, &event.fields, Layout::Pretty);
             o.push_str("}}");
         });
         o.push_str("]\n");
@@ -623,48 +595,139 @@ fn push_block<T>(
     }
 }
 
-/// JSON string literal with escaping, matching `glacsweb-analyze`'s
-/// `ANALYSIS.json` writer.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Separators of the two export layouts: `TELEMETRY.json` puts a space
+/// after every `:` and `,`, NDJSON lines put none.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Layout {
+    /// `"key": value, "key": value` (`TELEMETRY.json`).
+    Pretty,
+    /// `"key":value,"key":value` (NDJSON).
+    Compact,
+}
+
+impl Layout {
+    fn colon(self) -> &'static str {
+        match self {
+            Layout::Pretty => ": ",
+            Layout::Compact => ":",
         }
     }
-    out.push('"');
-    out
+
+    fn comma(self) -> &'static str {
+        match self {
+            Layout::Pretty => ", ",
+            Layout::Compact => ",",
+        }
+    }
 }
 
-/// Serialises an `f64` so it round-trips as a JSON number; non-finite
-/// values become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
+/// Appends the `component`, `station` and `name` entries every row
+/// carries, in that order.
+pub(crate) fn push_origin(o: &mut String, origin: Origin, name: &str, layout: Layout) {
+    let entries = [
+        ("component", origin.component),
+        ("station", origin.station),
+        ("name", name),
+    ];
+    for (i, (key, value)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            o.push_str(layout.comma());
+        }
+        o.push('"');
+        o.push_str(key);
+        o.push('"');
+        o.push_str(layout.colon());
+        push_json_str(o, value);
+    }
+}
+
+/// Appends an event's fields as the entries of a JSON object, in their
+/// insertion order.
+pub(crate) fn push_fields(o: &mut String, fields: &[(&str, Value)], layout: Layout) {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            o.push_str(layout.comma());
+        }
+        push_json_str(o, key);
+        o.push_str(layout.colon());
+        push_json_value(o, value);
+    }
+}
+
+/// Appends a histogram's buckets as `{"le": bound, "count": n}` objects,
+/// the overflow bucket's bound being the string `"inf"`.
+pub(crate) fn push_buckets(o: &mut String, h: &Histogram, layout: Layout) {
+    let (colon, comma) = (layout.colon(), layout.comma());
+    for (i, count) in h.counts().iter().enumerate() {
+        if i > 0 {
+            o.push_str(comma);
+        }
+        o.push_str("{\"le\"");
+        o.push_str(colon);
+        match BUCKET_BOUNDS.get(i) {
+            Some(bound) => {
+                let _ = write!(o, "{bound}");
+            }
+            None => o.push_str("\"inf\""),
+        }
+        o.push_str(comma);
+        o.push_str("\"count\"");
+        o.push_str(colon);
+        let _ = write!(o, "{count}}}");
+    }
+}
+
+/// Appends a JSON string literal with escaping, matching
+/// `glacsweb-analyze`'s `ANALYSIS.json` writer.
+pub(crate) fn push_json_str(o: &mut String, s: &str) {
+    o.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        o.push_str(s);
+        o.push('"');
+        return;
+    }
+    for c in s.chars() {
+        match c {
+            '"' => o.push_str("\\\""),
+            '\\' => o.push_str("\\\\"),
+            '\n' => o.push_str("\\n"),
+            '\r' => o.push_str("\\r"),
+            '\t' => o.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(o, "\\u{:04x}", c as u32);
+            }
+            c => o.push(c),
+        }
+    }
+    o.push('"');
+}
+
+/// Appends an `f64` so it round-trips as a JSON number: integral values
+/// gain a `.0`, and non-finite values become `null`.
+pub(crate) fn push_json_f64(o: &mut String, v: f64) {
     if !v.is_finite() {
-        return "null".to_string();
+        o.push_str("null");
+        return;
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") {
-        s
-    } else {
-        format!("{s}.0")
+    let start = o.len();
+    let _ = write!(o, "{v}");
+    if !o.get(start..).is_some_and(|s| s.contains(['.', 'e'])) {
+        o.push_str(".0");
     }
 }
 
-/// Serialises an event field value.
-pub(crate) fn json_value(v: &Value) -> String {
+/// Appends an event field value.
+pub(crate) fn push_json_value(o: &mut String, v: &Value) {
     match v {
-        Value::U64(n) => n.to_string(),
-        Value::I64(n) => n.to_string(),
-        Value::F64(x) => json_f64(*x),
-        Value::Bool(b) => b.to_string(),
-        Value::Str(s) => json_str(s),
+        Value::U64(n) => {
+            let _ = write!(o, "{n}");
+        }
+        Value::I64(n) => {
+            let _ = write!(o, "{n}");
+        }
+        Value::F64(x) => push_json_f64(o, *x),
+        Value::Bool(b) => o.push_str(if *b { "true" } else { "false" }),
+        Value::Str(s) => push_json_str(o, s),
     }
 }
 

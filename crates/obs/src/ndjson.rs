@@ -20,13 +20,13 @@
 //! JSON parser. The aggregated export additionally leads with a
 //! `"schema"` line (`glacsweb-obs/ndjson-1`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io;
 
 use glacsweb_sim::SimTime;
 
-use crate::memory::{json_f64, json_str, json_value};
-use crate::{Event, MemoryRecorder, Origin, Recorder, BUCKET_BOUNDS};
+use crate::memory::{push_buckets, push_fields, push_json_f64, push_json_str, push_origin, Layout};
+use crate::{Event, MemoryRecorder, Origin, Recorder};
 
 /// Schema tag carried by the first line of every aggregated export.
 pub const NDJSON_SCHEMA: &str = "glacsweb-obs/ndjson-1";
@@ -43,6 +43,8 @@ pub struct NdjsonWriter<W: io::Write + Send> {
     out: W,
     lines: u64,
     error: Option<io::Error>,
+    /// The line being written, reused from record to record.
+    line: String,
 }
 
 impl<W: io::Write + Send> NdjsonWriter<W> {
@@ -54,6 +56,7 @@ impl<W: io::Write + Send> NdjsonWriter<W> {
             out,
             lines: 0,
             error: None,
+            line: String::new(),
         }
     }
 
@@ -78,13 +81,16 @@ impl<W: io::Write + Send> NdjsonWriter<W> {
         Ok(self.out)
     }
 
-    fn write_line(&mut self, line: &str) {
+    /// Builds one line with `build` in the reused buffer and writes it.
+    fn write_line(&mut self, build: impl FnOnce(&mut String)) {
         if self.error.is_some() {
             return;
         }
+        self.line.clear();
+        build(&mut self.line);
         let write = self
             .out
-            .write_all(line.as_bytes())
+            .write_all(self.line.as_bytes())
             .and_then(|()| self.out.write_all(b"\n"));
         match write {
             Ok(()) => self.lines += 1,
@@ -108,62 +114,48 @@ impl<W: io::Write + Send> Recorder for NdjsonWriter<W> {
     }
 
     fn event(&mut self, event: Event) {
-        self.write_line(&event_line(&event));
+        self.write_line(|o| push_event_line(o, &event));
     }
 
     fn counter(&mut self, at: SimTime, origin: Origin, name: &'static str, delta: u64) {
-        self.write_line(&format!(
-            "{{\"kind\":\"counter\",\"at\":\"{at}\",\"component\":{},\"station\":{},\
-             \"name\":{},\"delta\":{delta}}}",
-            json_str(origin.component),
-            json_str(origin.station),
-            json_str(name)
-        ));
+        self.write_line(|o| {
+            let _ = write!(o, "{{\"kind\":\"counter\",\"at\":\"{at}\",");
+            push_origin(o, origin, name, Layout::Compact);
+            let _ = write!(o, ",\"delta\":{delta}}}");
+        });
     }
 
     fn gauge(&mut self, at: SimTime, origin: Origin, name: &'static str, value: f64) {
-        self.write_line(&format!(
-            "{{\"kind\":\"gauge\",\"at\":\"{at}\",\"component\":{},\"station\":{},\
-             \"name\":{},\"value\":{}}}",
-            json_str(origin.component),
-            json_str(origin.station),
-            json_str(name),
-            json_f64(value)
-        ));
+        self.write_line(|o| push_gauge_line(o, at, origin, name, value));
     }
 
     fn observe(&mut self, origin: Origin, name: &'static str, value: u64) {
-        self.write_line(&format!(
-            "{{\"kind\":\"observe\",\"component\":{},\"station\":{},\
-             \"name\":{},\"value\":{value}}}",
-            json_str(origin.component),
-            json_str(origin.station),
-            json_str(name)
-        ));
+        self.write_line(|o| {
+            o.push_str("{\"kind\":\"observe\",");
+            push_origin(o, origin, name, Layout::Compact);
+            let _ = write!(o, ",\"value\":{value}}}");
+        });
     }
 }
 
-/// One event as a single NDJSON line (shared between the streaming
-/// writer and the aggregated export).
-fn event_line(event: &Event) -> String {
-    let mut o = format!(
-        "{{\"kind\":\"event\",\"at\":\"{}\",\"component\":{},\"station\":{},\
-         \"name\":{},\"fields\":{{",
-        event.at,
-        json_str(event.origin.component),
-        json_str(event.origin.station),
-        json_str(event.name)
-    );
-    let mut first = true;
-    for (key, value) in &event.fields {
-        if !first {
-            o.push(',');
-        }
-        first = false;
-        o.push_str(&format!("{}:{}", json_str(key), json_value(value)));
-    }
+/// Appends one event as a single NDJSON line, without the newline
+/// (shared between the streaming writer and the aggregated export).
+fn push_event_line(o: &mut String, event: &Event) {
+    let _ = write!(o, "{{\"kind\":\"event\",\"at\":\"{}\",", event.at);
+    push_origin(o, event.origin, event.name, Layout::Compact);
+    o.push_str(",\"fields\":{");
+    push_fields(o, &event.fields, Layout::Compact);
     o.push_str("}}");
-    o
+}
+
+/// Appends one gauge reading as a single NDJSON line, without the
+/// newline (the streamed and the aggregated form are the same).
+fn push_gauge_line(o: &mut String, at: SimTime, origin: Origin, name: &str, value: f64) {
+    let _ = write!(o, "{{\"kind\":\"gauge\",\"at\":\"{at}\",");
+    push_origin(o, origin, name, Layout::Compact);
+    o.push_str(",\"value\":");
+    push_json_f64(o, value);
+    o.push('}');
 }
 
 impl MemoryRecorder {
@@ -186,66 +178,37 @@ impl MemoryRecorder {
     /// readers that re-export telemetry per poll reuse one buffer across
     /// exports instead of allocating a fresh one each time.
     pub fn write_ndjson_into(&self, o: &mut String) {
-        o.push_str(&format!(
-            "{{\"kind\":\"schema\",\"schema\":{},\"events_dropped\":{}}}\n",
-            json_str(NDJSON_SCHEMA),
-            self.events_dropped()
-        ));
+        o.push_str("{\"kind\":\"schema\",\"schema\":");
+        push_json_str(o, NDJSON_SCHEMA);
+        let _ = writeln!(o, ",\"events_dropped\":{}}}", self.events_dropped());
         for (origin, name, value) in self.counters() {
-            o.push_str(&format!(
-                "{{\"kind\":\"counter_total\",\"component\":{},\"station\":{},\
-                 \"name\":{},\"value\":{value}}}\n",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name)
-            ));
+            o.push_str("{\"kind\":\"counter_total\",");
+            push_origin(o, origin, name, Layout::Compact);
+            let _ = writeln!(o, ",\"value\":{value}}}");
         }
         for (date, origin, name, value) in self.daily() {
-            o.push_str(&format!(
-                "{{\"kind\":\"daily\",\"date\":\"{date}\",\"component\":{},\
-                 \"station\":{},\"name\":{},\"value\":{value}}}\n",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name)
-            ));
+            let _ = write!(o, "{{\"kind\":\"daily\",\"date\":\"{date}\",");
+            push_origin(o, origin, name, Layout::Compact);
+            let _ = writeln!(o, ",\"value\":{value}}}");
         }
         for (origin, name, at, value) in self.gauges() {
-            o.push_str(&format!(
-                "{{\"kind\":\"gauge\",\"at\":\"{at}\",\"component\":{},\"station\":{},\
-                 \"name\":{},\"value\":{}}}\n",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name),
-                json_f64(value)
-            ));
+            push_gauge_line(o, at, origin, name, value);
+            o.push('\n');
         }
         for (origin, name, hist) in self.histograms() {
-            o.push_str(&format!(
-                "{{\"kind\":\"histogram\",\"component\":{},\"station\":{},\
-                 \"name\":{},\"total\":{},\"sum\":{},\"buckets\":[",
-                json_str(origin.component),
-                json_str(origin.station),
-                json_str(name),
+            o.push_str("{\"kind\":\"histogram\",");
+            push_origin(o, origin, name, Layout::Compact);
+            let _ = write!(
+                o,
+                ",\"total\":{},\"sum\":{},\"buckets\":[",
                 hist.total(),
                 hist.sum()
-            ));
-            let mut first = true;
-            for (count, bound) in hist.counts().iter().zip(
-                BUCKET_BOUNDS
-                    .iter()
-                    .map(|b| b.to_string())
-                    .chain(std::iter::once("\"inf\"".to_string())),
-            ) {
-                if !first {
-                    o.push(',');
-                }
-                first = false;
-                o.push_str(&format!("{{\"le\":{bound},\"count\":{count}}}"));
-            }
+            );
+            push_buckets(o, hist, Layout::Compact);
             o.push_str("]}\n");
         }
         for event in self.events() {
-            o.push_str(&event_line(event));
+            push_event_line(o, event);
             o.push('\n');
         }
     }

@@ -47,27 +47,38 @@ impl PartialEq for TotalCache {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadSet {
-    loads: BTreeMap<String, Load>,
+    /// Devices sorted by name, so the rail's per-substep `meter` and
+    /// `total_power` walk a flat slice.
+    loads: Vec<(String, Load)>,
     total: TotalCache,
 }
 
 // Hand-written (de)serialization: the total-power memo is derived state
 // and must not appear on the wire, and the vendored serde derive has no
-// `#[serde(skip)]` — so serialize exactly the shape the old derive
-// produced (a map with the single `loads` field).
+// `#[serde(skip)]`. The wire form is a map with the single `loads` field,
+// itself a name → load map in name order — the shape of a
+// `BTreeMap<String, Load>`.
 impl Serialize for LoadSet {
     fn to_value(&self) -> serde::Value {
+        let loads = self
+            .loads
+            .iter()
+            .map(|(name, load)| (name.to_value(), load.to_value()))
+            .collect();
         serde::Value::Map(vec![(
             serde::Value::Str(String::from("loads")),
-            self.loads.to_value(),
+            serde::Value::Map(loads),
         )])
     }
 }
 
 impl Deserialize for LoadSet {
     fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
+        // Read through the map type so a snapshot's keys come back sorted
+        // and unique whatever order they were written in.
+        let loads: BTreeMap<String, Load> = serde::de::field(v, "loads")?;
         Ok(LoadSet {
-            loads: serde::de::field(v, "loads")?,
+            loads: loads.into_iter().collect(),
             total: TotalCache::default(),
         })
     }
@@ -107,17 +118,31 @@ impl LoadSet {
     pub fn add(&mut self, name: impl Into<String>, power: Watts) {
         let name = name.into();
         assert!(power.value() >= 0.0, "load power must be non-negative");
-        let prev = self.loads.insert(
-            // glacsweb: allow(perf-hygiene, reason = "device registration happens once at station wiring, never per substep")
-            name.clone(),
-            Load {
-                power,
-                on: false,
-                energy: WattHours::ZERO,
-            },
-        );
-        assert!(prev.is_none(), "duplicate load {name:?}");
+        let found = self.position(&name);
+        assert!(found.is_err(), "duplicate load {name:?}");
+        let (Ok(slot) | Err(slot)) = found;
+        let load = Load {
+            power,
+            on: false,
+            energy: WattHours::ZERO,
+        };
+        self.loads.insert(slot, (name, load));
         self.total.0.set(None);
+    }
+
+    /// Where `name` sits in the sorted list: `Ok(index)` if registered,
+    /// else `Err(insertion point)`.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.loads.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&Load> {
+        let i = self.position(name).ok()?;
+        self.loads.get(i).map(|(_, load)| load)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Load> {
+        self.loads.iter().map(|(_, load)| load)
     }
 
     /// Switches a device rail on or off.
@@ -128,8 +153,10 @@ impl LoadSet {
     /// exist is a wiring bug, not a runtime condition.
     pub fn set_on(&mut self, name: &str, on: bool) {
         let load = self
-            .loads
-            .get_mut(name)
+            .position(name)
+            .ok()
+            .and_then(|i| self.loads.get_mut(i))
+            .map(|(_, load)| load)
             // glacsweb: allow(panic-freedom, reason = "load names are compile-time constants (station::loads); switching an unregistered rail is a wiring bug the simulation must not paper over")
             .unwrap_or_else(|| panic!("unknown load {name:?}"));
         if load.on != on {
@@ -144,8 +171,7 @@ impl LoadSet {
     ///
     /// Panics if the device is unknown.
     pub fn is_on(&self, name: &str) -> bool {
-        self.loads
-            .get(name)
+        self.get(name)
             // glacsweb: allow(panic-freedom, reason = "load names are compile-time constants (station::loads); querying an unregistered rail is a wiring bug the simulation must not paper over")
             .unwrap_or_else(|| panic!("unknown load {name:?}"))
             .on
@@ -160,7 +186,7 @@ impl LoadSet {
         if let Some(total) = self.total.0.get() {
             return total;
         }
-        let total = self.loads.values().filter(|l| l.on).map(|l| l.power).sum();
+        let total = self.values().filter(|l| l.on).map(|l| l.power).sum();
         self.total.0.set(Some(total));
         total
     }
@@ -168,7 +194,7 @@ impl LoadSet {
     /// Accumulates per-device energy for a period during which the on/off
     /// pattern did not change.
     pub fn meter(&mut self, dt: SimDuration) {
-        for load in self.loads.values_mut() {
+        for (_, load) in &mut self.loads {
             if load.on {
                 load.energy += load.power.over(dt);
             }
@@ -177,12 +203,12 @@ impl LoadSet {
 
     /// Lifetime energy of one device, or `None` if unknown.
     pub fn energy(&self, name: &str) -> Option<WattHours> {
-        self.loads.get(name).map(|l| l.energy)
+        self.get(name).map(|l| l.energy)
     }
 
     /// Lifetime energy of every device combined.
     pub fn total_energy(&self) -> WattHours {
-        self.loads.values().map(|l| l.energy).sum()
+        self.values().map(|l| l.energy).sum()
     }
 
     /// Snapshot of every registered device, sorted by name.
@@ -211,7 +237,7 @@ impl LoadSet {
 
     /// Switches every device off (the watchdog's end-of-window action).
     pub fn all_off(&mut self) {
-        for load in self.loads.values_mut() {
+        for (_, load) in &mut self.loads {
             load.on = false;
         }
         self.total.0.set(None);
@@ -287,7 +313,7 @@ mod tests {
         ]
         .into_iter()
         .sum();
-        // BTreeMap order: gps before gumstix.
+        // Name order: gps before gumstix.
         assert_eq!(l.total_power().value().to_bits(), fresh.value().to_bits());
         // Hit path returns the same bits.
         assert_eq!(l.total_power().value().to_bits(), fresh.value().to_bits());
@@ -308,6 +334,35 @@ mod tests {
         assert!(!json.contains("total"), "cache must not serialize: {json}");
         let back: LoadSet = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn wire_form_is_the_name_sorted_map() {
+        // Registered out of name order; the bytes are those the set wrote
+        // when it was a `BTreeMap<String, Load>` field.
+        let mut l = LoadSet::new();
+        l.add("radio_modem", Watts::from_milliwatts(3960.0));
+        l.add("gps", Watts::from_milliwatts(3600.0));
+        l.add("gumstix", Watts::from_milliwatts(900.0));
+        l.set_on("gps", true);
+        l.meter(SimDuration::from_mins(30));
+        let _ = l.total_power();
+        let json = serde_json::to_string(&l).expect("serialize");
+        assert_eq!(
+            json,
+            "{\"loads\":{\"gps\":{\"power\":3.6,\"on\":true,\"energy\":1.8},\
+             \"gumstix\":{\"power\":0.9,\"on\":false,\"energy\":0.0},\
+             \"radio_modem\":{\"power\":3.96,\"on\":false,\"energy\":0.0}}}"
+        );
+        let back: LoadSet = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, l);
+        // A wire map in any key order restores sorted, so lookups work.
+        let shuffled = "{\"loads\":{\"gumstix\":{\"power\":0.9,\"on\":true,\"energy\":0.0},\
+                        \"gps\":{\"power\":3.6,\"on\":false,\"energy\":0.0}}}";
+        let back: LoadSet = serde_json::from_str(shuffled).expect("deserialize");
+        assert!(back.is_on("gumstix") && !back.is_on("gps"));
+        let names: Vec<String> = back.snapshot().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["gps", "gumstix"]);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl SouthamptonServer {
         out.push_str(&format!(
             "dGPS: {} fixes, pairing yield {:.0}%\n",
             fixes.len(),
-            self.warehouse.pairing_yield() * 100.0
+            self.warehouse.pairing_yield(&fixes) * 100.0
         ));
         for probe in self.warehouse.probes_reporting() {
             let series = self.warehouse.conductivity_series(probe);

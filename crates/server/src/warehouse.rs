@@ -98,20 +98,35 @@ impl Warehouse {
     /// midnight, or a reference in a lower power state whose sparse
     /// schedule drifts against the base's), the smaller skew gives the
     /// better common-mode cancellation. Ties break toward the earlier
-    /// reference so the choice is deterministic. A reference reading may
-    /// serve several base readings (a reference held in state 1 takes one
-    /// reading a day; every base reading within tolerance of it still
-    /// corrects against it).
+    /// reference so the choice is deterministic (and between references
+    /// taken at the same instant, toward the one that arrived first). A
+    /// reference reading may serve several base readings (a reference
+    /// held in state 1 takes one reading a day; every base reading within
+    /// tolerance of it still corrects against it).
+    ///
+    /// The reference readings are time-sorted, so those within tolerance
+    /// of a base reading form one contiguous run: a binary search finds
+    /// its start and the scan stops at its end.
     pub fn differential_fixes(&self) -> Vec<DgpsFix> {
         let base = self.gps_records(StationId::Base);
         let reference = self.gps_records(StationId::Reference);
-        let mut fixes = Vec::new();
+        let mut fixes = Vec::with_capacity(base.len());
         for b in base {
-            let paired = reference
-                .iter()
-                .map(|r| (Self::pairing_skew(b, r), r))
-                .filter(|&(skew, _)| skew <= Self::PAIRING_TOLERANCE)
-                .min_by_key(|&(skew, r)| (skew, r.taken_at));
+            let first = reference.partition_point(|r| {
+                r.taken_at < b.taken_at && Self::pairing_skew(b, r) > Self::PAIRING_TOLERANCE
+            });
+            let mut paired: Option<(SimDuration, &GpsRecord)> = None;
+            for &r in reference.iter().skip(first) {
+                let skew = Self::pairing_skew(b, r);
+                if skew > Self::PAIRING_TOLERANCE {
+                    break;
+                }
+                // Time order: a later reference wins only on a strictly
+                // smaller skew, so ties keep the earlier one.
+                if paired.is_none_or(|(best, _)| skew < best) {
+                    paired = Some((skew, r));
+                }
+            }
             if let Some((_, r)) = paired {
                 // Differential correction: the reference knows its true
                 // position is 0, so its observed error corrects the base.
@@ -138,14 +153,20 @@ impl Warehouse {
         }
     }
 
-    /// Fraction of base readings that could be differentially corrected —
-    /// the figure of merit of the §III synchronisation design.
-    pub fn pairing_yield(&self) -> f64 {
-        let base = self.gps_records(StationId::Base).len();
+    /// Fraction of base readings that were differentially corrected —
+    /// the figure of merit of the §III synchronisation design. `fixes` is
+    /// this warehouse's [`Warehouse::differential_fixes`], passed in so a
+    /// caller that reports both pairs the readings once.
+    pub fn pairing_yield(&self, fixes: &[DgpsFix]) -> f64 {
+        let base = self
+            .gps
+            .iter()
+            .filter(|g| g.station == StationId::Base)
+            .count();
         if base == 0 {
             return 0.0;
         }
-        self.differential_fixes().len() as f64 / base as f64
+        fixes.len() as f64 / base as f64
     }
 
     /// Probes that have delivered any data.
@@ -231,7 +252,7 @@ mod tests {
         let fixes = w.differential_fixes();
         assert_eq!(fixes.len(), 1);
         assert!((fixes[0].position_m - 5.0).abs() < 1e-9);
-        assert!((w.pairing_yield() - 0.5).abs() < 1e-9);
+        assert!((w.pairing_yield(&fixes) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -335,6 +356,94 @@ mod tests {
         assert!(Warehouse::pairing_skew(&far, &early) > Warehouse::PAIRING_TOLERANCE);
     }
 
+    /// The all-pairs pairing the windowed search replaced, kept as its
+    /// oracle: every base reading is scored against every reference
+    /// reading, and `min_by_key` keeps the first of equal minima in
+    /// time-sorted order.
+    fn all_pairs_fixes(w: &Warehouse) -> Vec<DgpsFix> {
+        let base = w.gps_records(StationId::Base);
+        let reference = w.gps_records(StationId::Reference);
+        let mut fixes = Vec::new();
+        for b in base {
+            let paired = reference
+                .iter()
+                .map(|r| (Warehouse::pairing_skew(b, r), r))
+                .filter(|&(skew, _)| skew <= Warehouse::PAIRING_TOLERANCE)
+                .min_by_key(|&(skew, r)| (skew, r.taken_at));
+            if let Some((_, r)) = paired {
+                fixes.push(DgpsFix {
+                    taken_at: b.taken_at,
+                    position_m: b.observed_position_m - r.observed_position_m,
+                });
+            }
+        }
+        fixes
+    }
+
+    #[test]
+    fn pairing_ties_go_to_the_earlier_then_first_arrived_reference() {
+        let mut w = Warehouse::new();
+        w.ingest(StationId::Base, &gps_item(t(1, 0), 7.0));
+        // Exactly the tolerance on both sides: the earlier one wins.
+        w.ingest(StationId::Reference, &gps_item(t(1, 10), 1.0));
+        w.ingest(StationId::Reference, &gps_item(t(0, 50), 2.0));
+        // Five minutes on both sides, two readings at the later instant:
+        // the earlier instant still wins.
+        w.ingest(StationId::Base, &gps_item(t(3, 0), 7.0));
+        w.ingest(StationId::Reference, &gps_item(t(3, 5), 1.0));
+        w.ingest(StationId::Reference, &gps_item(t(3, 5), 1.5));
+        w.ingest(StationId::Reference, &gps_item(t(2, 55), 3.0));
+        // Two readings at the same nearest instant: first arrival wins.
+        w.ingest(StationId::Base, &gps_item(t(5, 0), 7.0));
+        w.ingest(StationId::Reference, &gps_item(t(5, 1), 4.0));
+        w.ingest(StationId::Reference, &gps_item(t(5, 1), 6.0));
+        let fixes = w.differential_fixes();
+        let positions: Vec<f64> = fixes.iter().map(|f| f.position_m).collect();
+        assert_eq!(positions, [5.0, 4.0, 3.0]);
+        assert_eq!(fixes, all_pairs_fixes(&w));
+    }
+
+    mod pairing_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The windowed pairing equals the all-pairs oracle element
+            /// for element. Readings sit on a 5-minute grid, some nudged
+            /// by 1 s or 299 s, so equal instants, equal skews on both
+            /// sides of a base reading and skews of exactly ±10 minutes
+            /// (and one second either side) are common; the vector order
+            /// is the arrival order, unrelated to time.
+            #[test]
+            fn windowed_pairing_matches_all_pairs(
+                records in proptest::collection::vec(
+                    (0u8..2, 0u64..40, 0u8..4, 0u32..1_000),
+                    0..48,
+                ),
+            ) {
+                let t0 = SimTime::from_ymd_hms(2009, 9, 22, 23, 0, 0);
+                let mut w = Warehouse::new();
+                for &(station, slot, nudge, pos) in &records {
+                    let nudge_s = [0, 0, 1, 299][usize::from(nudge)];
+                    let at = t0 + SimDuration::from_secs(slot * 300 + nudge_s);
+                    let from = if station == 0 {
+                        StationId::Base
+                    } else {
+                        StationId::Reference
+                    };
+                    w.ingest(from, &gps_item(at, f64::from(pos) / 8.0));
+                }
+                let fast = w.differential_fixes();
+                let oracle = all_pairs_fixes(&w);
+                prop_assert_eq!(fast.len(), oracle.len());
+                for (f, o) in fast.iter().zip(&oracle) {
+                    prop_assert_eq!(f.taken_at, o.taken_at);
+                    prop_assert_eq!(f.position_m.to_bits(), o.position_m.to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn probe_readings_accumulate_per_probe() {
         let mut w = Warehouse::new();
@@ -392,7 +501,7 @@ mod tests {
     #[test]
     fn empty_warehouse_yields_nothing() {
         let w = Warehouse::new();
-        assert_eq!(w.pairing_yield(), 0.0);
+        assert_eq!(w.pairing_yield(&[]), 0.0);
         assert!(w.differential_fixes().is_empty());
         assert!(w.probes_reporting().is_empty());
     }

@@ -145,10 +145,31 @@ impl SimTime {
     }
 }
 
+// `Display` writes the digits into a stack buffer and hands the
+// formatter one string: telemetry exports print a timestamp on every row,
+// and the padded `write!` costs several formatter calls per timestamp.
+// Years beyond four digits take the padded `write!` route, whose output
+// the buffer reproduces byte for byte for every other year
+// (`display_matches_padded_format`).
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (h, m, s) = self.time_of_day();
-        write!(f, "{} {h:02}:{m:02}:{s:02}", self.date())
+        let date = self.date();
+        let mut text = *b"0000-00-00 00:00:00";
+        if !date.put_digits(&mut text) {
+            return write!(f, "{date} {h:02}:{m:02}:{s:02}");
+        }
+        put_two_digits(&mut text[11..13], h);
+        put_two_digits(&mut text[14..16], m);
+        put_two_digits(&mut text[17..19], s);
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Writes `v` (below 100) as two ASCII digits into `slot`.
+fn put_two_digits(slot: &mut [u8], v: u32) {
+    for (b, d) in slot.iter_mut().zip([v / 10 % 10, v % 10]) {
+        *b = b'0' + d as u8;
     }
 }
 
@@ -319,9 +340,32 @@ pub struct CivilDate {
     pub day: u32,
 }
 
+impl CivilDate {
+    /// Writes the date's digits into the front of `text`, which holds
+    /// `YYYY-MM-DD` with its separators in place; `false` (and nothing
+    /// written) for a year outside `0..=9999`.
+    fn put_digits(&self, text: &mut [u8]) -> bool {
+        let Ok(year) = u32::try_from(self.year) else {
+            return false;
+        };
+        if year > 9_999 || text.len() < 10 {
+            return false;
+        }
+        put_two_digits(&mut text[0..2], year / 100);
+        put_two_digits(&mut text[2..4], year % 100);
+        put_two_digits(&mut text[5..7], self.month);
+        put_two_digits(&mut text[8..10], self.day);
+        true
+    }
+}
+
 impl fmt::Display for CivilDate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day)
+        let mut text = *b"0000-00-00";
+        if !self.put_digits(&mut text) {
+            return write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day);
+        }
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -486,6 +530,18 @@ mod tests {
     }
 
     proptest! {
+        /// `Display` prints the padded `{:04}-{:02}-{:02} {:02}:{:02}:{:02}`
+        /// form, including past year 9999 where it falls back to it.
+        #[test]
+        fn display_matches_padded_format(secs in 0u64..400_000_000_000u64) {
+            let t = SimTime::from_unix(secs);
+            let d = t.date();
+            let (h, m, s) = t.time_of_day();
+            let date = format!("{:04}-{:02}-{:02}", d.year, d.month, d.day);
+            prop_assert_eq!(d.to_string(), date.clone());
+            prop_assert_eq!(t.to_string(), format!("{date} {h:02}:{m:02}:{s:02}"));
+        }
+
         /// Calendar conversion round-trips for every representable second in
         /// a ~140-year window.
         #[test]
