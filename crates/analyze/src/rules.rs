@@ -192,7 +192,9 @@ pub fn numeric_scope(rel: &str) -> bool {
 /// `true` if the perf-hygiene rule applies to this file: the modules the
 /// O(events) kernel rewrite made allocation-free, where every substep of
 /// every simulated half-hour executes — plus the fleet event kernel,
-/// whose wake handler runs a million times per simulated fleet-month. A
+/// whose wake handler runs a million times per simulated fleet-month,
+/// and the probe fetch protocol, which runs for every probe in every
+/// station's daily window. A
 /// stray `format!` or defensive `.clone()` here is a per-tick heap
 /// allocation that whole-run throughput hides until it has already
 /// regressed. The service crate's request→response path is held to the
@@ -205,6 +207,7 @@ pub fn perf_scope(rel: &str) -> bool {
         || rel == "crates/sim/src/event.rs"
         || rel == "crates/sim/src/wheel.rs"
         || rel == "crates/fleet/src/kernel.rs"
+        || rel == "crates/probe/src/protocol.rs"
         || rel == "crates/service/src/http.rs"
         || rel == "crates/service/src/core.rs"
 }

@@ -188,6 +188,15 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
     );
     assert_eq!(fire("crates/sim/src/event.rs", src, RuleId::PerfHygiene), 3);
     assert_eq!(fire("crates/sim/src/wheel.rs", src, RuleId::PerfHygiene), 3);
+    assert_eq!(
+        fire("crates/probe/src/protocol.rs", src, RuleId::PerfHygiene),
+        3
+    );
+    // The rest of the probe crate is not in scope.
+    assert_eq!(
+        fire("crates/probe/src/firmware.rs", src, RuleId::PerfHygiene),
+        0
+    );
 }
 
 #[test]

@@ -38,6 +38,23 @@ impl Season {
     }
 }
 
+/// [`Environment::solar_factor`] with the terms that stay fixed until the
+/// environment next advances taken once; see [`Environment::solar_span`].
+#[derive(Debug, Clone, Copy)]
+pub struct SolarSpan<'a> {
+    env: &'a Environment,
+    cloud: f64,
+    burial: f64,
+}
+
+impl SolarSpan<'_> {
+    /// The solar factor at `t`: `(clear-sky(t) × cloud) × burial`, the
+    /// products in the order `solar_factor` has always taken them.
+    pub fn factor(&self, t: SimTime) -> f64 {
+        self.env.clear_sky_fraction(t) * self.cloud * self.burial
+    }
+}
+
 /// The complete synthetic glacier environment.
 ///
 /// Call [`Environment::advance_to`] from the simulation's main loop before
@@ -265,9 +282,23 @@ impl Environment {
     /// Fraction of the solar panel's rated output available now, in
     /// `[0, 1]`: clear-sky geometry × cloud × snow burial.
     pub fn solar_factor(&self, t: SimTime) -> f64 {
-        self.clear_sky_fraction(t)
-            * self.cloud_factor
-            * self.snow.burial_factor(self.config.panel_burial_depth_m)
+        self.solar_span().factor(t)
+    }
+
+    /// The solar factor with its cloud and panel-burial terms read once.
+    ///
+    /// Both terms are stochastic state that only [`advance_to`] moves, so
+    /// a power rail integrating a span up to `now()` can take them once
+    /// and evaluate [`SolarSpan::factor`] per substep; each call carries
+    /// the bits of `solar_factor(t)`.
+    ///
+    /// [`advance_to`]: Environment::advance_to
+    pub fn solar_span(&self) -> SolarSpan<'_> {
+        SolarSpan {
+            env: self,
+            cloud: self.cloud_factor,
+            burial: self.snow.burial_factor(self.config.panel_burial_depth_m),
+        }
     }
 
     /// Wind speed at hub height, m/s, derated for generator burial.

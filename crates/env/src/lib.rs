@@ -56,7 +56,7 @@ mod wind;
 
 pub use cafe::cafe_mains_available;
 pub use config::EnvConfig;
-pub use environment::{Environment, Season};
+pub use environment::{Environment, Season, SolarSpan};
 pub use hydrology::Hydrology;
 pub use motion::GlacierMotion;
 pub use snow::SnowPack;

@@ -158,13 +158,34 @@ impl LeadAcidBattery {
         if hours <= 0.0 {
             return Amps(0.0);
         }
+        self.step_hours(hours, Self::leak_time(hours), current, temp)
+    }
+
+    /// The self-discharge clock of a step of `hours`: the fraction of a
+    /// 30-day month it spans.
+    pub(crate) fn leak_time(hours: f64) -> f64 {
+        hours / (30.0 * 24.0)
+    }
+
+    /// [`LeadAcidBattery::step`] with the terms that depend only on the
+    /// step length passed in: `hours` is the step in hours (positive) and
+    /// `leak_time` is [`LeadAcidBattery::leak_time`] of it. A caller
+    /// taking many equal steps computes both once.
+    #[inline(always)]
+    pub(crate) fn step_hours(
+        &mut self,
+        hours: f64,
+        leak_time: f64,
+        current: Amps,
+        temp: Celsius,
+    ) -> Amps {
         let cap = self.effective_capacity(temp).value();
         let mut delta_ah = current.value() * hours;
         if delta_ah > 0.0 {
             delta_ah *= self.charge_efficiency;
         }
         // Self-discharge: ~4 %/month scaled by time.
-        let leak = self.soc * self.self_discharge_per_month * (hours / (30.0 * 24.0));
+        let leak = self.soc * self.self_discharge_per_month * leak_time;
         let proposed = self.soc + delta_ah / cap - leak;
         let clamped = proposed.clamp(0.0, 1.0);
         let actual_delta_ah = (clamped - self.soc + leak) * cap;

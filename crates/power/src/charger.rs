@@ -32,7 +32,12 @@ impl SolarPanel {
 
     /// Instantaneous output.
     pub fn output(&self, env: &Environment, t: SimTime) -> Watts {
-        self.rated * env.solar_factor(t)
+        self.output_at_factor(env.solar_factor(t))
+    }
+
+    /// Output at a given [`solar_factor`](Environment::solar_factor).
+    pub(crate) fn output_at_factor(&self, solar_factor: f64) -> Watts {
+        self.rated * solar_factor
     }
 }
 
@@ -122,7 +127,12 @@ impl MainsCharger {
 
     /// Instantaneous output.
     pub fn output(&self, env: &Environment, t: SimTime) -> Watts {
-        if env.cafe_mains_available(t) {
+        self.output_if_live(env.cafe_mains_available(t))
+    }
+
+    /// Output given whether the café mains supply is live.
+    pub(crate) fn output_if_live(&self, mains_live: bool) -> Watts {
+        if mains_live {
             self.output
         } else {
             Watts::ZERO
@@ -151,6 +161,16 @@ impl Charger {
         }
     }
 
+    /// Raw output from environment terms already read, bit-identical to
+    /// [`Charger::output`] at the instant they were read at.
+    pub(crate) fn output_with(&self, inputs: &ChargerInputs) -> Watts {
+        match self {
+            Charger::Solar(s) => s.output_at_factor(inputs.solar_factor),
+            Charger::Wind(w) => w.output_at_speed(inputs.wind_ms),
+            Charger::Mains(m) => m.output_if_live(inputs.mains_live),
+        }
+    }
+
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -159,6 +179,18 @@ impl Charger {
             Charger::Mains(_) => "mains",
         }
     }
+}
+
+/// The environment terms every charger's output is a function of, read
+/// once and shared by all the chargers on a rail.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChargerInputs {
+    /// [`Environment::solar_factor`].
+    pub(crate) solar_factor: f64,
+    /// [`Environment::wind_speed_ms`].
+    pub(crate) wind_ms: f64,
+    /// [`Environment::cafe_mains_available`].
+    pub(crate) mains_live: bool,
 }
 
 /// Charge-controller taper: full current in bulk, linear taper between the

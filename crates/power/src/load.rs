@@ -47,7 +47,7 @@ impl PartialEq for TotalCache {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadSet {
-    /// Devices sorted by name, so the rail's per-substep `meter` and
+    /// Devices sorted by name, so the rail's per-span `meter_span` and
     /// `total_power` walk a flat slice.
     loads: Vec<(String, Load)>,
     total: TotalCache,
@@ -179,9 +179,9 @@ impl LoadSet {
 
     /// Total instantaneous draw of all switched-on devices.
     ///
-    /// Cached between switching events: the power rail re-reads this
-    /// every 60 s substep while the on/off pattern changes only a few
-    /// times a day.
+    /// Cached between switching events: the power rail reads this once
+    /// per span and the MSP430 model at every half-hourly voltage sample,
+    /// while the on/off pattern changes only a few times a day.
     pub fn total_power(&self) -> Watts {
         if let Some(total) = self.total.0.get() {
             return total;
@@ -197,6 +197,26 @@ impl LoadSet {
         for (_, load) in &mut self.loads {
             if load.on {
                 load.energy += load.power.over(dt);
+            }
+        }
+    }
+
+    /// Meters a span of `steps` substeps of `dt` followed by a `last`
+    /// partial one, over which the on/off pattern did not change.
+    ///
+    /// Each load's energy takes the additions [`LoadSet::meter`] once per
+    /// substep would give it, in the same order, so the result is
+    /// bit-identical; the per-substep energy is computed once per load.
+    pub(crate) fn meter_span(&mut self, steps: u64, dt: SimDuration, last: Option<SimDuration>) {
+        for (_, load) in &mut self.loads {
+            if load.on {
+                let per_step = load.power.over(dt);
+                for _ in 0..steps {
+                    load.energy += per_step;
+                }
+                if let Some(last) = last {
+                    load.energy += load.power.over(last);
+                }
             }
         }
     }

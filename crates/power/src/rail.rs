@@ -2,12 +2,12 @@
 
 use std::cell::Cell;
 
-use glacsweb_env::Environment;
+use glacsweb_env::{Environment, SolarSpan};
 use glacsweb_sim::{Amps, Celsius, SimDuration, SimTime, Volts, WattHours, Watts};
 use serde::{de, Deserialize, Serialize, Value};
 
 use crate::battery::LeadAcidBattery;
-use crate::charger::{controller_taper, Charger};
+use crate::charger::{controller_taper, Charger, ChargerInputs};
 use crate::load::LoadSet;
 
 /// Memo of the last taper solve, keyed by the exact bit patterns of its
@@ -60,19 +60,13 @@ pub struct PowerRail {
     harvested: WattHours,
     /// Seconds of brown-out (load demanded but battery empty).
     brownout_secs: u64,
-    /// Scratch buffer of per-charger outputs for the current sub-step,
-    /// aligned with `chargers` — lets `advance` evaluate each charger
-    /// once per sub-step instead of three times (taper input, harvest
-    /// total, per-source apportionment). Derived state, reused to avoid
-    /// per-step allocation.
-    output_buf: Vec<f64>,
     /// Single-entry memo of the last taper solve (see [`TaperMemo`]).
     taper: TaperMemo,
 }
 
-/// Equality ignores the scratch buffer and the taper memo: both are
-/// derived per-sub-step state, rebuilt on the next `advance`, and a
-/// freshly restored rail must compare equal to the one it was saved from.
+/// Equality ignores the taper memo: it is derived per-sub-step state,
+/// rebuilt on the next `advance`, and a freshly restored rail must compare
+/// equal to the one it was saved from.
 impl PartialEq for PowerRail {
     fn eq(&self, other: &Self) -> bool {
         self.battery == other.battery
@@ -86,9 +80,9 @@ impl PartialEq for PowerRail {
 }
 
 // Hand-written (de)serialization, following the `LoadSet` precedent: the
-// scratch output buffer and the taper memo are derived state and must not
-// appear on the wire. Restore re-checks the `chargers`/`harvest_by`
-// alignment invariant that `add_charger` maintains.
+// taper memo is derived state and must not appear on the wire. Restore
+// re-checks the `chargers`/`harvest_by` alignment invariant that
+// `add_charger` maintains.
 impl Serialize for PowerRail {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -139,7 +133,6 @@ impl Deserialize for PowerRail {
             now: de::field(v, "now")?,
             harvested: de::field(v, "harvested")?,
             brownout_secs: de::field(v, "brownout_secs")?,
-            output_buf: Vec::new(),
             taper: TaperMemo::default(),
         })
     }
@@ -159,7 +152,6 @@ impl PowerRail {
             now: start,
             harvested: WattHours::ZERO,
             brownout_secs: 0,
-            output_buf: Vec::new(),
             taper: TaperMemo::default(),
         }
     }
@@ -373,46 +365,100 @@ impl PowerRail {
     /// load on/off pattern is assumed constant over the span — callers
     /// advance the rail *before* switching rails at an event, which is how
     /// the event loop in `glacsweb::Deployment` uses it.
+    ///
+    /// Everything the sub-steps of a span share is read once: the load
+    /// total, the cloud and panel-burial terms of the solar factor, the
+    /// wind speed and café-mains state (re-read when a sub-step starts on
+    /// a new civil day), and the length terms of a full step. Each load
+    /// is metered once for the whole span. What moves with the clock —
+    /// the clear-sky fraction, the air temperature, the taper solve and
+    /// the battery update — is evaluated per sub-step, with the same
+    /// float operations in the same order as a sub-step evaluated from
+    /// scratch, so every result carries identical bits.
     pub fn advance(&mut self, env: &Environment, t: SimTime) {
-        while self.now < t {
-            let dt = (t - self.now).min(Self::STEP);
-            let temp = Celsius(env.temperature_c(self.now));
-            // One charger evaluation per sub-step: the buffered outputs
-            // feed the taper solve, the harvest total and the per-source
-            // apportionment (previously three evaluations each). Summing
-            // the buffer folds the same values in the same order as
-            // summing the charger iterator directly, so every downstream
-            // quantity carries identical bits.
-            self.output_buf.clear();
-            let now = self.now;
-            self.output_buf
-                .extend(self.chargers.iter().map(|c| c.output(env, now).value()));
-            let raw_watts: Watts = self.output_buf.iter().map(|&w| Watts(w)).sum();
-            let charge = self.tapered_charge(raw_watts);
-            let load = self.loads.total_power();
-            let net = Amps((charge.value() - load.value()) / LeadAcidBattery::NOMINAL.value());
-            let actual = self.battery.step(dt, net, temp);
-            if load.value() > 0.0
-                && self.battery.is_exhausted()
-                && actual.value() >= net.value() + 1e-12
-            {
-                // Discharge was truncated: the loads browned out.
-                self.brownout_secs += dt.as_secs();
-            }
-            self.harvested += charge.over(dt);
-            if charge.value() > 0.0 {
-                // Apportion the tapered harvest by each charger's raw share.
-                let raw: f64 = self.output_buf.iter().sum();
-                if raw > 0.0 {
-                    for (acc, &out) in self.harvest_by.iter_mut().zip(self.output_buf.iter()) {
-                        let share = out / raw;
-                        *acc += charge.over(dt) * share;
-                    }
-                }
-            }
-            self.loads.meter(dt);
-            self.now += dt;
+        if self.now >= t {
+            return;
         }
+        let span = (t - self.now).as_secs();
+        let step = Self::STEP.as_secs();
+        let steps = span / step;
+        let last = SimDuration::from_secs(span % step);
+        let last = (last > SimDuration::ZERO).then_some(last);
+        let mut terms = SpanTerms {
+            env,
+            solar: env.solar_span(),
+            load: self.loads.total_power(),
+            day: None,
+            inputs: ChargerInputs::default(),
+        };
+        let hours = Self::STEP.as_hours_f64();
+        let leak_time = LeadAcidBattery::leak_time(hours);
+        for _ in 0..steps {
+            self.sub_step(&mut terms, Self::STEP, hours, leak_time);
+        }
+        if let Some(dt) = last {
+            let hours = dt.as_hours_f64();
+            self.sub_step(&mut terms, dt, hours, LeadAcidBattery::leak_time(hours));
+        }
+        self.loads.meter_span(steps, Self::STEP, last);
+    }
+
+    /// One sub-step of `dt` (`hours` long, with battery leak clock
+    /// `leak_time`) from `self.now`, loads unmetered.
+    fn sub_step(&mut self, terms: &mut SpanTerms<'_>, dt: SimDuration, hours: f64, leak_time: f64) {
+        let now = self.now;
+        let inputs = terms.inputs_at(now);
+        let temp = Celsius(terms.env.temperature_c(now));
+        let raw: Watts = self.chargers.iter().map(|c| c.output_with(&inputs)).sum();
+        let charge = self.tapered_charge(raw);
+        let load = terms.load;
+        let net = Amps((charge.value() - load.value()) / LeadAcidBattery::NOMINAL.value());
+        let actual = self.battery.step_hours(hours, leak_time, net, temp);
+        if load.value() > 0.0
+            && self.battery.is_exhausted()
+            && actual.value() >= net.value() + 1e-12
+        {
+            // Discharge was truncated: the loads browned out.
+            self.brownout_secs += dt.as_secs();
+        }
+        // `charge.over(dt)`, once per sub-step.
+        let harvest = WattHours(charge.value() * hours);
+        self.harvested += harvest;
+        if charge.value() > 0.0 && raw.value() > 0.0 {
+            // Apportion the tapered harvest by each charger's raw share.
+            for (acc, c) in self.harvest_by.iter_mut().zip(&self.chargers) {
+                let share = c.output_with(&inputs).value() / raw.value();
+                *acc += harvest * share;
+            }
+        }
+        self.now += dt;
+    }
+}
+
+/// The environment terms of one [`PowerRail::advance`] span: read once,
+/// or once per civil day the span touches.
+struct SpanTerms<'a> {
+    env: &'a Environment,
+    solar: SolarSpan<'a>,
+    /// The switched-on load total, fixed for the span.
+    load: Watts,
+    /// Days since the epoch that `inputs`' wind and mains terms were
+    /// read for.
+    day: Option<u64>,
+    inputs: ChargerInputs,
+}
+
+impl SpanTerms<'_> {
+    /// The charger inputs at `now`, a sub-step start inside the span.
+    fn inputs_at(&mut self, now: SimTime) -> ChargerInputs {
+        let day = now.unix() / 86_400;
+        if self.day != Some(day) {
+            self.inputs.wind_ms = self.env.wind_speed_ms(now);
+            self.inputs.mains_live = self.env.cafe_mains_available(now);
+            self.day = Some(day);
+        }
+        self.inputs.solar_factor = self.solar.factor(now);
+        self.inputs
     }
 }
 
@@ -423,6 +469,44 @@ mod tests {
     use glacsweb_sim::AmpHours;
 
     use crate::charger::{MainsCharger, SolarPanel, WindTurbine};
+
+    /// The per-sub-step integrator `advance` replaced, kept as its
+    /// oracle: every environment term and every charger is evaluated
+    /// afresh at each one-minute sub-step, and the loads are metered per
+    /// sub-step.
+    fn reference_advance(rail: &mut PowerRail, env: &Environment, t: SimTime) {
+        let mut outputs: Vec<f64> = Vec::new();
+        while rail.now < t {
+            let dt = (t - rail.now).min(PowerRail::STEP);
+            let temp = Celsius(env.temperature_c(rail.now));
+            outputs.clear();
+            let now = rail.now;
+            outputs.extend(rail.chargers.iter().map(|c| c.output(env, now).value()));
+            let raw_watts: Watts = outputs.iter().map(|&w| Watts(w)).sum();
+            let charge = rail.tapered_charge(raw_watts);
+            let load = rail.loads.total_power();
+            let net = Amps((charge.value() - load.value()) / LeadAcidBattery::NOMINAL.value());
+            let actual = rail.battery.step(dt, net, temp);
+            if load.value() > 0.0
+                && rail.battery.is_exhausted()
+                && actual.value() >= net.value() + 1e-12
+            {
+                rail.brownout_secs += dt.as_secs();
+            }
+            rail.harvested += charge.over(dt);
+            if charge.value() > 0.0 {
+                let raw: f64 = outputs.iter().sum();
+                if raw > 0.0 {
+                    for (acc, &out) in rail.harvest_by.iter_mut().zip(outputs.iter()) {
+                        let share = out / raw;
+                        *acc += charge.over(dt) * share;
+                    }
+                }
+            }
+            rail.loads.meter(dt);
+            rail.now += dt;
+        }
+    }
 
     fn setup(config: EnvConfig, y: i32, mo: u32, d: u32) -> (Environment, PowerRail, SimTime) {
         let mut env = Environment::new(config, 77);
@@ -594,6 +678,178 @@ mod tests {
                     },
                 )
                 .expect("fast taper solve must match the bisection");
+        }
+    }
+
+    mod span_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::Config;
+        use proptest::TestRng;
+
+        const LOADS: [(&str, f64); 3] = [("gps", 3.6), ("gumstix", 0.9), ("msp430", 0.005)];
+
+        /// One generated scenario: a station's charger mix, its bank, a
+        /// start instant, and a run of spans with the load pattern and
+        /// an optional forced drain applied before each.
+        #[derive(Debug, Clone)]
+        struct Scenario {
+            seed: u64,
+            /// 0 none, 1 solar, 2 solar + wind, 3 solar + mains.
+            chargers: u8,
+            soc: f64,
+            /// Index into `STARTS`.
+            start: usize,
+            /// Seconds past the start instant: puts spans off the grid.
+            offset: u64,
+            /// (span seconds, loads on, drain the bank first).
+            spans: Vec<(u64, [bool; 3], bool)>,
+        }
+
+        /// Start instants: just before the 30 Sep → 1 Oct café-season
+        /// edge, midsummer mid-morning, a winter night, and just before
+        /// the 31 Mar → 1 Apr edge.
+        const STARTS: [(i32, u32, u32, u32); 4] = [
+            (2008, 9, 30, 20),
+            (2009, 6, 21, 9),
+            (2009, 1, 10, 22),
+            (2009, 3, 31, 21),
+        ];
+
+        /// Draws [`Scenario`]s: one to five spans, each a few seconds to
+        /// a minute and a bit, up to two hours, or up to two days long.
+        struct Scenarios;
+
+        impl Strategy for Scenarios {
+            type Value = Scenario;
+
+            fn sample(&self, rng: &mut TestRng) -> Scenario {
+                let n_spans = (1usize..6).sample(rng);
+                let spans = (0..n_spans)
+                    .map(|_| {
+                        let secs = match (0u8..3).sample(rng) {
+                            0 => (1u64..=120).sample(rng),
+                            1 => (60u64..=7_200).sample(rng),
+                            _ => (3_600u64..=172_800).sample(rng),
+                        };
+                        let on = [
+                            bool::arbitrary(rng),
+                            bool::arbitrary(rng),
+                            bool::arbitrary(rng),
+                        ];
+                        let drain = (0u8..8).sample(rng) == 0;
+                        (secs, on, drain)
+                    })
+                    .collect();
+                Scenario {
+                    seed: (0u64..1_000).sample(rng),
+                    chargers: (0u8..4).sample(rng),
+                    soc: (0.0f64..1.0).sample(rng),
+                    start: (0..STARTS.len()).sample(rng),
+                    offset: (0u64..3_600).sample(rng),
+                    spans,
+                }
+            }
+        }
+
+        fn build(s: &Scenario, t0: SimTime) -> PowerRail {
+            let mut rail = PowerRail::new(LeadAcidBattery::with_state(AmpHours(36.0), s.soc), t0);
+            if s.chargers >= 1 {
+                rail.add_charger(Charger::Solar(SolarPanel::new(Watts(10.0))));
+            }
+            if s.chargers == 2 {
+                rail.add_charger(Charger::Wind(WindTurbine::new(Watts(50.0))));
+            }
+            if s.chargers == 3 {
+                rail.add_charger(Charger::Mains(MainsCharger::new(Watts(30.0))));
+            }
+            for (name, w) in LOADS {
+                rail.loads_mut().add(name, Watts(w));
+            }
+            rail
+        }
+
+        fn bits(wh: WattHours) -> u64 {
+            wh.value().to_bits()
+        }
+
+        fn assert_bit_equal(span: &PowerRail, reference: &PowerRail) -> Result<(), TestCaseError> {
+            prop_assert_eq!(span.now(), reference.now());
+            let (a, b) = (span.battery(), reference.battery());
+            prop_assert_eq!(a.state_of_charge().to_bits(), b.state_of_charge().to_bits());
+            prop_assert_eq!(bits(a.total_charged()), bits(b.total_charged()));
+            prop_assert_eq!(bits(a.total_discharged()), bits(b.total_discharged()));
+            prop_assert_eq!(
+                bits(span.total_harvested()),
+                bits(reference.total_harvested())
+            );
+            let by = |r: &PowerRail| -> Vec<(&'static str, u64)> {
+                r.harvest_by_source()
+                    .into_iter()
+                    .map(|(l, wh)| (l, bits(wh)))
+                    .collect()
+            };
+            prop_assert_eq!(by(span), by(reference));
+            prop_assert_eq!(span.brownout_secs(), reference.brownout_secs());
+            for (name, _) in LOADS {
+                let energy = |r: &PowerRail| r.loads().energy(name).map(bits);
+                prop_assert_eq!(energy(span), energy(reference), "load {}", name);
+            }
+            Ok(())
+        }
+
+        /// Integrates one scenario with `advance` and with the
+        /// per-sub-step reference, span by span, and compares every
+        /// meter bit for bit after each span.
+        fn check(s: &Scenario) -> Result<(), TestCaseError> {
+            let (y, mo, d, h) = STARTS[s.start];
+            let t0 = SimTime::from_ymd_hms(y, mo, d, h, 0, 0) + SimDuration::from_secs(s.offset);
+            let mut env = Environment::new(EnvConfig::vatnajokull(), s.seed);
+            env.advance_to(t0);
+            let mut span = build(s, t0);
+            let mut reference = build(s, t0);
+            let mut t = t0;
+            for &(secs, on, drain) in &s.spans {
+                for rail in [&mut span, &mut reference] {
+                    for ((name, _), on) in LOADS.iter().zip(on) {
+                        rail.loads_mut().set_on(name, on);
+                    }
+                    if drain {
+                        rail.battery_mut().drain_empty();
+                    }
+                }
+                t += SimDuration::from_secs(secs);
+                env.advance_to(t);
+                span.advance(&env, t);
+                reference_advance(&mut reference, &env, t);
+                assert_bit_equal(&span, &reference)?;
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(Config::with_cases(48))]
+
+            /// The span integrator reproduces the per-sub-step reference
+            /// bit for bit: charger mixes none / solar / solar + wind /
+            /// solar + mains, spans off the minute grid, ending in a
+            /// partial step, across midnight and the café-season edges,
+            /// with load toggles and forced drains between spans.
+            #[test]
+            fn span_integrator_equals_per_step_reference(s in Scenarios) {
+                check(&s)?;
+            }
+        }
+
+        /// Opt-in stress variant of
+        /// `span_integrator_equals_per_step_reference`. Run with
+        /// `cargo test -p glacsweb-power --release -- --ignored`.
+        #[test]
+        #[ignore = "stress: 10k randomized multi-day scenarios, run explicitly"]
+        fn span_integrator_equals_per_step_reference_stress() {
+            TestRunner::new(Config::with_cases(10_000))
+                .run(&Scenarios, |s| check(&s))
+                .expect("span integrator must match the per-sub-step reference");
         }
     }
 

@@ -30,6 +30,7 @@ mod mortality;
 mod protocol;
 mod reading;
 mod sensing;
+mod seqruns;
 
 pub use firmware::{ProbeFirmware, ProbeId};
 pub use mortality::MortalityModel;

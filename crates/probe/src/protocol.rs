@@ -13,8 +13,6 @@
 //! could fail." [`ProtocolConfig::individual_fetch_limit`] reproduces that
 //! bug when set; the fixed firmware chunks the requests instead.
 
-use std::collections::BTreeSet;
-
 use glacsweb_link::{LossModel, ProbeRadioLink};
 use glacsweb_obs::{NullRecorder, Scope};
 use glacsweb_sim::{ConfigError, SimDuration, SimRng};
@@ -22,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::firmware::{ProbeFirmware, ProbeId};
 use crate::reading::ProbeReading;
+use crate::seqruns::SeqRuns;
 
 /// Query/manifest handshake attempts per session before declaring the
 /// probe unreachable — the base retries a lost query within the window
@@ -72,6 +71,7 @@ impl ProtocolConfig {
             return Err(ConfigError::new(
                 "protocol",
                 "rerequest_all_threshold",
+                // glacsweb: allow(perf-hygiene, reason = "validate() error path; runs once at construction, never per session")
                 format!("threshold {} not a fraction", self.rerequest_all_threshold),
             ));
         }
@@ -134,7 +134,7 @@ pub struct FetchOutcome {
 pub struct FetchSession {
     probe_id: ProbeId,
     config: ProtocolConfig,
-    received_seqs: BTreeSet<u64>,
+    received_seqs: SeqRuns,
     delivered: Vec<ProbeReading>,
     sessions_run: u64,
     total_packets: u64,
@@ -153,7 +153,7 @@ impl FetchSession {
         FetchSession {
             probe_id,
             config,
-            received_seqs: BTreeSet::new(),
+            received_seqs: SeqRuns::new(),
             delivered: Vec::new(),
             sessions_run: 0,
             total_packets: 0,
@@ -289,7 +289,7 @@ impl FetchSession {
 
         // 2. Compute the want-list: everything in range not yet received.
         let mut want: Vec<u64> = (first..=last)
-            .filter(|s| !self.received_seqs.contains(s))
+            .filter(|&s| !self.received_seqs.contains(s))
             .collect();
         if want.is_empty() {
             // Nothing new; (re-)confirm so the probe can free its buffer.
@@ -321,8 +321,7 @@ impl FetchSession {
                 let fit =
                     (remaining_budget.as_secs() / link.packet_time().as_secs().max(1)) as usize;
                 let n = want.len().min(fit.max(1));
-                let slice: Vec<u64> = want[..n].to_vec();
-                let readings = probe.stream(slice.iter().copied());
+                let readings = probe.stream(want.iter().copied().take(n));
                 let result = link.send_batch_with(readings.len(), loss, rng);
                 elapsed += result.elapsed + link.packet_time(); // + the request packet
                 packets += readings.len() as u64 + 1;
@@ -331,7 +330,7 @@ impl FetchSession {
                         self.delivered.push(*reading);
                     }
                 }
-                want.retain(|s| !self.received_seqs.contains(s));
+                want.retain(|&s| !self.received_seqs.contains(s));
                 if !first_bulk_done {
                     first_bulk_done = true;
                     missing_after_bulk = want.len();
@@ -436,7 +435,7 @@ impl FetchSession {
 pub struct AckFetchSession {
     probe_id: ProbeId,
     max_retries: u32,
-    received_seqs: BTreeSet<u64>,
+    received_seqs: SeqRuns,
     delivered: Vec<ProbeReading>,
     total_packets: u64,
 }
@@ -447,7 +446,7 @@ impl AckFetchSession {
         AckFetchSession {
             probe_id,
             max_retries,
-            received_seqs: BTreeSet::new(),
+            received_seqs: SeqRuns::new(),
             delivered: Vec::new(),
             total_packets: 0,
         }
@@ -501,7 +500,7 @@ impl AckFetchSession {
             };
         };
         let want: Vec<u64> = (first..=last)
-            .filter(|s| !self.received_seqs.contains(s))
+            .filter(|&s| !self.received_seqs.contains(s))
             .collect();
         let mut missing = 0usize;
         for seq in &want {
