@@ -7,14 +7,13 @@
 //! * `battery_step_day` vs `battery_leap_day` — 48 half-hour substeps
 //!   integrated one at a time against one closed-form leap over the same
 //!   horizon (the leap must also *agree* with the stepped charge).
-//! * `event_queue_day` vs `event_wheel_day` — a day of two-station tick
-//!   scheduling through the binary-heap `EventQueue` and the indexed
-//!   `EventWheel`.
+//! * `event_wheel_day` — a day of two-station tick scheduling through the
+//!   indexed `EventWheel`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use glacsweb_env::{EnvConfig, Environment};
 use glacsweb_power::LeadAcidBattery;
-use glacsweb_sim::{AmpHours, Amps, Celsius, EventQueue, EventWheel, SimDuration, SimTime};
+use glacsweb_sim::{AmpHours, Amps, Celsius, EventWheel, SimDuration, SimTime};
 
 const T0: SimTime = SimTime::from_unix(1_243_814_400); // 2009-06-01 00:00:00
 const TICK: SimDuration = SimDuration::from_mins(30);
@@ -60,20 +59,6 @@ fn bench_battery(c: &mut Criterion) {
 }
 
 fn bench_scheduling(c: &mut Criterion) {
-    c.bench_function("event_queue_day", |b| {
-        let mut q = EventQueue::new();
-        b.iter(|| {
-            let mut t = T0;
-            for i in 0u32..TICKS_PER_DAY {
-                q.push(t, (i, 0u8));
-                q.push(t, (i, 1u8));
-                let _ = q.pop();
-                let _ = q.pop();
-                t += TICK;
-            }
-            assert!(q.is_empty());
-        })
-    });
     c.bench_function("event_wheel_day", |b| {
         let mut w = EventWheel::new();
         b.iter(|| {

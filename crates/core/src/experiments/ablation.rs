@@ -10,8 +10,8 @@
 //!    info-level logging, in upload bytes.
 
 use glacsweb_link::GprsConfig;
-use glacsweb_sim::{SimTime, TraceLevel, Volts};
-use glacsweb_station::{ControllerConfig, PolicyTable, PowerState, StationConfig};
+use glacsweb_sim::{SimTime, Volts};
+use glacsweb_station::{ControllerConfig, PolicyTable, PowerState, StationConfig, TraceLevel};
 use serde::{Deserialize, Serialize};
 
 use crate::deployment::{Deployment, DeploymentBuilder};

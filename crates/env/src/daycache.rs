@@ -32,26 +32,27 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 
-use serde::{de, Deserialize, Serialize, Value};
-
-/// Serde for the memos mirrors their `PartialEq`: contents are derived
-/// state, so a snapshot carries nothing (`Null`) and a restore starts
-/// from an empty memo that refills bit-identically on first use.
+/// Serde for the memos (and for `stepcache`'s step caches) mirrors their
+/// `PartialEq`: contents are derived state, so a snapshot carries nothing
+/// (`Null`) and a restore starts from an empty memo that refills
+/// bit-identically on first use.
 macro_rules! derived_state_serde {
     ($ty:ident $(<$param:ident>)?) => {
-        impl$(<$param: Copy + Default>)? Serialize for $ty$(<$param>)? {
-            fn to_value(&self) -> Value {
-                Value::Null
+        impl$(<$param: Copy + Default>)? ::serde::Serialize for $ty$(<$param>)? {
+            fn to_value(&self) -> ::serde::Value {
+                ::serde::Value::Null
             }
         }
 
-        impl$(<$param: Copy + Default>)? Deserialize for $ty$(<$param>)? {
-            fn from_value(_: &Value) -> Result<Self, de::Error> {
+        impl$(<$param: Copy + Default>)? ::serde::Deserialize for $ty$(<$param>)? {
+            fn from_value(_: &::serde::Value) -> Result<Self, ::serde::de::Error> {
                 Ok(Self::default())
             }
         }
     };
 }
+
+pub(crate) use derived_state_serde;
 
 derived_state_serde!(DayCell<T>);
 derived_state_serde!(MinuteTable);

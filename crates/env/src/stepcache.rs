@@ -8,26 +8,7 @@
 //! returns are computed by exactly the formula the models used inline,
 //! so simulation traces stay bit-identical.
 
-use serde::{de, Deserialize, Serialize, Value};
-
-/// Like their `PartialEq`, serde for the step caches treats contents as
-/// derived state: snapshots store `Null` and restores rebuild an empty
-/// cache whose first `coeffs` call reproduces the exact same bits.
-macro_rules! derived_state_serde {
-    ($ty:ident) => {
-        impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Null
-            }
-        }
-
-        impl Deserialize for $ty {
-            fn from_value(_: &Value) -> Result<Self, de::Error> {
-                Ok($ty::default())
-            }
-        }
-    };
-}
+use crate::daycache::derived_state_serde;
 
 derived_state_serde!(OuStepCache);
 derived_state_serde!(AlphaStepCache);

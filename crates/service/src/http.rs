@@ -239,7 +239,7 @@ impl<'a> Request<'a> {
 /// body into the pending output. Pending output is flushed to the
 /// socket before the connection blocks reading — so pipelined
 /// responses coalesce into few writes — and whenever it exceeds
-/// [`FLUSH_PENDING_BYTES`]. Deliberately no `Date` header: response
+/// `FLUSH_PENDING_BYTES`. Deliberately no `Date` header: response
 /// bytes must be a pure function of the request sequence.
 #[derive(Debug, Default)]
 pub struct ResponseWriter {

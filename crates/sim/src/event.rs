@@ -1,4 +1,5 @@
-//! A deterministic timed event queue.
+//! A binary-heap timed event queue: the reference model the
+//! [`EventWheel`](crate::EventWheel) equivalence proptests check against.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -7,24 +8,6 @@ use crate::time::SimTime;
 
 /// A priority queue of `(time, event)` pairs that pops events in
 /// non-decreasing time order, breaking ties by insertion order (FIFO).
-///
-/// The FIFO tie-break is what makes whole-deployment simulations
-/// reproducible: two stations scheduled for the same midday window always
-/// run in the order they were registered.
-///
-/// # Example
-///
-/// ```
-/// use glacsweb_sim::{EventQueue, SimTime};
-///
-/// let t = SimTime::from_unix(100);
-/// let mut q = EventQueue::new();
-/// q.push(t, "base station");
-/// q.push(t, "reference station");
-/// assert_eq!(q.pop(), Some((t, "base station")));
-/// assert_eq!(q.pop(), Some((t, "reference station")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,

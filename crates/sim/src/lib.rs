@@ -6,13 +6,11 @@
 //! * [`SimTime`] / [`SimDuration`] — a simulated wall clock with a civil
 //!   calendar (the deployment logic cares about *midday UTC*, day-of-year for
 //!   solar elevation, and seasons).
-//! * [`EventQueue`] — a deterministic, FIFO-tie-broken priority queue of
-//!   timed events.
+//! * [`EventWheel`] — a deterministic, FIFO-tie-broken calendar of timed
+//!   events.
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256++) with the
 //!   distributions the environment and link models need.
 //! * [`TimeSeries`] — a recorder used to regenerate the paper's figures.
-//! * [`TraceLog`] — a bounded structured log, mirroring the paper's lesson
-//!   that unbounded field logs are themselves a power/cost problem.
 //! * [`plot`] — terminal sparklines/charts used by the experiment harness
 //!   to render the regenerated figures.
 //! * [`units`] — shared newtypes ([`Watts`], [`Volts`], …) so that power
@@ -21,10 +19,10 @@
 //! # Example
 //!
 //! ```
-//! use glacsweb_sim::{EventQueue, SimDuration, SimTime};
+//! use glacsweb_sim::{EventWheel, SimDuration, SimTime};
 //!
 //! let start = SimTime::from_ymd_hms(2009, 9, 22, 0, 0, 0);
-//! let mut queue = EventQueue::new();
+//! let mut queue = EventWheel::new();
 //! queue.push(start + SimDuration::from_hours(12), "midday window");
 //! queue.push(start + SimDuration::from_mins(30), "battery sample");
 //!
@@ -37,20 +35,18 @@
 #![warn(missing_docs)]
 
 mod config_error;
+#[cfg(test)]
 mod event;
 pub mod plot;
 mod rng;
 mod series;
 mod time;
-mod trace;
 pub mod units;
 mod wheel;
 
 pub use config_error::ConfigError;
-pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{SeriesStats, TimeSeries};
 pub use time::{CivilDate, SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLevel, TraceLog};
 pub use units::{AmpHours, Amps, BitsPerSecond, Bytes, Celsius, Volts, WattHours, Watts};
 pub use wheel::EventWheel;

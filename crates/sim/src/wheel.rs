@@ -10,9 +10,9 @@ use crate::time::SimTime;
 /// a sorted calendar of time buckets, each holding its events in arrival
 /// order.
 ///
-/// Semantically identical to [`EventQueue`](crate::EventQueue) — events
-/// pop in non-decreasing time order with FIFO tie-breaking — but with a
-/// different cost profile, tuned for the deployment loop's workload:
+/// Events pop in non-decreasing time order with FIFO tie-breaking, exactly
+/// as from a binary heap keyed on `(time, insertion order)`, but with a
+/// cost profile tuned for the deployment loop's workload:
 ///
 /// * **Pop is O(1) bucket-front** — the hot path of a long simulation is
 ///   `peek_time`/`pop` on the same leading bucket (both stations tick on
@@ -25,7 +25,8 @@ use crate::time::SimTime;
 ///
 /// The FIFO tie-break is load-bearing for reproducibility: two stations
 /// scheduled for the same midday window always run in the order they were
-/// registered, which the equivalence proptests against `EventQueue` pin.
+/// registered, which the equivalence proptests against a binary-heap
+/// reference queue pin.
 ///
 /// # Example
 ///

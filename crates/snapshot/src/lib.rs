@@ -47,7 +47,11 @@ pub const MAGIC: [u8; 8] = *b"GLACSNAP";
 /// `<= SCHEMA_VERSION` (older payloads decode through the `Value` tree,
 /// whose missing-field errors are typed, not panics) and reject newer
 /// ones outright.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// v2: a station's log is a byte meter (`min_level`, `bytes`); v1 also
+/// stored the retained log lines, their counts and the capacity, which
+/// v2 readers skip.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Suffix of the temporary sibling used by the atomic write.
 pub const TMP_SUFFIX: &str = ".tmp";

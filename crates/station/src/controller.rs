@@ -2,12 +2,25 @@
 
 use glacsweb_faults::RetryPolicy;
 use glacsweb_probe::ProtocolConfig;
-use glacsweb_sim::{ConfigError, SimDuration, SimTime, TraceLevel};
+use glacsweb_sim::{ConfigError, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::data::UploadReport;
 use crate::power_state::PowerState;
 use crate::uplink::StationId;
+
+/// Severity of a station log line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum TraceLevel {
+    /// Routine progress suitable for remote debugging.
+    Debug,
+    /// Normal operational milestones.
+    Info,
+    /// Recoverable anomalies (dropped link, missed packets).
+    Warn,
+    /// Failures requiring intervention or recovery logic.
+    Error,
+}
 
 /// Tunables of the daily-run controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

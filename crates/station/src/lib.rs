@@ -31,6 +31,7 @@
 
 mod controller;
 mod data;
+mod log;
 pub mod md5;
 mod power_state;
 pub mod recovery;
@@ -38,7 +39,7 @@ mod schedule;
 mod station;
 mod uplink;
 
-pub use controller::{ControllerConfig, WindowReport};
+pub use controller::{ControllerConfig, TraceLevel, WindowReport};
 pub use data::{DataStore, FileKind, FilePayload, PendingFile};
 pub use power_state::{PolicyTable, PowerState};
 pub use schedule::Schedule;

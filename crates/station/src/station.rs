@@ -8,13 +8,12 @@ use glacsweb_link::{DataCostMeter, GprsConfig, GprsLink, RelayWanLink, WanLink, 
 use glacsweb_obs::{MemoryRecorder, NullRecorder, Origin, Recorder, Scope};
 use glacsweb_power::{Charger, LeadAcidBattery, MainsCharger, PowerRail, SolarPanel, WindTurbine};
 use glacsweb_probe::{FetchSession, ProbeFirmware, ProbeId};
-use glacsweb_sim::{
-    AmpHours, Bytes, ConfigError, SimDuration, SimRng, SimTime, TraceLevel, TraceLog, Volts, Watts,
-};
+use glacsweb_sim::{AmpHours, Bytes, ConfigError, SimDuration, SimRng, SimTime, Volts, Watts};
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{ControllerConfig, WindowReport};
+use crate::controller::{ControllerConfig, TraceLevel, WindowReport};
 use crate::data::{DataStore, FileKind, UploadReport};
+use crate::log::LogMeter;
 use crate::md5::{md5, to_hex};
 use crate::power_state::{PolicyTable, PowerState};
 use crate::recovery::{RecoveryConfig, RecoveryOutcome};
@@ -229,7 +228,7 @@ pub struct Station {
     store: DataStore,
     /// The 4 GB compact-flash card mirroring the upload queue (§II/§VII).
     card: CfCard,
-    log: TraceLog,
+    log: LogMeter,
     rng: SimRng,
     /// Survives power loss (flash) — §IV's reset-detection anchor.
     last_run: Option<SimTime>,
@@ -290,7 +289,7 @@ pub struct StationState {
     sensors: BaseSensors,
     store: DataStore,
     card: CfCard,
-    log: TraceLog,
+    log: LogMeter,
     rng: SimRng,
     last_run: Option<SimTime>,
     fetch_sessions: BTreeMap<ProbeId, FetchSession>,
@@ -360,8 +359,7 @@ impl Station {
         }
         let mut msp = Msp430::new(start);
         msp.write_schedule(Schedule::standard(config.initial_state));
-        let mut log = TraceLog::with_capacity(8192);
-        log.set_min_level(config.controller.log_min_level);
+        let log = LogMeter::new(config.controller.log_min_level);
         let (wan, wan_load): (Box<dyn WanLink>, &'static str) = match config.comms {
             CommsPath::DualGprs => (
                 Box::new(GprsLink::try_new(config.gprs.clone())?),
@@ -534,11 +532,6 @@ impl Station {
     /// The GPRS cost meter.
     pub fn cost(&self) -> &DataCostMeter {
         &self.cost
-    }
-
-    /// The station logfile.
-    pub fn log(&self) -> &TraceLog {
-        &self.log
     }
 
     /// The dGPS receiver.
@@ -735,11 +728,10 @@ impl Station {
         let file = self.dgps.take_reading(actual, true_position, &mut self.rng);
         self.clock_error_secs = 0.0;
         self.msp.set_rtc(t, t);
-        self.log.record(
-            t,
+        self.log.record_fmt(
             TraceLevel::Debug,
             "dgps",
-            format!(
+            format_args!(
                 "reading {} ({} sats, {})",
                 file.taken_at, file.satellites, file.size
             ),
@@ -800,11 +792,10 @@ impl Station {
         if self.card.is_corrupted() {
             let (kept, lost) = self.card.recover();
             report.card_recovered = Some((kept, lost));
-            self.log.record(
-                now,
+            self.log.record_fmt(
                 TraceLevel::Error,
                 "cf",
-                format!("filesystem corrupted; recovered {kept} files, lost {lost}"),
+                format_args!("filesystem corrupted; recovered {kept} files, lost {lost}"),
             );
         }
 
@@ -835,7 +826,6 @@ impl Station {
                     .collect(),
                 _ => {
                     self.log.record(
-                        now,
                         TraceLevel::Error,
                         "bus",
                         "voltage log transfer failed checksum; using live reading",
@@ -850,11 +840,10 @@ impl Station {
             };
             report.steps.push("calculate_power_state".into());
             report.local_state = self.config.policy.state_for(daily_avg);
-            self.log.record(
-                now,
+            self.log.record_fmt(
                 TraceLevel::Info,
                 "power",
-                format!("daily average {daily_avg} -> {}", report.local_state),
+                format_args!("daily average {daily_avg} -> {}", report.local_state),
             );
 
             // Power state 0: stop (Fig 4's first decision diamond) —
@@ -864,7 +853,6 @@ impl Station {
                 if self.config.controller.priority_data && self.priority_event {
                     report.priority_forced = true;
                     self.log.record(
-                        now,
                         TraceLevel::Warn,
                         "priority",
                         "state 0 but priority data pending; forcing minimal upload",
@@ -877,7 +865,7 @@ impl Station {
                         uplink.upload_power_state(self.config.id, now.date(), report.local_state);
                         report.state_uploaded = true;
                         cut = self.step_upload(env, &mut now, &wd, uplink, &mut report);
-                        self.reconcile_card(now);
+                        self.reconcile_card();
                         if report.upload.drained {
                             self.priority_event = false;
                             self.conductivity_baselines.clear();
@@ -932,7 +920,7 @@ impl Station {
                 // 7. Upload data (file by file; resumes tomorrow on cuts).
                 report.steps.push("upload_data".into());
                 cut = self.step_upload(env, &mut now, &wd, uplink, &mut report);
-                self.reconcile_card(now);
+                self.reconcile_card();
                 if report.upload.drained && self.priority_event {
                     // The priority event has been reported; re-arm the
                     // baselines at current levels.
@@ -1069,16 +1057,16 @@ impl Station {
     fn persist(&mut self, name: &str, size: Bytes, now: SimTime) {
         if let Err(e) = self.card.write(name, size, now) {
             self.log
-                .record(now, TraceLevel::Warn, "cf", format!("write {name}: {e}"));
+                .record_fmt(TraceLevel::Warn, "cf", format_args!("write {name}: {e}"));
         }
     }
 
     /// Frees card copies of files that finished uploading.
-    fn reconcile_card(&mut self, now: SimTime) {
+    fn reconcile_card(&mut self) {
         for name in self.store.drain_completed() {
             if let Err(e) = self.card.delete(&name) {
                 self.log
-                    .record(now, TraceLevel::Warn, "cf", format!("delete {name}: {e}"));
+                    .record_fmt(TraceLevel::Warn, "cf", format_args!("delete {name}: {e}"));
             }
         }
     }
@@ -1145,7 +1133,6 @@ impl Station {
             self.last_run = Some(*now);
             self.recoveries += 1;
             self.log.record(
-                *now,
                 TraceLevel::Warn,
                 "recovery",
                 "RTC reset detected; re-synced from GPS; schedule -> state 0",
@@ -1166,23 +1153,15 @@ impl Station {
                     self.msp.write_schedule(Schedule::recovery_default());
                     self.last_run = Some(*now);
                     self.recoveries += 1;
-                    self.log.record(
-                        *now,
-                        TraceLevel::Warn,
-                        "recovery",
-                        "re-synced via NTP fallback",
-                    );
+                    self.log
+                        .record(TraceLevel::Warn, "recovery", "re-synced via NTP fallback");
                     self.record_recovery(*now, "ntp");
                     return RecoveryOutcome::RecoveredViaNtp;
                 }
             }
         }
-        self.log.record(
-            *now,
-            TraceLevel::Error,
-            "recovery",
-            "no time fix; sleeping a day",
-        );
+        self.log
+            .record(TraceLevel::Error, "recovery", "no time fix; sleeping a day");
         let mut scope = Scope::new(*now, self.origin(), self.obs.as_mut());
         scope.counter("recovery_failures", 1);
         if scope.enabled() {
@@ -1214,7 +1193,6 @@ impl Station {
             // §V: with the wired gateway dead, every probe is unreachable;
             // their readings keep accumulating under the ice.
             self.log.record(
-                *now,
                 TraceLevel::Error,
                 "probe",
                 "wired probe dead; no sub-glacial communications",
@@ -1249,11 +1227,10 @@ impl Station {
             report.probe_fetch_aborted |= out.aborted;
 
             if out.aborted {
-                self.log.record(
-                    *now,
+                self.log.record_fmt(
                     TraceLevel::Error,
                     "probe",
-                    format!(
+                    format_args!(
                         "probe {}: individual fetch of {} readings failed",
                         probe.id(),
                         out.missing_after
@@ -1279,11 +1256,10 @@ impl Station {
                     && !self.priority_event
                 {
                     self.priority_event = true;
-                    self.log.record(
-                        *now,
+                    self.log.record_fmt(
                         TraceLevel::Warn,
                         "priority",
-                        format!(
+                        format_args!(
                             "probe {}: conductivity rise {baseline:.2} -> {mean_cond:.2} uS",
                             probe.id()
                         ),
@@ -1291,17 +1267,12 @@ impl Station {
                 }
                 // §VI lesson: a probe reappearing after months produces
                 // over a megabyte of debug output.
-                self.log.record(
-                    *now,
-                    TraceLevel::Debug,
-                    "probe",
-                    "x".repeat(out.new_readings * 300),
-                );
-                self.log.record(
-                    *now,
+                self.log
+                    .record_len(TraceLevel::Debug, "probe", out.new_readings as u64 * 300);
+                self.log.record_fmt(
                     TraceLevel::Info,
                     "probe",
-                    format!("probe {}: {} new readings", probe.id(), out.new_readings),
+                    format_args!("probe {}: {} new readings", probe.id(), out.new_readings),
                 );
                 let size = Bytes(delivered.len() as u64 * 32);
                 let name = self.next_file_name("probes", "dat");
@@ -1432,7 +1403,7 @@ impl Station {
                     *now += wasted;
                     self.rail.loads_mut().set_on(self.wan_load, false);
                     self.log
-                        .record(*now, TraceLevel::Warn, self.wan.label(), "attach failed");
+                        .record(TraceLevel::Warn, self.wan.label(), "attach failed");
                 }
             }
         }
@@ -1488,7 +1459,6 @@ impl Station {
                 return true;
             }
             self.log.record(
-                *now,
                 TraceLevel::Warn,
                 "server",
                 "server unreachable; backing off",
@@ -1512,7 +1482,6 @@ impl Station {
             self.advance(env, *now + stall);
             *now += stall;
             self.log.record(
-                *now,
                 TraceLevel::Error,
                 "upload",
                 "transfer hung; waiting on watchdog",
@@ -1587,7 +1556,6 @@ impl Station {
         *now += run;
         if run < cmd.runtime {
             self.log.record(
-                *now,
                 TraceLevel::Error,
                 "special",
                 "watchdog cut special execution",
@@ -1595,12 +1563,8 @@ impl Station {
             return true;
         }
         // Output goes into the normal log (§VI) → ships tomorrow.
-        self.log.record(
-            *now,
-            TraceLevel::Info,
-            "special",
-            "y".repeat(usize::try_from(cmd.output_size.value()).unwrap_or(usize::MAX)),
-        );
+        self.log
+            .record_len(TraceLevel::Info, "special", cmd.output_size.value());
         self.pending_special_results.push(SpecialResult {
             id: cmd.id,
             executed_at: *now,
@@ -1652,19 +1616,17 @@ impl Station {
         uplink.report_checksum(self.config.id, &update.name, &hex);
         if digest == update.expected_md5 {
             report.update_applied = Some(update.name.clone());
-            self.log.record(
-                *now,
+            self.log.record_fmt(
                 TraceLevel::Info,
                 "update",
-                format!("{} verified and installed", update.name),
+                format_args!("{} verified and installed", update.name),
             );
         } else {
             report.update_rejected = Some(update.name.clone());
-            self.log.record(
-                *now,
+            self.log.record_fmt(
                 TraceLevel::Error,
                 "update",
-                format!("{} checksum mismatch; keeping old version", update.name),
+                format_args!("{} checksum mismatch; keeping old version", update.name),
             );
         }
         wd.expired(*now)
@@ -1706,7 +1668,6 @@ impl Station {
                 scope.emit(event);
             }
             self.log.record(
-                now,
                 TraceLevel::Error,
                 "watchdog",
                 "2-hour limit reached; forcing power-off",
@@ -1746,9 +1707,13 @@ mod tests {
         special: Option<SpecialCommand>,
         update: Option<CodeUpdate>,
         checksums: Vec<(String, String)>,
+        unreachable: bool,
     }
 
     impl Uplink for FakeServer {
+        fn is_reachable(&self) -> bool {
+            !self.unreachable
+        }
         fn upload_power_state(&mut self, from: StationId, date: CivilDate, state: PowerState) {
             self.states.push((from, date, state));
         }
@@ -2357,6 +2322,9 @@ mod tests {
         assert!(r2.priority_forced, "summer conductivity jump forces comms");
         assert!(r2.state_uploaded);
         assert!(!server.items.is_empty(), "the data reached Southampton");
+        // The forced upload carried the conductivity-rise and the
+        // priority-override lines.
+        assert_eq!(log_sizes(&server), [445]);
     }
 
     #[test]
@@ -2401,6 +2369,208 @@ mod tests {
             (115..=125).contains(&offset),
             "slot fired ~2 min early: {offset}s"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // log-byte pins: the daily system log's size feeds GPRS airtime and
+    // energy, so every line the station logs is pinned through the
+    // `SystemLog` sizes the server receives. Each scenario ends on clean
+    // days that drain the queue, so no logged byte stays undelivered.
+    // ------------------------------------------------------------------
+
+    /// Every daily system log's size, in delivery order.
+    fn log_sizes(server: &FakeServer) -> Vec<u64> {
+        server
+            .items
+            .iter()
+            .filter_map(|i| match i {
+                UploadItem::SystemLog { size, .. } => Some(size.value()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A lab base station with the deployed controller, which logs at
+    /// debug level.
+    fn debug_station(env_config: EnvConfig, start: SimTime) -> (Environment, Station) {
+        let env = Environment::new(env_config, 17);
+        let mut config = StationConfig::base_2008();
+        config.gprs = GprsConfig::ideal();
+        let station = Station::new(config, start, 4242);
+        (env, station)
+    }
+
+    /// A probe deployed `days` before `start` and sampled hourly up to
+    /// it, so it has a backlog to fetch.
+    fn probe_with_backlog(env: &mut Environment, start: SimTime, days: u64) -> ProbeFirmware {
+        let mut rng = SimRng::seed_from(5);
+        let deployed = start - SimDuration::from_days(days);
+        let mut probe = ProbeFirmware::deploy(21, deployed, &mut rng);
+        let mut t = deployed;
+        while t < start {
+            t += SimDuration::from_hours(1);
+            env.advance_to(t);
+            probe.sample(env, t, &mut rng);
+        }
+        probe
+    }
+
+    fn day(start: SimTime, d: u64) -> SimTime {
+        start + SimDuration::from_days(d)
+    }
+
+    #[test]
+    fn log_bytes_of_a_debug_level_day_are_pinned() {
+        // dGPS readings, a probe fetch (debug dump and summary), the
+        // daily average, a special command's output and both code-update
+        // outcomes.
+        let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
+        let (mut env, mut station) = debug_station(EnvConfig::lab(), start);
+        let mut probes = [probe_with_backlog(&mut env, start, 3)];
+        let payload = b"print('new control code')".to_vec();
+        let mut server = FakeServer {
+            special: Some(SpecialCommand {
+                id: 7,
+                size: Bytes::from_kib(2),
+                runtime: SimDuration::from_mins(1),
+                output_size: Bytes(500),
+            }),
+            update: Some(CodeUpdate {
+                name: "control.py".into(),
+                expected_md5: md5(&payload),
+                payload,
+            }),
+            ..FakeServer::default()
+        };
+        station.on_gps_slot(&mut env, start + SimDuration::from_mins(10));
+        let r0 = run_day(&mut env, &mut station, &mut probes, &mut server, start).expect("runs");
+        assert!(r0.probe_readings > 0);
+        assert_eq!(r0.special_executed, Some(7));
+        assert_eq!(r0.update_applied.as_deref(), Some("control.py"));
+        server.update = Some(CodeUpdate {
+            name: "control.py".into(),
+            payload: b"good code".to_vec(),
+            expected_md5: [0u8; 16],
+        });
+        let r1 =
+            run_day(&mut env, &mut station, &mut [], &mut server, day(start, 1)).expect("runs");
+        assert_eq!(r1.update_rejected.as_deref(), Some("control.py"));
+        for d in 2..4 {
+            run_day(&mut env, &mut station, &mut [], &mut server, day(start, d));
+        }
+        assert_eq!(station.store().backlog_files(), 0);
+        assert_eq!(log_sizes(&server), [21852, 680, 157, 70]);
+    }
+
+    #[test]
+    fn log_bytes_of_fault_days_are_pinned() {
+        let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
+        let (mut env, mut station) = debug_station(EnvConfig::lab(), start);
+        let mut probes = [probe_with_backlog(&mut env, start, 3)];
+        let mut server = FakeServer::default();
+        let mut days = (0..).map(|d| day(start, d));
+        let mut next =
+            |station: &mut Station, probes: &mut [ProbeFirmware], server: &mut FakeServer| {
+                let at = days.next().expect("unbounded");
+                run_day(&mut env, station, probes, server, at).expect("runs")
+            };
+        // The wired gateway is dead and the server is unreachable.
+        station.set_wired_probe_ok(false);
+        server.unreachable = true;
+        let dead = next(&mut station, &mut probes, &mut server);
+        assert_eq!(dead.probes_contacted, 0);
+        station.set_wired_probe_ok(true);
+        server.unreachable = false;
+        // Every GPRS attach fails for a week: files pile up on the card.
+        station.wan = Box::new(GprsLink::new(GprsConfig {
+            setup_failure_p: 1.0,
+            ..GprsConfig::ideal()
+        }));
+        for _ in 0..7 {
+            let no_attach = next(&mut station, &mut [], &mut server);
+            assert!(!no_attach.gprs_connected);
+        }
+        station.wan = Box::new(GprsLink::new(GprsConfig::ideal()));
+        // The card is corrupted (recovered, some files lost) and the
+        // transfer hangs until the watchdog cuts the window.
+        station.inject_card_corruption();
+        station.inject_stuck_transfer(true);
+        let stuck = next(&mut station, &mut [], &mut server);
+        let (_, lost) = stuck.card_recovered.expect("card recovered");
+        assert!(lost > 0, "the recovery lost files");
+        assert!(stuck.cut_by_watchdog);
+        station.inject_stuck_transfer(false);
+        // The upload frees files the recovery lost; then a special
+        // command outruns the watchdog.
+        server.special = Some(SpecialCommand {
+            id: 8,
+            size: Bytes::from_kib(2),
+            runtime: SimDuration::from_hours(3),
+            output_size: Bytes(100),
+        });
+        let special_cut = next(&mut station, &mut [], &mut server);
+        assert!(special_cut.cut_by_watchdog);
+        // A tiny card: every file write fails, and so does every delete.
+        station.card = CfCard::new(Bytes(64));
+        let tiny_card = next(&mut station, &mut [], &mut server);
+        assert!(tiny_card.upload.drained);
+        station.card = CfCard::new(Bytes::from_mib(4096));
+        // RTC resets: recovery by GPS, by NTP, then no fix at all.
+        for (gps, ntp, recovers) in [(1.0, false, true), (0.0, true, true), (0.0, false, false)] {
+            station.config.recovery = RecoveryConfig {
+                gps_fix_success_p: gps,
+                ntp_fallback: ntp,
+                ntp_success_p: 1.0,
+                ..RecoveryConfig::deployed_2008()
+            };
+            station.msp.power_loss();
+            station.msp.power_restored(station.last_drift_update);
+            let reset = next(&mut station, &mut [], &mut server);
+            assert_eq!(reset.recovered, recovers);
+        }
+        station.config.recovery = RecoveryConfig {
+            gps_fix_success_p: 1.0,
+            ..RecoveryConfig::deployed_2008()
+        };
+        for _ in 0..4 {
+            next(&mut station, &mut [], &mut server);
+        }
+        assert_eq!(station.store().backlog_files(), 0);
+        assert_eq!(
+            log_sizes(&server),
+            [154, 484, 217, 217, 217, 217, 217, 217, 299, 221, 405, 678, 70, 70]
+        );
+    }
+
+    #[test]
+    fn log_bytes_of_an_aborted_probe_fetch_are_pinned() {
+        // A lossy radio and a long backlog: the deployed protocol's
+        // individual fetch gives up (§V).
+        let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
+        let lossy = EnvConfig {
+            probe_loss_dry: 0.134,
+            probe_loss_wet: 0.134,
+            ..EnvConfig::lab()
+        };
+        let (mut env, mut station) = debug_station(lossy, start);
+        station.config.controller.watchdog_limit = SimDuration::from_hours(8);
+        station.config.controller.probe_budget = SimDuration::from_hours(6);
+        let mut probe = probe_with_backlog(&mut env, start, 125);
+        let mut server = FakeServer::default();
+        let r = run_day(
+            &mut env,
+            &mut station,
+            std::slice::from_mut(&mut probe),
+            &mut server,
+            start,
+        )
+        .expect("runs");
+        assert!(r.probe_fetch_aborted);
+        for d in 1..3 {
+            run_day(&mut env, &mut station, &mut [], &mut server, day(start, d));
+        }
+        assert_eq!(station.store().backlog_files(), 0);
+        assert_eq!(log_sizes(&server), [785957, 70, 70]);
     }
 
     #[test]
