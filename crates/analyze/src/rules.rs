@@ -193,8 +193,9 @@ pub fn numeric_scope(rel: &str) -> bool {
 /// O(events) kernel rewrite made allocation-free, where every substep of
 /// every simulated half-hour executes — plus the fleet event kernel,
 /// whose wake handler runs a million times per simulated fleet-month,
-/// and the probe fetch protocol, which runs for every probe in every
-/// station's daily window. A
+/// and the station's daily window path (the probe fetch protocol and
+/// firmware, the through-ice radio, the CF card, the inter-processor
+/// bus and the upload queue), which runs for every station every day. A
 /// stray `format!` or defensive `.clone()` here is a per-tick heap
 /// allocation that whole-run throughput hides until it has already
 /// regressed. The service crate's request→response path is held to the
@@ -208,6 +209,11 @@ pub fn perf_scope(rel: &str) -> bool {
         || rel == "crates/sim/src/wheel.rs"
         || rel == "crates/fleet/src/kernel.rs"
         || rel == "crates/probe/src/protocol.rs"
+        || rel == "crates/probe/src/firmware.rs"
+        || rel == "crates/link/src/probe_radio.rs"
+        || rel == "crates/hw/src/storage.rs"
+        || rel == "crates/hw/src/bus.rs"
+        || rel == "crates/station/src/data.rs"
         || rel == "crates/service/src/http.rs"
         || rel == "crates/service/src/core.rs"
 }

@@ -188,15 +188,30 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
     );
     assert_eq!(fire("crates/sim/src/event.rs", src, RuleId::PerfHygiene), 3);
     assert_eq!(fire("crates/sim/src/wheel.rs", src, RuleId::PerfHygiene), 3);
-    assert_eq!(
-        fire("crates/probe/src/protocol.rs", src, RuleId::PerfHygiene),
-        3
-    );
-    // The rest of the probe crate is not in scope.
-    assert_eq!(
-        fire("crates/probe/src/firmware.rs", src, RuleId::PerfHygiene),
-        0
-    );
+    // The station's daily window path is in scope…
+    for window_file in [
+        "crates/probe/src/protocol.rs",
+        "crates/probe/src/firmware.rs",
+        "crates/link/src/probe_radio.rs",
+        "crates/hw/src/storage.rs",
+        "crates/hw/src/bus.rs",
+        "crates/station/src/data.rs",
+    ] {
+        assert_eq!(
+            fire(window_file, src, RuleId::PerfHygiene),
+            3,
+            "{window_file}"
+        );
+    }
+    // …but the rest of those crates is not.
+    for cold_file in [
+        "crates/probe/src/mortality.rs",
+        "crates/link/src/gprs.rs",
+        "crates/hw/src/dgps.rs",
+        "crates/station/src/station.rs",
+    ] {
+        assert_eq!(fire(cold_file, src, RuleId::PerfHygiene), 0, "{cold_file}");
+    }
 }
 
 #[test]

@@ -81,8 +81,9 @@ pub fn run(seed: u64) -> Backlog {
                     }
                 }
                 let mut windows = 0u32;
+                let mut moved = Vec::new();
                 while !gps.pending_files().is_empty() && windows < 50 {
-                    gps.transfer_files(window);
+                    gps.transfer_files(window, &mut moved);
                     windows += 1;
                 }
                 windows

@@ -166,3 +166,50 @@ fn corrupted_checkpoint_is_rejected_not_resumed() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// FNV-1a over a byte slice (64-bit).
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The benchmark's standard deployment: base_2008 with field GPRS,
+/// reference_2008, 4 probes, observed, from 2009-06-01.
+fn standard_deployment(seed: u64) -> Deployment {
+    let mut base = StationConfig::base_2008();
+    base.gprs = GprsConfig::field();
+    glacsweb::DeploymentBuilder::new(EnvConfig::vatnajokull())
+        .seed(seed)
+        .start(SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0))
+        .base(base)
+        .reference(StationConfig::reference_2008())
+        .probes(4)
+        .observe()
+        .build()
+}
+
+/// Pins the snapshot payload bytes (length and FNV) of two runs, so a
+/// change to any serialized type's representation — the card, the probe
+/// buffer, file names, window reports, the event wheel — shows up here
+/// even when it would still round-trip.
+#[test]
+fn snapshot_wire_bytes_are_pinned() {
+    let mut year = standard_deployment(2010 * 1000);
+    year.run_days(365);
+    let bytes = glacsweb_snapshot::to_bytes(&year.snapshot());
+    assert_eq!(
+        (bytes.len(), fnv(&bytes)),
+        (13_806_702, 0x5fff_a3f4_5494_dae8),
+        "standard deployment, seed 2010000, 365 days"
+    );
+
+    let mut chaos = chaos_deployment();
+    chaos.run_days(40);
+    let bytes = glacsweb_snapshot::to_bytes(&chaos.snapshot());
+    assert_eq!(
+        (bytes.len(), fnv(&bytes)),
+        (1_705_601, 0x8cf6_6d6a_0c16_533b),
+        "chaos plan, seed 2008, 40 days"
+    );
+}

@@ -261,7 +261,8 @@ impl Environment {
     /// day and `cos H` only on the second of day (each memoised), then
     /// `asin → degrees → radians → sin → max`. Those are the model's
     /// float operations in the model's order, so the result carries
-    /// identical bits.
+    /// identical bits; a sun below the horizon skips them (see
+    /// [`clear_sky_of`]).
     fn clear_sky_fraction(&self, t: SimTime) -> f64 {
         self.clear_sky.get_or(t.unix(), || {
             let (a, b) = self.solar_day.get_or(t.unix() / 86_400, || {
@@ -274,8 +275,7 @@ impl Environment {
             let cos_h = self.cos_hour.get_or(t.seconds_of_day(), || {
                 (15.0 * (t.hour_of_day_f64() - 12.0)).to_radians().cos()
             });
-            let sin_el = a + b * cos_h;
-            sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+            clear_sky_of(a + b * cos_h)
         })
     }
 
@@ -361,6 +361,28 @@ impl Environment {
     pub fn fork_rng(&mut self, stream: u64) -> SimRng {
         self.rng.fork(stream)
     }
+}
+
+/// The clear-sky fraction for a solar-elevation sine: the model's
+/// `asin → degrees → radians → sin → max(0)` chain, except that a sun
+/// below the horizon (`sin_el < 0`) returns `+0.0` without it.
+///
+/// The short-cut is exact. For `sin_el` in `[-1, 0)`, `asin` is negative
+/// and at least as large in magnitude (a subnormal maps to itself); the
+/// degree factor (≈ 57.3) keeps it negative and makes it at least 57
+/// times the smallest subnormal, and the radian factor (≈ 1/57.3) brings
+/// it back to about its old size — never below 0.99 of the smallest
+/// subnormal, which rounds to that subnormal, not to `-0.0` — so it is
+/// still a negative non-zero value in `[-π/2, 0)`. `sin` maps
+/// that to a negative value, and `max` against `0.0` returns the
+/// `+0.0` operand. `-0.0`, `+0.0` and NaN are not below zero, so they
+/// still take the chain. The `night_short_cut_*` tests pin this bit for
+/// bit.
+fn clear_sky_of(sin_el: f64) -> f64 {
+    if sin_el < 0.0 {
+        return 0.0;
+    }
+    sin_el.asin().to_degrees().to_radians().sin().max(0.0)
 }
 
 #[cfg(test)]
@@ -656,6 +678,93 @@ mod tests {
                 },
             )
             .expect("environment invariants");
+    }
+
+    /// The model's chain with no short-cut.
+    fn full_chain(sin_el: f64) -> f64 {
+        sin_el.asin().to_degrees().to_radians().sin().max(0.0)
+    }
+
+    fn assert_same_bits(sin_el: f64) {
+        assert_eq!(
+            clear_sky_of(sin_el).to_bits(),
+            full_chain(sin_el).to_bits(),
+            "sin_el {sin_el:e} ({:#018x})",
+            sin_el.to_bits()
+        );
+    }
+
+    #[test]
+    fn night_short_cut_matches_the_chain_at_the_edges() {
+        let smallest = f64::from_bits(1);
+        for sin_el in [
+            -1.0,
+            -0.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            -1e-310,
+            -1e-320,
+            -smallest, // -5e-324
+            -0.0,
+            0.0,
+            smallest,
+            f64::MIN_POSITIVE,
+            1.0,
+        ] {
+            assert_same_bits(sin_el);
+        }
+        assert_eq!(clear_sky_of(-smallest).to_bits(), 0.0f64.to_bits());
+        assert!(clear_sky_of(f64::NAN) == full_chain(f64::NAN));
+    }
+
+    #[test]
+    fn night_short_cut_proptest() {
+        use proptest::prelude::*;
+        use proptest::test_runner::{Config, TestRunner};
+        let mut runner = TestRunner::new(Config::with_cases(256));
+        // Negative normal and subnormal sines, straight into the chain.
+        runner
+            .run(
+                &(-1.0f64..0.0, 1u64..0x0010_0000_0000_0000),
+                |(normal, subnormal_bits)| {
+                    let subnormal = -f64::from_bits(subnormal_bits);
+                    prop_assert!(subnormal < 0.0 && !subnormal.is_normal());
+                    for sin_el in [normal, subnormal] {
+                        prop_assert_eq!(
+                            clear_sky_of(sin_el).to_bits(),
+                            full_chain(sin_el).to_bits()
+                        );
+                        prop_assert_eq!(clear_sky_of(sin_el).to_bits(), 0.0f64.to_bits());
+                    }
+                    Ok(())
+                },
+            )
+            .expect("the short-cut returns the chain's +0.0");
+        // Whole days at any latitude: the memoised fraction equals the
+        // model's own chain at every sampled minute, night and day.
+        let mut runner = TestRunner::new(Config::with_cases(48));
+        runner
+            .run(
+                &(-90.0f64..90.0, 0u64..366, 0u64..1440),
+                |(latitude_deg, day, minute)| {
+                    let config = EnvConfig {
+                        latitude_deg,
+                        ..EnvConfig::vatnajokull()
+                    };
+                    let e = Environment::new(config, 1);
+                    let model = SolarModel::new(latitude_deg);
+                    let midnight =
+                        SimTime::from_ymd_hms(2009, 1, 1, 0, 0, 0) + SimDuration::from_days(day);
+                    for k in 0..48 {
+                        let t = midnight + SimDuration::from_mins((minute + 30 * k) % 1440);
+                        let want = model.clear_sky_fraction(t).to_bits();
+                        prop_assert_eq!(e.clear_sky_fraction(t).to_bits(), want);
+                        prop_assert_eq!(e.clear_sky_fraction(t).to_bits(), want);
+                    }
+                    Ok(())
+                },
+            )
+            .expect("memoised fraction matches the model");
     }
 
     #[test]

@@ -90,14 +90,21 @@ impl fmt::Display for BusError {
 impl Error for BusError {}
 
 /// Fletcher-16 checksum — cheap enough for an MSP430 interrupt handler.
+///
+/// Both sums are reduced mod 255 once per block instead of once per
+/// byte: the reduced result is the same, and over a 4,096-byte block
+/// from sums below 255, `b` stays below 2³¹.
 fn fletcher16(data: &[u8]) -> u16 {
-    let mut a: u16 = 0;
-    let mut b: u16 = 0;
-    for &byte in data {
-        a = (a + u16::from(byte)) % 255;
-        b = (b + a) % 255;
+    let (mut a, mut b) = (0u32, 0u32);
+    for block in data.chunks(4096) {
+        for &byte in block {
+            a += u32::from(byte);
+            b += a;
+        }
+        a %= 255;
+        b %= 255;
     }
-    (b << 8) | a
+    ((b << 8) | a) as u16
 }
 
 fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
@@ -174,17 +181,74 @@ impl BusRequest {
     }
 }
 
+/// The millivolt reading the supervisor's ADC reports for `v` (a
+/// 10-bit-ADC-plus-divider supervisor measures to the millivolt).
+fn millivolts(v: Volts) -> u16 {
+    (v.value() * 1000.0).round().clamp(0.0, 65_535.0) as u16
+}
+
+/// Writes a voltage-log response frame into `out` (cleared first): the
+/// opcode, ten bytes per `(unix seconds, millivolts)` sample, then the
+/// checksum — the bytes [`frame`] would build around the same payload.
+fn write_voltage_frame(samples: impl Iterator<Item = (u64, u16)>, out: &mut Vec<u8>) {
+    out.clear();
+    out.push(0x81);
+    for (t, mv) in samples {
+        out.extend_from_slice(&t.to_le_bytes());
+        out.extend_from_slice(&mv.to_le_bytes());
+    }
+    let sum = fletcher16(out);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// The `(unix seconds, millivolts)` samples of a voltage-log payload.
+fn voltage_samples(
+    payload: &[u8],
+) -> Result<impl Iterator<Item = (u64, u16)> + Clone + '_, BusError> {
+    if !payload.len().is_multiple_of(10) {
+        return Err(BusError::Malformed);
+    }
+    Ok(payload.chunks_exact(10).map(|c| {
+        let t = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
+        let mv = u16::from_le_bytes([c[8], c[9]]);
+        (t, mv)
+    }))
+}
+
+/// Frames the MSP430's voltage log straight into `out` (cleared first):
+/// the bytes `BusResponse::from_voltage_samples(samples).encode()`
+/// writes, without building either vector. The daily window reuses one
+/// buffer for this transfer.
+pub fn encode_voltage_log(samples: &[(SimTime, Volts)], out: &mut Vec<u8>) {
+    write_voltage_frame(samples.iter().map(|&(t, v)| (t.unix(), millivolts(v))), out);
+}
+
+/// Checks a voltage-log response frame and walks its `(unix seconds,
+/// millivolts)` samples in place — [`BusResponse::decode`] without the
+/// copy.
+///
+/// # Errors
+///
+/// The errors of [`BusResponse::decode`], and [`BusError::Malformed`]
+/// for a valid frame that is not a voltage log.
+pub fn decode_voltage_log(
+    bytes: &[u8],
+) -> Result<impl Iterator<Item = (u64, u16)> + Clone + '_, BusError> {
+    match unframe(bytes)? {
+        (0x81, payload) => voltage_samples(payload),
+        (0x80 | 0x82, _) => Err(BusError::Malformed),
+        (other, _) => Err(BusError::UnknownOpcode(other)),
+    }
+}
+
 impl BusResponse {
     /// Encodes the response as an on-wire frame.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             BusResponse::VoltageLog(samples) => {
-                let mut payload = Vec::with_capacity(samples.len() * 10);
-                for (t, mv) in samples {
-                    payload.extend_from_slice(&t.to_le_bytes());
-                    payload.extend_from_slice(&mv.to_le_bytes());
-                }
-                frame(0x81, &payload)
+                let mut out = Vec::with_capacity(samples.len() * 10 + 3);
+                write_voltage_frame(samples.iter().copied(), &mut out);
+                out
             }
             BusResponse::Rtc(t) => frame(0x82, &t.unix().to_le_bytes()),
             BusResponse::Ack => frame(0x80, &[]),
@@ -201,20 +265,7 @@ impl BusResponse {
         let (opcode, payload) = unframe(bytes)?;
         match opcode {
             0x80 if payload.is_empty() => Ok(BusResponse::Ack),
-            0x81 => {
-                if payload.len() % 10 != 0 {
-                    return Err(BusError::Malformed);
-                }
-                let samples = payload
-                    .chunks_exact(10)
-                    .map(|c| {
-                        let t = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
-                        let mv = u16::from_le_bytes([c[8], c[9]]);
-                        (t, mv)
-                    })
-                    .collect();
-                Ok(BusResponse::VoltageLog(samples))
-            }
+            0x81 => Ok(BusResponse::VoltageLog(voltage_samples(payload)?.collect())),
             0x82 => {
                 let raw: [u8; 8] = payload.try_into().map_err(|_| BusError::Malformed)?;
                 Ok(BusResponse::Rtc(SimTime::from_unix(u64::from_le_bytes(
@@ -233,12 +284,7 @@ impl BusResponse {
         BusResponse::VoltageLog(
             samples
                 .iter()
-                .map(|(t, v)| {
-                    (
-                        t.unix(),
-                        (v.value() * 1000.0).round().clamp(0.0, 65_535.0) as u16,
-                    )
-                })
+                .map(|&(t, v)| (t.unix(), millivolts(v)))
                 .collect(),
         )
     }
@@ -337,7 +383,40 @@ mod tests {
         assert!(BusError::Truncated.to_string().contains("truncated"));
     }
 
+    /// The checksum reduced once per byte, as the MSP430 computes it.
+    fn fletcher16_per_byte(data: &[u8]) -> u16 {
+        let mut a: u16 = 0;
+        let mut b: u16 = 0;
+        for &byte in data {
+            a = (a + u16::from(byte)) % 255;
+            b = (b + a) % 255;
+        }
+        (b << 8) | a
+    }
+
+    #[test]
+    fn block_reduced_checksum_matches_per_byte_at_the_block_edges() {
+        for len in [0, 1, 4095, 4096, 4097, 8192, 20_000] {
+            for fill in [0u8, 1, 254, 255] {
+                let data = vec![fill; len];
+                assert_eq!(
+                    fletcher16(&data),
+                    fletcher16_per_byte(&data),
+                    "{len} x {fill}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        /// Reducing the sums once per block gives the per-byte checksum.
+        #[test]
+        fn block_reduced_checksum_matches_per_byte(
+            data in proptest::collection::vec(0u8..=255, 0..9000),
+        ) {
+            prop_assert_eq!(fletcher16(&data), fletcher16_per_byte(&data));
+        }
+
         /// Any single-byte corruption of any request frame is caught by
         /// the checksum (or fails to parse) — it never decodes into a
         /// *different* valid request.
@@ -355,6 +434,33 @@ mod tests {
             if let Ok(decoded) = BusRequest::decode(&wire) {
                 prop_assert_eq!(decoded, req, "corruption slipped through");
             }
+        }
+
+        /// The buffer-writing encoder and the in-place decoder carry the
+        /// same bytes and samples as the `BusResponse` round trip, and a
+        /// corrupted frame fails both the same way.
+        #[test]
+        fn in_place_voltage_log_matches_bus_response(
+            raw in proptest::collection::vec((0u64..4_000_000_000, -1.0f64..70.0), 0..100),
+            flip in 0usize..2000,
+        ) {
+            let samples: Vec<(SimTime, Volts)> = raw
+                .iter()
+                .map(|&(t, v)| (SimTime::from_unix(t), Volts(v)))
+                .collect();
+            let response = BusResponse::from_voltage_samples(&samples);
+            let wire = response.encode();
+            let mut out = vec![0xAA; 7];
+            encode_voltage_log(&samples, &mut out);
+            prop_assert_eq!(&out, &wire);
+            let walked: Vec<(u64, u16)> = decode_voltage_log(&out).expect("decodes").collect();
+            prop_assert_eq!(BusResponse::VoltageLog(walked), response);
+            let i = flip % out.len();
+            out[i] ^= 0x5A;
+            prop_assert_eq!(
+                decode_voltage_log(&out).err(),
+                BusResponse::decode(&out).err()
+            );
         }
 
         /// Voltage logs of arbitrary size round-trip.

@@ -118,30 +118,31 @@ impl DGps {
     }
 
     /// Transfers files to the Gumstix over RS-232, oldest first, within a
-    /// time budget. Returns the transferred files and the time actually
-    /// spent.
+    /// time budget. Appends the transferred files to `moved` and returns
+    /// the time actually spent.
     ///
     /// Transfers are **file-at-a-time**: a file that does not fit in the
     /// remaining budget is left for tomorrow (the §VI backlog-clearing
     /// behaviour), and a single file larger than the *whole* window can
     /// never be moved — the §VI "no progress could ever be made" hazard,
     /// which callers detect via [`DGps::stuck_file`].
-    pub fn transfer_files(&mut self, budget: SimDuration) -> (Vec<GpsFile>, SimDuration) {
+    pub fn transfer_files(&mut self, budget: SimDuration, moved: &mut Vec<GpsFile>) -> SimDuration {
         if self.rs232_fault {
-            return (Vec::new(), SimDuration::ZERO);
+            return SimDuration::ZERO;
         }
         let mut spent = SimDuration::ZERO;
-        let mut moved = Vec::new();
-        while let Some(file) = self.pending.first() {
+        let mut count = 0;
+        for file in &self.pending {
             let need =
                 SimDuration::from_secs_f64(file.size.value() as f64 / table1::RS232_BYTES_PER_SEC);
             if spent + need > budget {
                 break;
             }
             spent += need;
-            moved.push(self.pending.remove(0));
+            count += 1;
         }
-        (moved, spent)
+        moved.extend(self.pending.drain(..count));
+        spent
     }
 
     /// `true` if the oldest pending file alone exceeds `window` — no
@@ -216,7 +217,8 @@ mod tests {
             gps.take_reading(t0() + SimDuration::from_hours(2 * i), 0.0, &mut rng);
         }
         // Budget for roughly three files: 3 × 165 KiB / 5 935 B/s ≈ 85 s.
-        let (moved, spent) = gps.transfer_files(SimDuration::from_secs(90));
+        let mut moved = Vec::new();
+        let spent = gps.transfer_files(SimDuration::from_secs(90), &mut moved);
         assert!(
             !moved.is_empty() && moved.len() < 10,
             "moved {}",
@@ -243,7 +245,8 @@ mod tests {
             }
         }
         let window = SimDuration::from_secs(table1::WATCHDOG_LIMIT_SECS);
-        let (moved, _) = gps.transfer_files(window);
+        let mut moved = Vec::new();
+        gps.transfer_files(window, &mut moved);
         assert!(
             !gps.pending_files().is_empty(),
             "22-day backlog exceeds one window (moved {})",
@@ -252,7 +255,7 @@ mod tests {
         // …but repeated daily windows clear it file-by-file.
         let mut windows = 1;
         while !gps.pending_files().is_empty() {
-            gps.transfer_files(window);
+            gps.transfer_files(window, &mut moved);
             windows += 1;
             assert!(windows < 10, "backlog should clear within days");
         }
@@ -265,11 +268,12 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         gps.take_reading(t0(), 0.0, &mut rng);
         gps.set_rs232_fault(true);
-        let (moved, spent) = gps.transfer_files(SimDuration::from_hours(2));
+        let mut moved = Vec::new();
+        let spent = gps.transfer_files(SimDuration::from_hours(2), &mut moved);
         assert!(moved.is_empty());
         assert_eq!(spent, SimDuration::ZERO);
         gps.set_rs232_fault(false);
-        let (moved, _) = gps.transfer_files(SimDuration::from_hours(2));
+        gps.transfer_files(SimDuration::from_hours(2), &mut moved);
         assert_eq!(moved.len(), 1);
     }
 
@@ -286,7 +290,8 @@ mod tests {
         });
         let window = SimDuration::from_secs(table1::WATCHDOG_LIMIT_SECS);
         assert!(gps.stuck_file(window));
-        let (moved, _) = gps.transfer_files(window);
+        let mut moved = Vec::new();
+        gps.transfer_files(window, &mut moved);
         assert!(moved.is_empty(), "stuck file never moves");
         // A normal file is not stuck.
         let mut ok = DGps::new();

@@ -37,5 +37,5 @@ pub use gumstix::{Gumstix, GumstixState};
 pub use modem::{GprsModem, RadioModem};
 pub use msp430::Msp430;
 pub use sensors::{BaseSensors, SensorReading};
-pub use storage::{CfCard, StorageError, StoredFile};
+pub use storage::{CfCard, FileKind, FileName, StorageError, StoredFile};
 pub use watchdog::Watchdog;

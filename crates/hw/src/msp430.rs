@@ -33,7 +33,7 @@ use crate::table1;
 /// msp.power_loss();
 /// assert_eq!(msp.rtc(), SimTime::EPOCH);
 /// assert!(msp.schedule().is_none());
-/// assert!(msp.drain_voltage_log().is_empty());
+/// assert!(msp.voltage_log().is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Msp430<S> {
@@ -156,10 +156,10 @@ impl<S> Msp430<S> {
         self.voltage_log.push((t, v));
     }
 
-    /// Hands the accumulated samples to the Gumstix (the once-a-day
-    /// download that feeds the daily average).
-    pub fn drain_voltage_log(&mut self) -> Vec<(SimTime, Volts)> {
-        std::mem::take(&mut self.voltage_log)
+    /// Empties the log once the Gumstix has read it (the once-a-day
+    /// download that feeds the daily average), keeping its storage.
+    pub fn clear_voltage_log(&mut self) {
+        self.voltage_log.clear();
     }
 
     /// Samples currently buffered (without draining).
@@ -253,9 +253,9 @@ mod tests {
                 Volts(12.0 + 0.01 * i as f64),
             );
         }
-        let drained = msp.drain_voltage_log();
-        assert_eq!(drained.len(), 48);
-        assert!(msp.drain_voltage_log().is_empty(), "second drain is empty");
+        assert_eq!(msp.voltage_log().len(), 48);
+        msp.clear_voltage_log();
+        assert!(msp.voltage_log().is_empty(), "the read empties the log");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Probe firmware: sampling, buffering and the probe-side protocol state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use glacsweb_env::Environment;
 use glacsweb_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 use crate::reading::ProbeReading;
 use crate::sensing::ProbeSensing;
@@ -14,11 +14,12 @@ pub type ProbeId = u32;
 
 /// The firmware state of one subglacial probe.
 ///
-/// Readings are buffered in a bounded store keyed by sequence number.
-/// Delivered readings are only discarded when the base station explicitly
-/// confirms the fetch task complete — the §V behaviour that saved the
-/// 3000-reading fetch: "Fortunately the task was not marked as complete in
-/// the probes; so many missing readings were obtained in subsequent days."
+/// Readings are buffered in a bounded store of consecutive sequence
+/// numbers, oldest first. Delivered readings are only discarded when the
+/// base station explicitly confirms the fetch task complete — the §V
+/// behaviour that saved the 3000-reading fetch: "Fortunately the task was
+/// not marked as complete in the probes; so many missing readings were
+/// obtained in subsequent days."
 ///
 /// # Example
 ///
@@ -40,7 +41,7 @@ pub type ProbeId = u32;
 pub struct ProbeFirmware {
     id: ProbeId,
     sensing: ProbeSensing,
-    buffer: BTreeMap<u64, ProbeReading>,
+    buffer: ReadingBuffer,
     next_seq: u64,
     deployed_at: SimTime,
     dead_at: Option<SimTime>,
@@ -58,7 +59,7 @@ impl ProbeFirmware {
         ProbeFirmware {
             id,
             sensing: ProbeSensing::deploy(id, rng),
-            buffer: BTreeMap::new(),
+            buffer: ReadingBuffer::default(),
             next_seq: 0,
             deployed_at: t,
             dead_at: None,
@@ -107,7 +108,7 @@ impl ProbeFirmware {
 
     /// Number of readings currently buffered.
     pub fn stored_readings(&self) -> usize {
-        self.buffer.len()
+        self.buffer.readings.len()
     }
 
     /// Readings lost to ring-buffer overwrite (base fell too far behind).
@@ -126,14 +127,13 @@ impl ProbeFirmware {
             return;
         }
         let reading = self.sensing.sample(env, t, self.next_seq, rng);
-        if self.buffer.len() == self.buffer_capacity {
+        if self.buffer.readings.len() == self.buffer_capacity {
             // Oldest reading is overwritten — data loss the protocol
             // cannot recover.
-            let oldest = *self.buffer.keys().next().expect("buffer non-empty");
-            self.buffer.remove(&oldest);
+            self.buffer.drop_front(1);
             self.overwritten += 1;
         }
-        self.buffer.insert(self.next_seq, reading);
+        self.buffer.push(reading);
         self.next_seq += 1;
     }
 
@@ -144,27 +144,96 @@ impl ProbeFirmware {
         if self.is_dead() || !self.radio_ok {
             return None;
         }
-        let first = *self.buffer.keys().next()?;
-        let last = *self.buffer.keys().next_back()?;
-        Some((first, last))
+        let held = u64::try_from(self.buffer.readings.len()).ok()?;
+        let last = self.buffer.first_seq.checked_add(held.checked_sub(1)?)?;
+        Some((self.buffer.first_seq, last))
     }
 
-    /// Streams the requested sequence numbers (missing ones are silently
-    /// skipped — they were overwritten). The radio decides which survive.
-    pub fn stream(&self, seqs: impl IntoIterator<Item = u64>) -> Vec<ProbeReading> {
+    /// Sends one requested reading: `None` if it was overwritten, or if
+    /// the probe is dead or silenced. The radio decides whether it
+    /// survives the trip.
+    pub fn reading(&self, seq: u64) -> Option<ProbeReading> {
         if self.is_dead() || !self.radio_ok {
-            return Vec::new();
+            return None;
         }
-        seqs.into_iter()
-            .filter_map(|s| self.buffer.get(&s).copied())
-            .collect()
+        self.buffer.get(seq)
     }
 
     /// The base confirms every reading up to and including `seq` is safely
     /// stored; the probe frees that storage (task complete).
     pub fn confirm_complete_up_to(&mut self, seq: u64) {
-        let keep: BTreeMap<u64, ProbeReading> = self.buffer.split_off(&(seq + 1));
-        self.buffer = keep;
+        let through = seq.saturating_add(1).saturating_sub(self.buffer.first_seq);
+        self.buffer
+            .drop_front(usize::try_from(through).unwrap_or(usize::MAX));
+    }
+}
+
+/// The probe's flash store: readings with consecutive sequence numbers
+/// from `first_seq`, oldest first. New readings join at the back; the
+/// ring-buffer overwrite and the base's confirmation free from the front,
+/// so the numbers never have a gap.
+///
+/// The wire form is the `seq → reading` map a `BTreeMap<u64,
+/// ProbeReading>` writes, so snapshots are unchanged in both directions.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ReadingBuffer {
+    /// Sequence number of the front reading; while the store is empty,
+    /// the next reading to arrive sets it.
+    first_seq: u64,
+    readings: VecDeque<ProbeReading>,
+}
+
+impl ReadingBuffer {
+    fn push(&mut self, reading: ProbeReading) {
+        if self.readings.is_empty() {
+            self.first_seq = reading.seq;
+        }
+        self.readings.push_back(reading);
+    }
+
+    /// Frees the `n` oldest readings.
+    fn drop_front(&mut self, n: usize) {
+        let n = n.min(self.readings.len());
+        self.readings.drain(..n);
+        self.first_seq += u64::try_from(n).unwrap_or(u64::MAX);
+    }
+
+    fn get(&self, seq: u64) -> Option<ProbeReading> {
+        let index = usize::try_from(seq.checked_sub(self.first_seq)?).ok()?;
+        self.readings.get(index).copied()
+    }
+}
+
+impl Serialize for ReadingBuffer {
+    fn to_value(&self) -> Value {
+        Value::Map(
+            (self.first_seq..)
+                .zip(&self.readings)
+                .map(|(seq, reading)| (seq.to_value(), reading.to_value()))
+                .collect(),
+        )
+    }
+}
+
+/// Reads the map form back, failing unless its keys are consecutive and
+/// each names its own reading's sequence number.
+impl Deserialize for ReadingBuffer {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let map = BTreeMap::<u64, ProbeReading>::from_value(v)?;
+        let first_seq = map.keys().next().copied().unwrap_or(0);
+        let mut buffer = ReadingBuffer {
+            first_seq,
+            readings: VecDeque::with_capacity(map.len()),
+        };
+        for ((seq, reading), want) in map.into_iter().zip(first_seq..) {
+            if seq != want || reading.seq != seq {
+                return Err(de::Error::custom(
+                    "probe buffer sequence numbers must be consecutive and match their readings",
+                ));
+            }
+            buffer.readings.push_back(reading);
+        }
+        Ok(buffer)
     }
 }
 
@@ -221,7 +290,7 @@ mod tests {
             env.advance_to(t);
             probe.sample(&env, t, &mut rng);
         }
-        let got = probe.stream(5..15);
+        let got: Vec<ProbeReading> = (5..15).filter_map(|s| probe.reading(s)).collect();
         // Seqs 5..10 were overwritten; only 10..15 exist.
         assert_eq!(got.len(), 5);
         assert!(got.iter().all(|r| r.seq >= 10));
@@ -252,7 +321,7 @@ mod tests {
         let before = probe.stored_readings();
         // A fetch happens, readings stream out, but no confirmation
         // arrives…
-        let _ = probe.stream(0..500);
+        assert_eq!((0..500).filter_map(|s| probe.reading(s)).count(), 500);
         assert_eq!(
             probe.stored_readings(),
             before,
@@ -271,7 +340,7 @@ mod tests {
         probe.kill(t);
         assert!(probe.is_dead());
         assert_eq!(probe.manifest(), None, "dead probes vanish offline");
-        assert!(probe.stream(0..10).is_empty());
+        assert!((0..10).all(|s| probe.reading(s).is_none()));
         let count = probe.stored_readings();
         probe.sample(&env, t + SimDuration::from_hours(1), &mut rng);
         assert_eq!(probe.stored_readings(), count, "no sampling after death");
@@ -287,7 +356,7 @@ mod tests {
         }
         probe.set_radio_ok(false);
         assert_eq!(probe.manifest(), None, "blackout looks like death");
-        assert!(probe.stream(0..5).is_empty());
+        assert!((0..5).all(|s| probe.reading(s).is_none()));
         t += SimDuration::from_hours(1);
         env.advance_to(t);
         probe.sample(&env, t, &mut rng);
@@ -295,6 +364,35 @@ mod tests {
         probe.set_radio_ok(true);
         assert_eq!(probe.manifest(), Some((0, 5)), "back online with backlog");
         assert!(!probe.is_dead());
+    }
+
+    #[test]
+    fn buffer_wire_form_is_the_seq_keyed_map() {
+        let (mut env, mut probe, mut rng, mut t) = setup();
+        probe.buffer_capacity = 40;
+        for _ in 0..60 {
+            t += SimDuration::from_hours(1);
+            env.advance_to(t);
+            probe.sample(&env, t, &mut rng);
+        }
+        probe.confirm_complete_up_to(29);
+        let map: BTreeMap<u64, ProbeReading> = (30..60)
+            .map(|s| (s, probe.reading(s).expect("held")))
+            .collect();
+        assert_eq!(probe.buffer.to_value(), map.to_value());
+        let back = ReadingBuffer::from_value(&map.to_value()).expect("decodes");
+        assert_eq!(back, probe.buffer);
+        let empty = ReadingBuffer::from_value(&BTreeMap::<u64, ProbeReading>::new().to_value());
+        assert_eq!(empty.expect("decodes").readings.len(), 0);
+
+        // A gap, or a key that is not its reading's seq, is refused.
+        let mut gap = map.clone();
+        gap.remove(&45);
+        assert!(ReadingBuffer::from_value(&gap.to_value()).is_err());
+        let mut renamed = map;
+        let stray = renamed.remove(&59).expect("held");
+        renamed.insert(58, stray);
+        assert!(ReadingBuffer::from_value(&renamed.to_value()).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use glacsweb_link::{LossModel, ProbeRadioLink};
 use glacsweb_obs::{NullRecorder, Scope};
 use glacsweb_sim::{ConfigError, SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 use crate::firmware::{ProbeFirmware, ProbeId};
 use crate::reading::ProbeReading;
@@ -130,7 +130,7 @@ pub struct FetchOutcome {
 /// Persists across days: an incomplete fetch resumes tomorrow, which is
 /// how the paper's 400 missing readings "were obtained in subsequent
 /// days".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FetchSession {
     probe_id: ProbeId,
     config: ProtocolConfig,
@@ -138,6 +138,52 @@ pub struct FetchSession {
     delivered: Vec<ProbeReading>,
     sessions_run: u64,
     total_packets: u64,
+    /// The want-list of the session in progress, kept between sessions
+    /// so a daily fetch reuses its buffer. Derived state: empty between
+    /// sessions, never on the wire and invisible to equality.
+    want_scratch: Vec<u64>,
+}
+
+// Hand-written (de)serialization and equality: they cover every field
+// but the want-list scratch, so the wire form is the six-field map the
+// derive wrote before the scratch existed.
+impl Serialize for FetchSession {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, value: Value| (Value::Str(name.into()), value);
+        Value::Map(vec![
+            field("probe_id", self.probe_id.to_value()),
+            field("config", self.config.to_value()),
+            field("received_seqs", self.received_seqs.to_value()),
+            field("delivered", self.delivered.to_value()),
+            field("sessions_run", self.sessions_run.to_value()),
+            field("total_packets", self.total_packets.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for FetchSession {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        Ok(FetchSession {
+            probe_id: de::field(v, "probe_id")?,
+            config: de::field(v, "config")?,
+            received_seqs: de::field(v, "received_seqs")?,
+            delivered: de::field(v, "delivered")?,
+            sessions_run: de::field(v, "sessions_run")?,
+            total_packets: de::field(v, "total_packets")?,
+            want_scratch: Vec::new(),
+        })
+    }
+}
+
+impl PartialEq for FetchSession {
+    fn eq(&self, other: &Self) -> bool {
+        self.probe_id == other.probe_id
+            && self.config == other.config
+            && self.received_seqs == other.received_seqs
+            && self.delivered == other.delivered
+            && self.sessions_run == other.sessions_run
+            && self.total_packets == other.total_packets
+    }
 }
 
 impl FetchSession {
@@ -157,6 +203,7 @@ impl FetchSession {
             delivered: Vec::new(),
             sessions_run: 0,
             total_packets: 0,
+            want_scratch: Vec::new(),
         }
     }
 
@@ -175,9 +222,11 @@ impl FetchSession {
         self.total_packets
     }
 
-    /// Readings received and not yet handed to the data store.
+    /// Readings received and not yet handed to the data store, in one
+    /// exactly-sized vector; the session keeps its own buffer for
+    /// tomorrow.
     pub fn drain_delivered(&mut self) -> Vec<ProbeReading> {
-        std::mem::take(&mut self.delivered)
+        self.delivered.drain(..).collect()
     }
 
     /// Runs one daily session within `budget` at per-packet loss `loss_p`
@@ -288,9 +337,9 @@ impl FetchSession {
         };
 
         // 2. Compute the want-list: everything in range not yet received.
-        let mut want: Vec<u64> = (first..=last)
-            .filter(|&s| !self.received_seqs.contains(s))
-            .collect();
+        let mut want = std::mem::take(&mut self.want_scratch);
+        want.clear();
+        want.extend((first..=last).filter(|&s| !self.received_seqs.contains(s)));
         if want.is_empty() {
             // Nothing new; (re-)confirm so the probe can free its buffer.
             elapsed += link.packet_time();
@@ -300,6 +349,7 @@ impl FetchSession {
             }
             scope.counter("fetch_complete", 1);
             scope.counter("protocol_packets", packets);
+            self.want_scratch = want;
             return done(self, elapsed, packets, 0, 0, true, false, false);
         }
 
@@ -317,19 +367,21 @@ impl FetchSession {
             }
 
             if bulk_phase {
-                // Bulk stream without ACKs: probe sends every wanted seq.
+                // Bulk stream without ACKs: probe sends every wanted seq
+                // it still holds; the radio decides, packet by packet,
+                // which arrive.
                 let fit =
                     (remaining_budget.as_secs() / link.packet_time().as_secs().max(1)) as usize;
                 let n = want.len().min(fit.max(1));
-                let readings = probe.stream(want.iter().copied().take(n));
-                let result = link.send_batch_with(readings.len(), loss, rng);
-                elapsed += result.elapsed + link.packet_time(); // + the request packet
-                packets += readings.len() as u64 + 1;
-                for (i, reading) in readings.iter().enumerate() {
-                    if result.received[i] && self.received_seqs.insert(reading.seq) {
-                        self.delivered.push(*reading);
+                let mut sent = 0;
+                for reading in want.iter().take(n).filter_map(|&s| probe.reading(s)) {
+                    sent += 1;
+                    if !loss.next_lost(rng) && self.received_seqs.insert(reading.seq) {
+                        self.delivered.push(reading);
                     }
                 }
+                elapsed += link.batch_time(sent) + link.packet_time(); // + the request packet
+                packets += sent as u64 + 1;
                 want.retain(|&s| !self.received_seqs.contains(s));
                 if !first_bulk_done {
                     first_bulk_done = true;
@@ -364,11 +416,13 @@ impl FetchSession {
                                 .with("limit", limit);
                             scope.emit(event);
                         }
+                        let pending = want.len();
+                        self.want_scratch = want;
                         return done(
                             self,
                             elapsed,
                             packets,
-                            want.len(),
+                            pending,
                             missing_after_bulk,
                             false,
                             true,
@@ -378,29 +432,33 @@ impl FetchSession {
                 }
                 let per_fetch = link.packet_time() * 2;
                 let fit = (remaining_budget.as_secs() / per_fetch.as_secs().max(1)) as usize;
-                let chunk: Vec<u64> = want.iter().copied().take(fit.max(1)).collect();
-                scope.counter("individual_fetches", chunk.len() as u64);
-                for seq in chunk {
+                // The first `chunk` wanted seqs, in order, until the budget
+                // runs out; a fetched or overwritten seq leaves the list.
+                let chunk = want.len().min(fit.max(1));
+                scope.counter("individual_fetches", chunk as u64);
+                let (mut tried, mut out_of_time) = (0, false);
+                want.retain(|&seq| {
+                    if out_of_time || tried == chunk {
+                        return true;
+                    }
+                    tried += 1;
                     elapsed += per_fetch;
                     packets += 2;
                     if loss.next_lost(rng) {
                         let _ = loss.next_lost(rng); // the response slot still burns channel state
-                        continue; // request lost
+                        return true; // request lost
                     }
-                    let readings = probe.stream([seq]);
-                    let Some(reading) = readings.first() else {
+                    let Some(reading) = probe.reading(seq) else {
                         // Overwritten on the probe; give up on this seq.
-                        want.retain(|&s| s != seq);
-                        continue;
+                        return false;
                     };
-                    if !loss.next_lost(rng) && self.received_seqs.insert(reading.seq) {
-                        self.delivered.push(*reading);
-                        want.retain(|&s| s != seq);
+                    let fetched = !loss.next_lost(rng) && self.received_seqs.insert(reading.seq);
+                    if fetched {
+                        self.delivered.push(reading);
                     }
-                    if elapsed >= budget {
-                        break;
-                    }
-                }
+                    out_of_time = elapsed >= budget;
+                    !fetched
+                });
             }
         }
 
@@ -416,11 +474,13 @@ impl FetchSession {
             scope.counter("fetch_complete", 1);
         }
         scope.counter("protocol_packets", packets);
+        let missing = want.len();
+        self.want_scratch = want;
         done(
             self,
             elapsed,
             packets,
-            want.len(),
+            missing,
             missing_after_bulk,
             complete,
             false,
@@ -516,8 +576,7 @@ impl AckFetchSession {
                 if rng.bernoulli(loss_p) {
                     continue; // request lost
                 }
-                let readings = probe.stream([*seq]);
-                let Some(reading) = readings.first() else {
+                let Some(reading) = probe.reading(*seq) else {
                     got = true; // overwritten: nothing to fetch
                     break;
                 };
@@ -527,7 +586,7 @@ impl AckFetchSession {
                 // ACK loss causes a duplicate data send next attempt, but
                 // the base has the reading either way.
                 if self.received_seqs.insert(reading.seq) {
-                    self.delivered.push(*reading);
+                    self.delivered.push(reading);
                 }
                 got = true;
                 if !rng.bernoulli(loss_p) {

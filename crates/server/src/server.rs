@@ -171,7 +171,11 @@ impl Uplink for SouthamptonServer {
                 None => event.with(key, "none"),
             };
             let mut event = scope.make("override_decision");
-            event = event.with("for", format!("{for_station:?}"));
+            let name = match for_station {
+                StationId::Base => "Base",
+                StationId::Reference => "Reference",
+            };
+            event = event.with("for", name);
             event = opt(event, "own", level(self.states.last_reported(for_station)));
             event = opt(
                 event,

@@ -72,8 +72,15 @@ impl Warehouse {
                 size: *size,
             }),
             UploadItem::ProbeData(readings) => {
-                for r in readings {
-                    self.probe_readings.entry(r.probe_id).or_default().push(*r);
+                // A batch is one probe's readings: file each run of one
+                // probe's readings with one lookup.
+                for run in readings.chunk_by(|a, b| a.probe_id == b.probe_id) {
+                    if let Some(first) = run.first() {
+                        self.probe_readings
+                            .entry(first.probe_id)
+                            .or_default()
+                            .extend_from_slice(run);
+                    }
                 }
             }
             UploadItem::SensorData { samples, .. } => self.sensor_samples += samples,

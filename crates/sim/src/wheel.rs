@@ -50,7 +50,21 @@ pub struct EventWheel<E> {
     seq: u64,
     /// Total scheduled events across all buckets.
     len: usize,
+    /// Emptied buckets kept for reuse: `pop` parks a drained bucket here
+    /// (if it is small, see [`SPARE_CAPACITY`]) and the next push to a
+    /// new instant takes it back, so a wheel in steady state files events
+    /// without allocating. Derived state: a snapshot never carries it,
+    /// and a restored wheel regrows it.
+    // glacsweb: derived-state
+    spare: Vec<VecDeque<(u64, E)>>,
 }
+
+/// The most events an emptied bucket may have room for and still be
+/// kept for reuse. The deployment's instants hold one to a few events;
+/// a fleet site's coalesced wake instants hold hundreds of stations, and
+/// parking those would keep their storage alive, so they are freed as
+/// they empty.
+const SPARE_CAPACITY: usize = 16;
 
 impl<E> EventWheel<E> {
     /// Creates an empty wheel.
@@ -59,17 +73,23 @@ impl<E> EventWheel<E> {
             calendar: BTreeMap::new(),
             seq: 0,
             len: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// The bucket for `time`, taking a spare one if the instant is new.
+    fn bucket(&mut self, time: SimTime) -> &mut VecDeque<(u64, E)> {
+        let spare = &mut self.spare;
+        self.calendar
+            .entry(time)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.calendar
-            .entry(time)
-            .or_default()
-            .push_back((seq, event));
+        self.bucket(time).push_back((seq, event));
         self.len += 1;
     }
 
@@ -85,26 +105,32 @@ impl<E> EventWheel<E> {
         if events.peek().is_none() {
             return;
         }
-        let bucket = self.calendar.entry(time).or_default();
+        let (mut seq, mut filed) = (self.seq, 0);
+        let bucket = self.bucket(time);
         for event in events {
-            let seq = self.seq;
-            self.seq += 1;
             bucket.push_back((seq, event));
-            self.len += 1;
+            seq += 1;
+            filed += 1;
         }
+        self.seq = seq;
+        self.len += filed;
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     ///
     /// Within a bucket, events leave in ascending arrival sequence —
     /// pushes always append in sequence order, so the front of the deque
-    /// is the oldest arrival.
+    /// is the oldest arrival. A small bucket it empties is kept for
+    /// reuse.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let mut first = self.calendar.first_entry()?;
         let time = *first.key();
         let (_, event) = first.get_mut().pop_front()?;
         if first.get().is_empty() {
-            first.remove();
+            let bucket = first.remove();
+            if bucket.capacity() <= SPARE_CAPACITY {
+                self.spare.push(bucket);
+            }
         }
         self.len -= 1;
         Some((time, event))
@@ -339,6 +365,74 @@ mod tests {
         assert_eq!(w.len(), 5);
     }
 
+    #[test]
+    fn emptied_buckets_are_reused_not_reallocated() {
+        let mut w = EventWheel::new();
+        for t in 0..4 {
+            w.push(SimTime::from_unix(t), t);
+        }
+        while w.pop().is_some() {}
+        assert_eq!(w.spare.len(), 4, "every emptied bucket is parked");
+        w.push_batch(SimTime::from_unix(9), [1, 2]);
+        w.push(SimTime::from_unix(8), 0);
+        assert_eq!(w.spare.len(), 2, "new instants take parked buckets");
+        assert_eq!(w.buckets(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| w.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (SimTime::from_unix(8), 0),
+                (SimTime::from_unix(9), 1),
+                (SimTime::from_unix(9), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn large_emptied_buckets_are_freed() {
+        let mut w = EventWheel::new();
+        w.push_batch(SimTime::from_unix(1), 0..=SPARE_CAPACITY as u32);
+        w.push(SimTime::from_unix(2), 0);
+        while w.pop().is_some() {}
+        assert_eq!(w.spare.len(), 1, "only the small bucket is parked");
+        assert!(w.spare.iter().all(|b| b.capacity() <= SPARE_CAPACITY));
+    }
+
+    #[test]
+    fn spare_buckets_never_reach_the_wire() {
+        // A wheel that has cycled events through many instants holds
+        // spare buckets; its bytes must equal those of a fresh wheel
+        // holding the same events under the same arrival tags.
+        let mut used = EventWheel::new();
+        for t in 0..32u64 {
+            used.push(SimTime::from_unix(t), t as u32);
+        }
+        while used.len() > 3 {
+            used.pop();
+        }
+        assert!(!used.spare.is_empty());
+        let mut fresh = EventWheel::new();
+        fresh.seq = 29;
+        for t in 29..32u64 {
+            fresh.push(SimTime::from_unix(t), t as u32);
+        }
+        assert!(fresh.spare.is_empty());
+        assert_eq!(
+            glacsweb_snapshot::to_bytes(&used),
+            glacsweb_snapshot::to_bytes(&fresh)
+        );
+        let restored: EventWheel<u32> =
+            glacsweb_snapshot::from_bytes(&glacsweb_snapshot::to_bytes(&used)).expect("decodes");
+        assert!(
+            restored.spare.is_empty(),
+            "a restored wheel starts with no spares"
+        );
+        assert_eq!(
+            glacsweb_snapshot::to_bytes(&restored),
+            glacsweb_snapshot::to_bytes(&used)
+        );
+    }
+
     proptest! {
         /// The wheel is observationally identical to the reference
         /// `EventQueue` under any interleaving of pushes and pops.
@@ -357,6 +451,52 @@ mod tests {
                 }
                 prop_assert_eq!(w.len(), q.len());
                 prop_assert_eq!(w.peek_time(), q.peek_time());
+            }
+            loop {
+                let (a, b) = (w.pop(), q.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Reuse cycles — draining to empty and refilling, batches
+        /// interleaved with pops — move buckets through the spare pool
+        /// without changing what pops: the wheel still matches the
+        /// reference queue event for event.
+        #[test]
+        fn reuse_cycles_match_event_queue(
+            ops in proptest::collection::vec((0u8..5, 0u64..40, 0usize..4), 1..300),
+        ) {
+            let mut w = EventWheel::new();
+            let mut q = EventQueue::new();
+            // Kinds: 0 push, 1 batch of `n`, 2–3 pop, 4 drain to empty.
+            for (i, &(kind, t, n)) in ops.iter().enumerate() {
+                let t = SimTime::from_unix(t);
+                match kind {
+                    0 => {
+                        w.push(t, (i, 0));
+                        q.push(t, (i, 0));
+                    }
+                    1 => {
+                        w.push_batch(t, (0..n).map(|j| (i, j)));
+                        for j in 0..n {
+                            q.push(t, (i, j));
+                        }
+                    }
+                    2 | 3 => prop_assert_eq!(w.pop(), q.pop()),
+                    _ => loop {
+                        let (a, b) = (w.pop(), q.pop());
+                        prop_assert_eq!(a, b);
+                        if a.is_none() {
+                            break;
+                        }
+                    },
+                }
+                prop_assert_eq!(w.len(), q.len());
+                prop_assert_eq!(w.peek_time(), q.peek_time());
+                prop_assert_eq!(w.iter().count(), w.len());
             }
             loop {
                 let (a, b) = (w.pop(), q.pop());

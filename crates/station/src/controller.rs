@@ -3,7 +3,7 @@
 use glacsweb_faults::RetryPolicy;
 use glacsweb_probe::ProtocolConfig;
 use glacsweb_sim::{ConfigError, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 use crate::data::UploadReport;
 use crate::power_state::PowerState;
@@ -179,7 +179,7 @@ pub struct WindowReport {
     pub card_recovered: Option<(usize, usize)>,
     /// The Fig 4 steps actually executed this window, in order — lets
     /// tests assert the flowchart itself.
-    pub steps: Vec<String>,
+    pub steps: WindowSteps,
 }
 
 impl WindowReport {
@@ -189,9 +189,190 @@ impl WindowReport {
     }
 }
 
+/// One step of the daily window's flowchart (Fig 4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowStep {
+    /// Get sub-glacial probe data (base station only).
+    ProbeJobs,
+    /// Get readings from the MSP430.
+    MspReadings,
+    /// Calculate the local power state.
+    CalculatePowerState,
+    /// Get the dGPS files (above state 1).
+    GetGpsFiles,
+    /// Package the data to be sent.
+    PackageData,
+    /// Bring the GPRS session up.
+    ConnectGprs,
+    /// Get (and run) the special command.
+    GetSpecial,
+    /// Upload today's power state.
+    UploadPowerState,
+    /// Upload the queued data files.
+    UploadData,
+    /// Get the server's override power state.
+    GetOverrideState,
+    /// Check for a code update.
+    CheckUpdates,
+    /// Write tomorrow's schedule.
+    WriteSchedule,
+}
+
+impl WindowStep {
+    /// Every step, in declaration order.
+    const ALL: [WindowStep; 12] = [
+        WindowStep::ProbeJobs,
+        WindowStep::MspReadings,
+        WindowStep::CalculatePowerState,
+        WindowStep::GetGpsFiles,
+        WindowStep::PackageData,
+        WindowStep::ConnectGprs,
+        WindowStep::GetSpecial,
+        WindowStep::UploadPowerState,
+        WindowStep::UploadData,
+        WindowStep::GetOverrideState,
+        WindowStep::CheckUpdates,
+        WindowStep::WriteSchedule,
+    ];
+
+    /// The step's name in reports and snapshots (`"probe_jobs"`, …).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            WindowStep::ProbeJobs => "probe_jobs",
+            WindowStep::MspReadings => "msp_readings",
+            WindowStep::CalculatePowerState => "calculate_power_state",
+            WindowStep::GetGpsFiles => "get_gps_files",
+            WindowStep::PackageData => "package_data",
+            WindowStep::ConnectGprs => "connect_gprs",
+            WindowStep::GetSpecial => "get_special",
+            WindowStep::UploadPowerState => "upload_power_state",
+            WindowStep::UploadData => "upload_data",
+            WindowStep::GetOverrideState => "get_override_state",
+            WindowStep::CheckUpdates => "check_updates",
+            WindowStep::WriteSchedule => "write_schedule",
+        }
+    }
+}
+
+/// The steps one window ran, in order. A window runs each step at most
+/// once, so the list lives inline: recording a step never allocates.
+///
+/// The wire form is the sequence of step names, the bytes a
+/// `Vec<String>` of those names writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowSteps {
+    /// The steps run, in `ran[..len]`; the slots after `len` stay
+    /// [`WindowStep::ProbeJobs`].
+    ran: [WindowStep; 12],
+    len: usize,
+}
+
+impl WindowSteps {
+    /// No steps yet.
+    pub fn new() -> Self {
+        WindowSteps {
+            ran: [WindowStep::ProbeJobs; 12],
+            len: 0,
+        }
+    }
+
+    /// Records that `step` ran. A window that somehow ran more steps
+    /// than the flowchart has keeps the first twelve.
+    pub fn push(&mut self, step: WindowStep) {
+        if let Some(slot) = self.ran.get_mut(self.len) {
+            *slot = step;
+            self.len += 1;
+        }
+    }
+
+    /// The steps run, in order.
+    pub fn as_slice(&self) -> &[WindowStep] {
+        self.ran.get(..self.len).unwrap_or(&[])
+    }
+
+    /// The steps run, in order.
+    pub fn iter(&self) -> impl Iterator<Item = WindowStep> + '_ {
+        self.as_slice().iter().copied()
+    }
+
+    /// `true` if `step` ran.
+    pub fn contains(&self, step: WindowStep) -> bool {
+        self.as_slice().contains(&step)
+    }
+}
+
+impl Default for WindowSteps {
+    fn default() -> Self {
+        WindowSteps::new()
+    }
+}
+
+impl Serialize for WindowSteps {
+    fn to_value(&self) -> Value {
+        Value::Seq(
+            self.ran
+                .iter()
+                .take(self.len)
+                .map(|step| Value::Str(step.as_str().into()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for WindowSteps {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let names = v
+            .as_seq()
+            .ok_or_else(|| de::Error::custom("expected a sequence of window steps"))?;
+        if names.len() > WindowStep::ALL.len() {
+            return Err(de::Error::custom(
+                "more window steps than the flowchart has",
+            ));
+        }
+        let mut ran = WindowSteps::new().ran;
+        for (slot, name) in ran.iter_mut().zip(names) {
+            *slot = WindowStep::ALL
+                .into_iter()
+                .find(|step| name.as_str() == Some(step.as_str()))
+                .ok_or_else(|| de::Error::custom("unknown window step"))?;
+        }
+        Ok(WindowSteps {
+            ran,
+            len: names.len(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_steps_write_the_names_a_string_list_writes() {
+        let mut steps = WindowSteps::new();
+        let names: Vec<String> = WindowStep::ALL
+            .iter()
+            .map(|step| step.as_str().to_string())
+            .collect();
+        for step in WindowStep::ALL {
+            steps.push(step);
+        }
+        assert_eq!(steps.as_slice(), WindowStep::ALL);
+        assert_eq!(steps.to_value(), names.to_value());
+        assert_eq!(
+            WindowSteps::from_value(&names.to_value()).expect("decodes"),
+            steps
+        );
+        steps.push(WindowStep::GetSpecial);
+        assert_eq!(steps.as_slice().len(), 12, "a full list keeps its steps");
+
+        let empty = WindowSteps::new();
+        assert_eq!(empty.to_value(), Vec::<String>::new().to_value());
+        let unknown = vec!["probe_jobs".to_string(), "dance".to_string()];
+        assert!(WindowSteps::from_value(&unknown.to_value()).is_err());
+        let too_many = vec!["probe_jobs".to_string(); 13];
+        assert!(WindowSteps::from_value(&too_many.to_value()).is_err());
+    }
 
     #[test]
     fn deployed_config_has_the_documented_pitfalls() {

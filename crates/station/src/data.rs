@@ -9,24 +9,13 @@
 
 use std::collections::VecDeque;
 
+pub use glacsweb_hw::FileKind;
+use glacsweb_hw::FileName;
 use glacsweb_link::{DataCostMeter, WanLink};
 use glacsweb_sim::{Bytes, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::uplink::{StationId, Uplink, UploadItem};
-
-/// What kind of file is queued (for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FileKind {
-    /// dGPS observation file.
-    Gps,
-    /// Probe readings batch.
-    Probe,
-    /// Sensor/housekeeping data.
-    Sensor,
-    /// System log.
-    Log,
-}
 
 /// The typed payload delivered to the server when a file completes.
 pub type FilePayload = UploadItem;
@@ -35,8 +24,8 @@ pub type FilePayload = UploadItem;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PendingFile {
     /// File name on the CF card.
-    pub name: String,
-    /// Kind, for reporting.
+    pub name: FileName,
+    /// Kind, for reporting (the name's kind).
     pub kind: FileKind,
     /// Total size.
     pub size: Bytes,
@@ -70,14 +59,14 @@ pub struct UploadReport {
 /// # Example
 ///
 /// ```
+/// use glacsweb_hw::FileName;
 /// use glacsweb_station::{DataStore, FileKind, UploadItem};
 /// use glacsweb_sim::{Bytes, SimTime};
 ///
 /// let mut store = DataStore::new();
 /// let t = SimTime::from_ymd_hms(2009, 9, 22, 12, 0, 0);
 /// store.queue(
-///     "sensors/day265.dat",
-///     FileKind::Sensor,
+///     FileName::new(FileKind::Sensor, 265),
 ///     Bytes::from_kib(4),
 ///     UploadItem::SensorData { samples: 48, size: Bytes::from_kib(4) },
 ///     t,
@@ -89,7 +78,7 @@ pub struct DataStore {
     queue: VecDeque<PendingFile>,
     total_uploaded: Bytes,
     total_files: u64,
-    recently_completed: Vec<String>,
+    recently_completed: Vec<FileName>,
 }
 
 impl DataStore {
@@ -104,17 +93,10 @@ impl DataStore {
     }
 
     /// Queues a file for upload.
-    pub fn queue(
-        &mut self,
-        name: impl Into<String>,
-        kind: FileKind,
-        size: Bytes,
-        payload: FilePayload,
-        now: SimTime,
-    ) {
+    pub fn queue(&mut self, name: FileName, size: Bytes, payload: FilePayload, now: SimTime) {
         self.queue.push_back(PendingFile {
-            name: name.into(),
-            kind,
+            name,
+            kind: name.kind(),
             size,
             sent: Bytes::ZERO,
             payload,
@@ -147,8 +129,8 @@ impl DataStore {
 
     /// Names of files fully delivered since the last drain — the caller
     /// uses this to free the corresponding CF-card copies.
-    pub fn drain_completed(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.recently_completed)
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = FileName> + '_ {
+        self.recently_completed.drain(..)
     }
 
     /// Pushes queued files through an established GPRS session until the
@@ -243,10 +225,9 @@ mod tests {
         SimTime::from_ymd_hms(2009, 9, 22, 12, 0, 0)
     }
 
-    fn sensor_file(name: &str, kib: u64) -> (String, FileKind, Bytes, FilePayload) {
+    fn sensor_file(seq: u64, kib: u64) -> (FileName, Bytes, FilePayload) {
         (
-            name.to_string(),
-            FileKind::Sensor,
+            FileName::new(FileKind::Sensor, seq),
             Bytes::from_kib(kib),
             UploadItem::SensorData {
                 samples: 48,
@@ -259,8 +240,8 @@ mod tests {
     fn uploads_everything_on_an_ideal_link() {
         let mut store = DataStore::new();
         for i in 0..5 {
-            let (n, k, s, p) = sensor_file(&format!("f{i}"), 40);
-            store.queue(n, k, s, p, noon());
+            let (n, s, p) = sensor_file(i, 40);
+            store.queue(n, s, p, noon());
         }
         let mut link = GprsLink::new(GprsConfig::ideal());
         let mut rng = SimRng::seed_from(1);
@@ -286,8 +267,8 @@ mod tests {
     #[test]
     fn budget_exhaustion_keeps_partial_progress() {
         let mut store = DataStore::new();
-        let (n, k, s, p) = sensor_file("big", 400); // 400 KiB ≈ 655 s at 625 B/s
-        store.queue(n, k, s, p, noon());
+        let (n, s, p) = sensor_file(1, 400); // 400 KiB ≈ 655 s at 625 B/s
+        store.queue(n, s, p, noon());
         let mut link = GprsLink::new(GprsConfig::ideal());
         let mut rng = SimRng::seed_from(2);
         link.connect(&mut rng).expect("attach");
@@ -327,8 +308,8 @@ mod tests {
         };
         let mut store = DataStore::new();
         for i in 0..3 {
-            let (n, k, s, p) = sensor_file(&format!("f{i}"), 200);
-            store.queue(n, k, s, p, noon());
+            let (n, s, p) = sensor_file(i, 200);
+            store.queue(n, s, p, noon());
         }
         let mut link = GprsLink::new(config);
         let mut rng = SimRng::seed_from(3);
@@ -354,8 +335,8 @@ mod tests {
         // one window; daily windows clear it file by file.
         let mut store = DataStore::new();
         for i in 0..12 {
-            let (n, k, s, p) = sensor_file(&format!("gps{i}"), 165);
-            store.queue(n, k, s, p, noon());
+            let (n, s, p) = sensor_file(i, 165);
+            store.queue(n, s, p, noon());
         }
         // 12 × 165 KiB ≈ 1.93 MiB needs ≈ 54 min on an ideal link; give
         // 20-minute windows so several days are needed.

@@ -39,7 +39,7 @@ mod schedule;
 mod station;
 mod uplink;
 
-pub use controller::{ControllerConfig, TraceLevel, WindowReport};
+pub use controller::{ControllerConfig, TraceLevel, WindowReport, WindowStep, WindowSteps};
 pub use data::{DataStore, FileKind, FilePayload, PendingFile};
 pub use power_state::{PolicyTable, PowerState};
 pub use schedule::Schedule;

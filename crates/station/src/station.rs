@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use glacsweb_env::Environment;
-use glacsweb_hw::{BaseSensors, CfCard, DGps, Gumstix, Msp430, Watchdog};
+use glacsweb_hw::{BaseSensors, CfCard, DGps, FileName, GpsFile, Gumstix, Msp430, Watchdog};
 use glacsweb_link::{DataCostMeter, GprsConfig, GprsLink, RelayWanLink, WanLink, WanState};
 use glacsweb_obs::{MemoryRecorder, NullRecorder, Origin, Recorder, Scope};
 use glacsweb_power::{Charger, LeadAcidBattery, MainsCharger, PowerRail, SolarPanel, WindTurbine};
@@ -11,7 +11,7 @@ use glacsweb_probe::{FetchSession, ProbeFirmware, ProbeId};
 use glacsweb_sim::{AmpHours, Bytes, ConfigError, SimDuration, SimRng, SimTime, Volts, Watts};
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{ControllerConfig, TraceLevel, WindowReport};
+use crate::controller::{ControllerConfig, TraceLevel, WindowReport, WindowStep, WindowSteps};
 use crate::data::{DataStore, FileKind, UploadReport};
 use crate::log::LogMeter;
 use crate::md5::{md5, to_hex};
@@ -267,6 +267,18 @@ pub struct Station {
     windows_cut: u64,
     recoveries: u64,
     file_seq: u64,
+    /// The window's reused buffers; they grow on first use and are never
+    /// part of the station's state.
+    scratch: WindowScratch,
+}
+
+/// Buffers the daily window reuses instead of allocating: the framed
+/// voltage log crossing the inter-processor bus and the dGPS files
+/// moving over RS-232.
+#[derive(Debug, Default)]
+struct WindowScratch {
+    bus_frame: Vec<u8>,
+    gps_files: Vec<GpsFile>,
 }
 
 /// The complete serializable state of one [`Station`], produced by
@@ -401,6 +413,7 @@ impl Station {
             windows_cut: 0,
             recoveries: 0,
             file_seq: 0,
+            scratch: WindowScratch::default(),
         })
     }
 
@@ -506,6 +519,7 @@ impl Station {
             windows_cut: state.windows_cut,
             recoveries: state.recoveries,
             file_seq: state.file_seq,
+            scratch: WindowScratch::default(),
         })
     }
 
@@ -804,7 +818,7 @@ impl Station {
         'window: {
             // 1. Probe jobs — always attempted (Table II).
             if self.config.role == StationRole::Base {
-                report.steps.push("probe_jobs".into());
+                report.steps.push(WindowStep::ProbeJobs);
                 cut = self.step_probe_jobs(env, &mut now, &wd, probes, &mut report);
                 if cut || !self.still_alive(&mut report, now) {
                     break 'window;
@@ -815,30 +829,31 @@ impl Station {
             // The samples cross the Fig 2 inter-processor bus as framed,
             // checksummed messages (an on-board transfer is still a
             // transfer — §VI's verification lesson applies here too).
-            report.steps.push("msp_readings".into());
-            let raw = self.msp.drain_voltage_log();
-            let wire = glacsweb_hw::bus::BusResponse::from_voltage_samples(&raw).encode();
-            let samples: Vec<(SimTime, Volts)> = match glacsweb_hw::bus::BusResponse::decode(&wire)
-            {
-                Ok(glacsweb_hw::bus::BusResponse::VoltageLog(log)) => log
-                    .into_iter()
-                    .map(|(t, mv)| (SimTime::from_unix(t), Volts(f64::from(mv) / 1000.0)))
-                    .collect(),
-                _ => {
-                    self.log.record(
-                        TraceLevel::Error,
-                        "bus",
-                        "voltage log transfer failed checksum; using live reading",
-                    );
-                    Vec::new()
+            report.steps.push(WindowStep::MspReadings);
+            let (samples, daily_avg) = {
+                let frame = &mut self.scratch.bus_frame;
+                glacsweb_hw::bus::encode_voltage_log(self.msp.voltage_log(), frame);
+                self.msp.clear_voltage_log();
+                let volts = match glacsweb_hw::bus::decode_voltage_log(frame) {
+                    Ok(log) => Some(log.map(|(_, mv)| f64::from(mv) / 1000.0)),
+                    Err(_) => {
+                        self.log.record(
+                            TraceLevel::Error,
+                            "bus",
+                            "voltage log transfer failed checksum; using live reading",
+                        );
+                        None
+                    }
+                };
+                let samples = volts.as_ref().map_or(0, |v| v.clone().count());
+                match volts {
+                    Some(volts) if samples > 0 => {
+                        (samples, Volts(volts.sum::<f64>() / samples as f64))
+                    }
+                    _ => (samples, self.rail.measured_voltage(env)),
                 }
             };
-            let daily_avg = if samples.is_empty() {
-                self.rail.measured_voltage(env)
-            } else {
-                Volts(samples.iter().map(|(_, v)| v.value()).sum::<f64>() / samples.len() as f64)
-            };
-            report.steps.push("calculate_power_state".into());
+            report.steps.push(WindowStep::CalculatePowerState);
             report.local_state = self.config.policy.state_for(daily_avg);
             self.log.record_fmt(
                 TraceLevel::Info,
@@ -857,7 +872,7 @@ impl Station {
                         "priority",
                         "state 0 but priority data pending; forcing minimal upload",
                     );
-                    self.step_package(now, samples.len() as u64);
+                    self.step_package(now, samples as u64);
                     report.gprs_connected = self.step_connect(env, &mut now, &wd);
                     if report.gprs_connected {
                         self.advance(env, now + CONTROL_EXCHANGE);
@@ -879,7 +894,7 @@ impl Station {
 
             // 3. GPS files (only above state 1).
             if report.local_state > PowerState::S1 {
-                report.steps.push("get_gps_files".into());
+                report.steps.push(WindowStep::GetGpsFiles);
                 cut = self.step_gps_files(env, &mut now, &wd, &mut report);
                 if cut || !self.still_alive(&mut report, now) {
                     break 'window;
@@ -887,11 +902,11 @@ impl Station {
             }
 
             // 4. Package data to be sent.
-            report.steps.push("package_data".into());
-            self.step_package(now, samples.len() as u64);
+            report.steps.push(WindowStep::PackageData);
+            self.step_package(now, samples as u64);
 
             // 5. GPRS: bring the session up.
-            report.steps.push("connect_gprs".into());
+            report.steps.push(WindowStep::ConnectGprs);
             report.gprs_connected = self.step_connect(env, &mut now, &wd);
             if wd.expired(now) {
                 cut = true;
@@ -901,7 +916,7 @@ impl Station {
             if report.gprs_connected {
                 // Proposed-fix ordering: special first (§VI suggestion).
                 if self.config.controller.special_before_upload {
-                    report.steps.push("get_special".into());
+                    report.steps.push(WindowStep::GetSpecial);
                     cut = self.step_special(env, &mut now, &wd, uplink, &mut report);
                     if cut || !self.still_alive(&mut report, now) {
                         break 'window;
@@ -910,7 +925,7 @@ impl Station {
 
                 // 6. Upload power state.
                 if self.wan.is_connected() {
-                    report.steps.push("upload_power_state".into());
+                    report.steps.push(WindowStep::UploadPowerState);
                     self.advance(env, now + CONTROL_EXCHANGE);
                     now += CONTROL_EXCHANGE;
                     uplink.upload_power_state(self.config.id, now.date(), report.local_state);
@@ -918,7 +933,7 @@ impl Station {
                 }
 
                 // 7. Upload data (file by file; resumes tomorrow on cuts).
-                report.steps.push("upload_data".into());
+                report.steps.push(WindowStep::UploadData);
                 cut = self.step_upload(env, &mut now, &wd, uplink, &mut report);
                 self.reconcile_card();
                 if report.upload.drained && self.priority_event {
@@ -932,7 +947,7 @@ impl Station {
                 }
 
                 // 8. Fetch override state.
-                report.steps.push("get_override_state".into());
+                report.steps.push(WindowStep::GetOverrideState);
                 if self.ensure_connected(env, &mut now, &wd)
                     && self.server_fetch_ready(env, &mut now, &wd, &*uplink)
                 {
@@ -946,7 +961,7 @@ impl Station {
 
                 // 9. Deployed ordering: special last (the §VI lesson).
                 if !self.config.controller.special_before_upload {
-                    report.steps.push("get_special".into());
+                    report.steps.push(WindowStep::GetSpecial);
                     cut = self.step_special(env, &mut now, &wd, uplink, &mut report);
                     if cut || !self.still_alive(&mut report, now) {
                         break 'window;
@@ -954,7 +969,7 @@ impl Station {
                 }
 
                 // 10. Code updates (checksum-verified, §VI).
-                report.steps.push("check_updates".into());
+                report.steps.push(WindowStep::CheckUpdates);
                 cut = self.step_update(env, &mut now, &wd, uplink, &mut report);
                 if cut || !self.still_alive(&mut report, now) {
                     break 'window;
@@ -962,7 +977,7 @@ impl Station {
             }
 
             // 11. Decide tomorrow's state and write the schedule.
-            report.steps.push("write_schedule".into());
+            report.steps.push(WindowStep::WriteSchedule);
             report.applied_state = self
                 .config
                 .policy
@@ -1054,7 +1069,7 @@ impl Station {
 
     /// Mirrors a queued file onto the CF card, logging (but tolerating)
     /// card failures — the queue itself is the source of truth.
-    fn persist(&mut self, name: &str, size: Bytes, now: SimTime) {
+    fn persist(&mut self, name: FileName, size: Bytes, now: SimTime) {
         if let Err(e) = self.card.write(name, size, now) {
             self.log
                 .record_fmt(TraceLevel::Warn, "cf", format_args!("write {name}: {e}"));
@@ -1064,7 +1079,7 @@ impl Station {
     /// Frees card copies of files that finished uploading.
     fn reconcile_card(&mut self) {
         for name in self.store.drain_completed() {
-            if let Err(e) = self.card.delete(&name) {
+            if let Err(e) = self.card.delete(name) {
                 self.log
                     .record_fmt(TraceLevel::Warn, "cf", format_args!("delete {name}: {e}"));
             }
@@ -1099,7 +1114,7 @@ impl Station {
             recovered: false,
             priority_forced: false,
             card_recovered: None,
-            steps: Vec::new(),
+            steps: WindowSteps::new(),
         }
     }
 
@@ -1275,15 +1290,10 @@ impl Station {
                     format_args!("probe {}: {} new readings", probe.id(), out.new_readings),
                 );
                 let size = Bytes(delivered.len() as u64 * 32);
-                let name = self.next_file_name("probes", "dat");
-                self.persist(&name, size, *now);
-                self.store.queue(
-                    name,
-                    FileKind::Probe,
-                    size,
-                    UploadItem::ProbeData(delivered),
-                    *now,
-                );
+                let name = self.next_file_name(FileKind::Probe);
+                self.persist(name, size, *now);
+                self.store
+                    .queue(name, size, UploadItem::ProbeData(delivered), *now);
             }
         }
         false
@@ -1300,17 +1310,17 @@ impl Station {
         let budget = wd.remaining(*now);
         // The dGPS unit is powered while its card is read over RS-232.
         self.rail.loads_mut().set_on(loads::GPS, true);
-        let (files, spent) = self.dgps.transfer_files(budget);
+        let mut files = std::mem::take(&mut self.scratch.gps_files);
+        let spent = self.dgps.transfer_files(budget, &mut files);
         self.advance(env, *now + spent);
         *now += spent;
         self.rail.loads_mut().set_on(loads::GPS, false);
         report.gps_files_fetched = files.len();
-        for f in files {
-            let name = self.next_file_name("gps", "obs");
-            self.persist(&name, f.size, *now);
+        for f in files.drain(..) {
+            let name = self.next_file_name(FileKind::Gps);
+            self.persist(name, f.size, *now);
             self.store.queue(
                 name,
-                FileKind::Gps,
                 f.size,
                 UploadItem::GpsFile {
                     taken_at: f.taken_at,
@@ -1320,6 +1330,7 @@ impl Station {
                 *now,
             );
         }
+        self.scratch.gps_files = files;
         wd.expired(*now)
     }
 
@@ -1328,26 +1339,20 @@ impl Station {
         if self.sensor_batch > 0 || voltage_samples > 0 {
             let samples = self.sensor_batch + voltage_samples;
             let size = Bytes(samples * 24);
-            let name = self.next_file_name("sensors", "dat");
-            self.persist(&name, size, now);
-            self.store.queue(
-                name,
-                FileKind::Sensor,
-                size,
-                UploadItem::SensorData { samples, size },
-                now,
-            );
+            let name = self.next_file_name(FileKind::Sensor);
+            self.persist(name, size, now);
+            self.store
+                .queue(name, size, UploadItem::SensorData { samples, size }, now);
             self.sensor_batch = 0;
         }
         // Daily log (carries yesterday's special-command output — the §VI
         // 24-hour delay is structural).
         let size = self.log.rotate();
         let results = std::mem::take(&mut self.pending_special_results);
-        let name = self.next_file_name("log", "log");
-        self.persist(&name, size.max(Bytes(256)), now);
+        let name = self.next_file_name(FileKind::Log);
+        self.persist(name, size.max(Bytes(256)), now);
         self.store.queue(
             name,
-            FileKind::Log,
             size.max(Bytes(256)),
             UploadItem::SystemLog {
                 size,
@@ -1646,9 +1651,9 @@ impl Station {
         }
     }
 
-    fn next_file_name(&mut self, dir: &str, ext: &str) -> String {
+    fn next_file_name(&mut self, kind: FileKind) -> FileName {
         self.file_seq += 1;
-        format!("{dir}/{:06}.{ext}", self.file_seq)
+        FileName::new(kind, self.file_seq)
     }
 
     fn finalize(

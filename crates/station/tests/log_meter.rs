@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt;
 
-use glacsweb_hw::StorageError;
+use glacsweb_hw::{FileKind, FileName, StorageError};
 use glacsweb_sim::{Bytes, SimTime, Volts};
 use glacsweb_station::PowerState;
 // The meter's module names its level type as `crate::TraceLevel`.
@@ -110,14 +110,14 @@ fn formatted_lengths_equal_the_built_strings() {
             counts_like_format!("daily average {daily_avg} -> {}", state);
         }
     }
-    let name = "gps/000042.obs";
+    let name = FileName::new(FileKind::Gps, 42);
     for e in [
         StorageError::Full {
             requested: Bytes::from_kib(165),
             free: Bytes(64),
         },
-        StorageError::Exists(name.to_string()),
-        StorageError::NotFound("log/000007.log".to_string()),
+        StorageError::Exists(name),
+        StorageError::NotFound(FileName::new(FileKind::Log, 7)),
         StorageError::Corrupted,
     ] {
         counts_like_format!("write {name}: {e}");
@@ -217,13 +217,13 @@ fn a_schema_v1_log_decodes_to_the_same_bytes_and_level() {
 fn metering_a_days_lines_does_not_allocate() {
     let mut meter = LogMeter::new(TraceLevel::Debug);
     let taken_at = SimTime::from_ymd_hms(2009, 6, 1, 2, 0, 0);
-    let name = String::from("sensors/000113.dat");
+    let name = FileName::new(FileKind::Sensor, 113);
     let update = String::from("control.py");
     let full = StorageError::Full {
         requested: Bytes::from_kib(165),
         free: Bytes(64),
     };
-    let missing = StorageError::NotFound(name.clone());
+    let missing = StorageError::NotFound(name);
     let before = allocations();
     for _ in 0..4 {
         for slot in 0..12u32 {

@@ -16,7 +16,7 @@ use glacsweb::DeploymentBuilder;
 use glacsweb_env::EnvConfig;
 use glacsweb_link::GprsConfig;
 use glacsweb_sim::SimTime;
-use glacsweb_station::{ControllerConfig, StationConfig, StationId};
+use glacsweb_station::{ControllerConfig, StationConfig, StationId, WindowStep};
 
 fn run_one_window(controller: ControllerConfig, role_base: bool, soc: f64) -> Vec<String> {
     let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
@@ -50,7 +50,9 @@ fn run_one_window(controller: ControllerConfig, role_base: bool, soc: f64) -> Ve
         .next()
         .expect("window ran")
         .steps
-        .clone();
+        .iter()
+        .map(|step| step.as_str().to_string())
+        .collect();
     steps
 }
 
@@ -145,6 +147,6 @@ fn state_one_skips_gps_but_keeps_gprs() {
         .next()
         .expect("window ran");
     assert_eq!(report.local_state.level(), 1, "setup puts us in state 1");
-    assert!(!report.steps.contains(&"get_gps_files".to_string()));
-    assert!(report.steps.contains(&"upload_data".to_string()));
+    assert!(!report.steps.contains(WindowStep::GetGpsFiles));
+    assert!(report.steps.contains(WindowStep::UploadData));
 }
