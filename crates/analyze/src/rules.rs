@@ -201,7 +201,10 @@ pub fn numeric_scope(rel: &str) -> bool {
 /// regressed. The service crate's request→response path is held to the
 /// same bar: its steady state is allocation-free by construction
 /// (borrowed `Request<'a>` slices, reused response buffers), and this
-/// rule is what keeps casual allocations from creeping back in.
+/// rule is what keeps casual allocations from creeping back in. So is
+/// the replay client that measures it (responses parsed in place,
+/// transcript lines in one arena) and the MD5 the §VI update check runs
+/// three times per station.
 pub fn perf_scope(rel: &str) -> bool {
     rel.starts_with("crates/env/src/")
         || rel.starts_with("crates/power/src/")
@@ -214,8 +217,10 @@ pub fn perf_scope(rel: &str) -> bool {
         || rel == "crates/hw/src/storage.rs"
         || rel == "crates/hw/src/bus.rs"
         || rel == "crates/station/src/data.rs"
+        || rel == "crates/station/src/md5.rs"
         || rel == "crates/service/src/http.rs"
         || rel == "crates/service/src/core.rs"
+        || rel == "crates/service/src/load.rs"
 }
 
 fn in_scope(scope: &FileScope, crates: &[&str]) -> bool {

@@ -69,7 +69,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use glacsweb_sim::SimTime;
-use glacsweb_station::md5::md5;
 
 use crate::core::{CoreError, FleetCore};
 
@@ -753,7 +752,7 @@ fn route(
                     w.put_str("update=");
                     w.put_str(&u.name);
                     w.put_str("\nmd5=");
-                    w.put_hex(&md5(&u.payload));
+                    w.put_hex(&u.expected_md5);
                     w.put_str("\npayload=");
                     w.put_hex(&u.payload);
                     w.put_str("\n");
@@ -899,20 +898,21 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Inverse of [`hex_encode`]; `None` on odd length or non-hex digits.
-pub fn hex_decode(text: &str) -> Option<Vec<u8>> {
+/// Inverse of [`hex_encode`], decoding into `out` (cleared first, its
+/// capacity reused); `false` on odd length or non-hex digits.
+pub fn hex_decode_into(text: &str, out: &mut Vec<u8>) -> bool {
+    out.clear();
     if !text.len().is_multiple_of(2) {
-        return None;
+        return false;
     }
-    let digits = text.as_bytes();
-    let mut out = Vec::with_capacity(digits.len() / 2);
-    let mut iter = digits.chunks_exact(2);
-    for pair in &mut iter {
-        let hi = char::from(*pair.first()?).to_digit(16)?;
-        let lo = char::from(*pair.get(1)?).to_digit(16)?;
-        out.push(u8::try_from(hi * 16 + lo).ok()?);
+    for pair in text.as_bytes().chunks_exact(2) {
+        let digit = |at: usize| pair.get(at).and_then(|&d| char::from(d).to_digit(16));
+        let (Some(hi), Some(lo)) = (digit(0), digit(1)) else {
+            return false;
+        };
+        out.extend(u8::try_from(hi * 16 + lo).ok());
     }
-    Some(out)
+    true
 }
 
 #[cfg(test)]
@@ -928,9 +928,11 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let data = b"glacsweb \x00\xff payload";
-        assert_eq!(hex_decode(&hex_encode(data)).as_deref(), Some(&data[..]));
-        assert_eq!(hex_decode("abc"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex");
+        let mut out = vec![7u8; 3];
+        assert!(hex_decode_into(&hex_encode(data), &mut out));
+        assert_eq!(out, data, "decoding replaces what the buffer held");
+        assert!(!hex_decode_into("abc", &mut out), "odd length");
+        assert!(!hex_decode_into("zz", &mut out), "non-hex");
     }
 
     #[test]
@@ -1034,6 +1036,58 @@ mod tests {
             HttpError::TransferEncoding.status(),
             (501, "Not Implemented", "transfer-encoding")
         );
+    }
+
+    /// An in-memory connection: reads `input`, keeps what is written.
+    struct Duplex {
+        input: io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn served_md5_is_the_md5_of_the_served_payload() {
+        use glacsweb_station::md5::{md5, to_hex};
+
+        let core = FleetCore::new(8, 2).expect("valid core");
+        core.stage_updates();
+        let mut stream = Duplex {
+            input: io::Cursor::new(b"GET /api/update?station=5&at=86400 HTTP/1.1\r\n\r\n".to_vec()),
+            output: Vec::new(),
+        };
+        let stats = serve_stream(
+            &mut stream,
+            &core,
+            &ServerConfig::default(),
+            &mut ConnBuffers::default(),
+        );
+        assert_eq!(stats.requests, 1);
+        let text = String::from_utf8(stream.output).expect("utf-8 response");
+        let (_, body) = text.split_once("\r\n\r\n").expect("a body");
+        let field = |key: &str| {
+            body.lines()
+                .find_map(|line| line.strip_prefix(key))
+                .unwrap_or_else(|| panic!("no {key} line in {body:?}"))
+        };
+        let mut payload = Vec::new();
+        assert!(hex_decode_into(field("payload="), &mut payload));
+        assert_eq!(payload, crate::core::update_payload(5));
+        assert_eq!(field("md5="), to_hex(&md5(&payload)));
     }
 
     #[test]

@@ -16,21 +16,51 @@
 //! replayed by client `p % clients`, and each client issues its steps
 //! in script order. A pair's request subsequence is therefore identical
 //! no matter how many clients run, so every response is too. Each step
-//! carries its canonical script index; transcripts are reassembled in
-//! index order before hashing, which removes the only remaining source
+//! carries its canonical script index; transcript lines are merged in
+//! index order as they are hashed, which removes the only remaining source
 //! of nondeterminism (cross-client interleaving). Wall-clock latency
 //! and requests/sec are measured but deliberately excluded from the
 //! transcript.
+//!
+//! # Allocation-free steady state
+//!
+//! The client shares the host with the server it measures, so every
+//! microsecond it spends is one the server cannot have. Once a client's
+//! buffers are warm, a request touches the allocator zero times
+//! (pinned by the counting-allocator harness in
+//! `tests/replay_alloc.rs`):
+//!
+//! * **Requests** are written straight into the window buffer with the
+//!   server's own integer and hex writers ([`push_u64`], [`push_hex`]);
+//!   a pending request keeps its target as a byte range of that buffer.
+//! * **Responses** are parsed in place over the connection's carry
+//!   buffer with a cursor; the body is a range of it, read before the
+//!   next response is. The carry compacts only before a blocking read —
+//!   the server's `pre_read` invariant — so it holds at most one window
+//!   of responses plus a read chunk.
+//! * **Transcript lines** are appended to one arena per client, with an
+//!   `(index, end)` mark per line. [`replay`] merges the clients' marks
+//!   in index order — each client's already ascend, so nothing is
+//!   sorted — and streams FNV-1a over the line slices; the concatenated
+//!   transcript is built only when [`ReplayConfig::keep_transcript`]
+//!   asks for it.
+//!
+//! The §VI update check costs one MD5 per fetched update; the decoded
+//! payload lands in a reused buffer and the receipt is kept as the raw
+//! digest, hex-written into the ack's target. Filing a station's first
+//! receipt (its file name and map entry) is the one allocation left,
+//! once per station rather than per request.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
 use glacsweb_fleet::{WakeTrace, KIND_COMMS, KIND_OVERRIDE, KIND_SAMPLE};
 use glacsweb_sim::SimTime;
-use glacsweb_station::md5::{md5, to_hex};
+use glacsweb_station::md5::md5;
 
-use crate::http::hex_decode;
+use crate::http::{hex_decode_into, push_hex, push_u64};
 
 /// What one replay step asks the server to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,18 +265,56 @@ pub struct ReplayOutcome {
     pub transcript: Option<Vec<u8>>,
 }
 
-/// Per-client collection: (canonical index, transcript line) pairs plus
-/// raw latencies.
+/// One client's collection: every transcript line appended to one
+/// arena, an `(index, end)` mark per line (the line runs from the
+/// previous mark's end), plus raw latencies. Indices ascend, because a
+/// client issues its steps in script order.
 struct ClientOut {
-    lines: Vec<(u64, Vec<u8>)>,
+    arena: String,
+    marks: Vec<(u64, usize)>,
     latencies_us: Vec<u64>,
+}
+
+impl ClientOut {
+    /// Transcript line `at` of this client.
+    fn line(&self, at: usize) -> &[u8] {
+        let start = at
+            .checked_sub(1)
+            .and_then(|prev| self.marks.get(prev))
+            .map_or(0, |&(_, end)| end);
+        let end = self.marks.get(at).map_or(start, |&(_, end)| end);
+        self.arena.as_bytes().get(start..end).unwrap_or_default()
+    }
+}
+
+/// Feeds every client's transcript lines to `sink` in canonical index
+/// order: a merge of the per-client runs, each already ascending.
+fn merge_lines(outs: &[ClientOut], mut sink: impl FnMut(&[u8])) {
+    let mut next = vec![0usize; outs.len()];
+    loop {
+        let mut lowest: Option<(u64, usize)> = None;
+        for (client, (out, &at)) in outs.iter().zip(&next).enumerate() {
+            if let Some(&(index, _)) = out.marks.get(at) {
+                if lowest.is_none_or(|(low, _)| index < low) {
+                    lowest = Some((index, client));
+                }
+            }
+        }
+        let Some((_, client)) = lowest else {
+            return;
+        };
+        if let (Some(out), Some(at)) = (outs.get(client), next.get_mut(client)) {
+            sink(out.line(*at));
+            *at += 1;
+        }
+    }
 }
 
 /// Replays `script` against the server at `addr` and measures it.
 ///
 /// Steps are partitioned by pair affinity, each client drives one
-/// keep-alive connection, and the transcript is reassembled in
-/// canonical index order before digesting.
+/// keep-alive connection, and the per-client transcripts are merged in
+/// canonical index order into the digest.
 pub fn replay(
     addr: std::net::SocketAddr,
     script: &Script,
@@ -278,20 +346,24 @@ pub fn replay(
     })?;
     let seconds = started.elapsed().as_secs_f64();
 
-    let mut lines: Vec<(u64, Vec<u8>)> = Vec::with_capacity(script.steps.len());
-    let mut latencies: Vec<u64> = Vec::with_capacity(script.steps.len());
-    for out in outs {
-        lines.extend(out.lines);
-        latencies.extend(out.latencies_us);
+    let requests: usize = outs.iter().map(|out| out.marks.len()).sum();
+    let mut latencies: Vec<u64> = Vec::with_capacity(requests);
+    for out in &outs {
+        latencies.extend_from_slice(&out.latencies_us);
     }
-    lines.sort_by_key(|&(index, _)| index);
     latencies.sort_unstable();
 
-    let mut transcript = Vec::new();
-    for (_, line) in &lines {
-        transcript.extend_from_slice(line);
-    }
-    let requests = lines.len() as u64;
+    let mut transcript_fnv = FNV_OFFSET;
+    let mut transcript = config
+        .keep_transcript
+        .then(|| Vec::with_capacity(outs.iter().map(|out| out.arena.len()).sum()));
+    merge_lines(&outs, |line| {
+        transcript_fnv = fnv1a(transcript_fnv, line);
+        if let Some(t) = transcript.as_mut() {
+            t.extend_from_slice(line);
+        }
+    });
+    let requests = requests as u64;
     Ok(ReplayOutcome {
         requests,
         seconds,
@@ -301,8 +373,8 @@ pub fn replay(
             0.0
         },
         latency: LatencyStats::from_sorted(&latencies),
-        transcript_fnv: fnv1a(FNV_OFFSET, &transcript),
-        transcript: config.keep_transcript.then_some(transcript),
+        transcript_fnv,
+        transcript,
     })
 }
 
@@ -314,9 +386,19 @@ const MAX_BATCH: usize = 64;
 struct Pending {
     index: u64,
     method: &'static str,
-    target: String,
+    /// The request target's `(start, end)` byte range in the window
+    /// buffer, valid until the next window is written.
+    target: (usize, usize),
     is_fetch: bool,
     station: u64,
+}
+
+/// The update a station last fetched: the file name and the MD5 of the
+/// payload as received — the receipt a correct station reports back.
+#[derive(Default)]
+struct Staged {
+    file: String,
+    md5: [u8; 16],
 }
 
 /// Partitions a client's step list into units: `(start, end)` ranges
@@ -346,97 +428,99 @@ fn units_of(steps: &[&Step], batch: bool) -> Vec<(usize, usize)> {
 }
 
 /// Serialises one unit's request into `wbuf` and returns its pending
-/// record. Batched units carry an NDJSON body; singletons reproduce the
-/// exact request bytes of the sequential harness.
+/// record. Batched units carry an NDJSON body, built in `body`;
+/// singletons reproduce the exact request bytes of the sequential
+/// harness.
 fn append_unit(
-    wbuf: &mut Vec<u8>,
+    wbuf: &mut String,
+    body: &mut String,
     steps: &[&Step],
     (start, end): (usize, usize),
-    staged: &std::collections::BTreeMap<u64, (String, String)>,
+    staged: &BTreeMap<u64, Staged>,
 ) -> io::Result<Pending> {
     let first = steps
         .get(start)
         .copied()
         .ok_or_else(|| io::Error::other("empty replay unit"))?;
-    if end - start >= 2 {
-        let mut body = String::new();
-        for step in steps.get(start..end).unwrap_or_default() {
-            if let Action::CheckIn { soc } = step.action {
-                body.push_str(&format!(
-                    "{{\"station\":{},\"at\":{},\"soc\":{soc}}}\n",
-                    step.station,
-                    step.at.unix()
-                ));
-            }
-        }
-        wbuf.extend_from_slice(
-            format!(
-                "POST /api/checkin-batch HTTP/1.1\r\nHost: glacsweb\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        );
-        wbuf.extend_from_slice(body.as_bytes());
-        return Ok(Pending {
-            index: first.index,
-            method: "POST",
-            target: "/api/checkin-batch".to_string(),
-            is_fetch: false,
-            station: first.station,
-        });
-    }
-    let unix = first.at.unix();
-    let (method, target) = match first.action {
-        Action::CheckIn { soc } => (
-            "POST",
-            format!("/api/checkin?station={}&at={unix}&soc={soc}", first.station),
-        ),
-        Action::StateReport { level } => (
-            "POST",
-            format!(
-                "/api/state?station={}&at={unix}&level={level}",
-                first.station
-            ),
-        ),
-        Action::OverrideQuery => (
-            "GET",
-            format!("/api/override?station={}&at={unix}", first.station),
-        ),
-        Action::UpdateFetch => (
-            "GET",
-            format!("/api/update?station={}&at={unix}", first.station),
-        ),
-        Action::UpdateAck => {
-            let (file, digest) = staged.get(&first.station).cloned().ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("station {} acks before fetching", first.station),
-                )
-            })?;
-            (
-                "POST",
-                format!(
-                    "/api/ack?station={}&at={unix}&file={file}&md5={digest}",
-                    first.station
-                ),
-            )
-        }
-    };
-    let extra = if method == "POST" {
-        "Content-Length: 0\r\n"
-    } else {
-        ""
-    };
-    wbuf.extend_from_slice(
-        format!("{method} {target} HTTP/1.1\r\nHost: glacsweb\r\n{extra}\r\n").as_bytes(),
-    );
-    Ok(Pending {
+    let pending = |method, target| Pending {
         index: first.index,
         method,
         target,
         is_fetch: matches!(first.action, Action::UpdateFetch),
         station: first.station,
-    })
+    };
+    if end - start >= 2 {
+        body.clear();
+        for step in steps.get(start..end).unwrap_or_default() {
+            if let Action::CheckIn { soc } = step.action {
+                body.push_str("{\"station\":");
+                push_u64(body, step.station);
+                body.push_str(",\"at\":");
+                push_u64(body, step.at.unix());
+                body.push_str(",\"soc\":");
+                push_u64(body, u64::from(soc));
+                body.push_str("}\n");
+            }
+        }
+        wbuf.push_str("POST ");
+        let target_start = wbuf.len();
+        wbuf.push_str("/api/checkin-batch");
+        let target = (target_start, wbuf.len());
+        wbuf.push_str(" HTTP/1.1\r\nHost: glacsweb\r\nContent-Length: ");
+        push_u64(wbuf, u64::try_from(body.len()).unwrap_or(u64::MAX));
+        wbuf.push_str("\r\n\r\n");
+        wbuf.push_str(body);
+        return Ok(pending("POST", target));
+    }
+    let receipt = match first.action {
+        Action::UpdateAck => Some(staged.get(&first.station).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
+                format!("station {} acks before fetching", first.station),
+            )
+        })?),
+        _ => None,
+    };
+    let (method, path) = match first.action {
+        Action::CheckIn { .. } => ("POST", "/api/checkin"),
+        Action::StateReport { .. } => ("POST", "/api/state"),
+        Action::OverrideQuery => ("GET", "/api/override"),
+        Action::UpdateFetch => ("GET", "/api/update"),
+        Action::UpdateAck => ("POST", "/api/ack"),
+    };
+    wbuf.push_str(method);
+    wbuf.push(' ');
+    let target_start = wbuf.len();
+    wbuf.push_str(path);
+    wbuf.push_str("?station=");
+    push_u64(wbuf, first.station);
+    wbuf.push_str("&at=");
+    push_u64(wbuf, first.at.unix());
+    match first.action {
+        Action::CheckIn { soc } => {
+            wbuf.push_str("&soc=");
+            push_u64(wbuf, u64::from(soc));
+        }
+        Action::StateReport { level } => {
+            wbuf.push_str("&level=");
+            push_u64(wbuf, u64::from(level));
+        }
+        _ => {}
+    }
+    if let Some(receipt) = receipt {
+        wbuf.push_str("&file=");
+        wbuf.push_str(&receipt.file);
+        wbuf.push_str("&md5=");
+        push_hex(wbuf, &receipt.md5);
+    }
+    let target = (target_start, wbuf.len());
+    wbuf.push_str(" HTTP/1.1\r\nHost: glacsweb\r\n");
+    if method == "POST" {
+        wbuf.push_str("Content-Length: 0\r\n");
+    }
+    wbuf.push_str("\r\n");
+    Ok(pending(method, target))
 }
 
 /// Drives one keep-alive connection through its steps in order,
@@ -456,7 +540,8 @@ fn run_client(
     config: &ReplayConfig,
 ) -> io::Result<ClientOut> {
     let mut out = ClientOut {
-        lines: Vec::with_capacity(steps.len()),
+        arena: String::new(),
+        marks: Vec::with_capacity(steps.len()),
         latencies_us: Vec::with_capacity(steps.len()),
     };
     if steps.is_empty() {
@@ -464,13 +549,11 @@ fn run_client(
     }
     let pipeline = config.pipeline.max(1);
     let units = units_of(steps, config.batch_checkins);
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut carry: Vec<u8> = Vec::new();
-    // The last update each station fetched: (file, payload-md5 hex).
-    let mut staged: std::collections::BTreeMap<u64, (String, String)> =
-        std::collections::BTreeMap::new();
-    let mut wbuf: Vec<u8> = Vec::new();
+    let mut conn = Conn::open(addr)?;
+    let mut staged: BTreeMap<u64, Staged> = BTreeMap::new();
+    let mut payload: Vec<u8> = Vec::new();
+    let mut wbuf = String::new();
+    let mut body = String::new();
     let mut window: Vec<Pending> = Vec::new();
     let mut u = 0;
     while u < units.len() {
@@ -484,7 +567,7 @@ fn run_client(
             if matches!(first_action, Some(Action::UpdateAck)) && !window.is_empty() {
                 break;
             }
-            let pending = append_unit(&mut wbuf, steps, unit, &staged)?;
+            let pending = append_unit(&mut wbuf, &mut body, steps, unit, &staged)?;
             let closes = pending.is_fetch;
             window.push(pending);
             u += 1;
@@ -496,46 +579,60 @@ fn run_client(
             break;
         }
         let issued = Instant::now();
-        stream.write_all(&wbuf)?;
+        conn.stream.write_all(wbuf.as_bytes())?;
         for pending in &window {
-            let (status, body) = read_response(&mut stream, &mut carry)?;
+            let (status, range) = conn.read_response()?;
             let micros = u64::try_from(issued.elapsed().as_micros()).unwrap_or(u64::MAX);
             out.latencies_us.push(micros);
+            let response = conn.text(range)?;
+            let target = wbuf
+                .get(pending.target.0..pending.target.1)
+                .unwrap_or_default();
             if status != 200 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{} {} -> {status}: {body}", pending.method, pending.target),
+                    // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
+                    format!("{} {target} -> {status}: {response}", pending.method),
                 ));
             }
             if pending.is_fetch {
-                staged.insert(pending.station, parse_update(&body)?);
+                let (file, md5_digest) = parse_update(response, &mut payload)?;
+                let entry = staged.entry(pending.station).or_default();
+                entry.file.clear();
+                entry.file.push_str(file);
+                entry.md5 = md5_digest;
             }
-            let mut line = format!(
-                "{} {} {} {status}\n",
-                pending.index, pending.method, pending.target
-            )
-            .into_bytes();
-            line.extend_from_slice(body.as_bytes());
-            out.lines.push((pending.index, line));
+            let arena = &mut out.arena;
+            push_u64(arena, pending.index);
+            arena.push(' ');
+            arena.push_str(pending.method);
+            arena.push(' ');
+            arena.push_str(target);
+            arena.push(' ');
+            push_u64(arena, u64::from(status));
+            arena.push('\n');
+            arena.push_str(response);
+            out.marks.push((pending.index, arena.len()));
         }
     }
     Ok(out)
 }
 
-/// Parses an `/api/update` body and computes the payload's MD5 locally
-/// — the receipt a correct station reports back.
-fn parse_update(body: &str) -> io::Result<(String, String)> {
+/// Parses an `/api/update` body and computes the payload's MD5 locally,
+/// decoding the payload into the reused `payload` buffer; returns the
+/// file name and the digest a correct station reports back.
+fn parse_update<'a>(body: &'a str, payload: &mut Vec<u8>) -> io::Result<(&'a str, [u8; 16])> {
     let mut file = None;
-    let mut payload = None;
+    let mut decoded = false;
     for line in body.lines() {
         match line.split_once('=') {
-            Some(("update", v)) => file = Some(v.to_string()),
-            Some(("payload", v)) => payload = hex_decode(v),
+            Some(("update", v)) => file = Some(v),
+            Some(("payload", v)) => decoded = hex_decode_into(v, payload),
             _ => {}
         }
     }
-    match (file, payload) {
-        (Some(file), Some(payload)) if file != "none" => Ok((file, to_hex(&md5(&payload)))),
+    match file {
+        Some(file) if decoded && file != "none" => Ok((file, md5(payload))),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "update fetch returned no decodable payload",
@@ -543,46 +640,83 @@ fn parse_update(body: &str) -> io::Result<(String, String)> {
     }
 }
 
-/// Issues one request on the keep-alive connection and reads the full
-/// response; returns `(status, body)`.
-fn request(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-    method: &str,
-    target: &str,
-) -> io::Result<(u16, String)> {
-    let extra = if method == "POST" {
-        "Content-Length: 0\r\n"
-    } else {
-        ""
-    };
-    stream.write_all(
-        format!("{method} {target} HTTP/1.1\r\nHost: glacsweb\r\n{extra}\r\n").as_bytes(),
-    )?;
-    read_response(stream, carry)
+/// The client side of one keep-alive connection. Responses are parsed
+/// in place over `carry` from the cursor `pos`; the buffer compacts
+/// only before a blocking read, so a parsed body's range stays valid
+/// until the next response is read.
+struct Conn {
+    stream: TcpStream,
+    /// Received bytes; `pos..` is the unconsumed tail.
+    carry: Vec<u8>,
+    /// Consumed-bytes cursor into `carry`.
+    pos: usize,
 }
 
-/// Reads one full response off the connection (draining `carry` across
-/// calls); returns `(status, body)`.
-fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> io::Result<(u16, String)> {
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(end) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break end;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-response",
-            ));
-        }
-        carry.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    };
-    let head = String::from_utf8(carry.get(..header_end).unwrap_or_default().to_vec())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    carry.drain(..(header_end + 4).min(carry.len()));
+impl Conn {
+    /// Connects with Nagle off: requests are single small writes.
+    fn open(addr: std::net::SocketAddr) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Conn {
+            stream,
+            carry: Vec::new(),
+            pos: 0,
+        })
+    }
 
+    /// Compacts the consumed bytes away, then blocks for more; `eof`
+    /// names where a close would cut the response.
+    fn fill(&mut self, eof: &'static str) -> io::Result<()> {
+        if self.pos > 0 {
+            let len = self.carry.len();
+            self.carry.copy_within(self.pos.., 0);
+            self.carry.truncate(len - self.pos);
+            self.pos = 0;
+        }
+        let mut chunk = [0u8; 4096];
+        let n = self.stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
+        }
+        self.carry
+            .extend_from_slice(chunk.get(..n).unwrap_or_default());
+        Ok(())
+    }
+
+    /// Reads one full response and consumes it; returns the status and
+    /// the body's `(start, end)` range in `carry`.
+    fn read_response(&mut self) -> io::Result<(u16, (usize, usize))> {
+        let header_end = loop {
+            let unread = self.carry.get(self.pos..).unwrap_or_default();
+            if let Some(end) = unread.windows(4).position(|w| w == b"\r\n\r\n") {
+                break end;
+            }
+            self.fill("server closed mid-response")?;
+        };
+        let (status, length) = {
+            let head = self
+                .carry
+                .get(self.pos..self.pos + header_end)
+                .unwrap_or_default();
+            parse_head(std::str::from_utf8(head).map_err(invalid_data)?)?
+        };
+        let body_off = header_end + 4;
+        while self.carry.len() - self.pos < body_off + length {
+            self.fill("server closed mid-body")?;
+        }
+        let start = self.pos + body_off;
+        self.pos = start + length;
+        Ok((status, (start, self.pos)))
+    }
+
+    /// A parsed body's text.
+    fn text(&self, (start, end): (usize, usize)) -> io::Result<&str> {
+        std::str::from_utf8(self.carry.get(start..end).unwrap_or_default()).map_err(invalid_data)
+    }
+}
+
+/// Status code and `Content-Length` (0 when absent) of a response head.
+fn parse_head(head: &str) -> io::Result<(u16, usize)> {
     let mut lines = head.split("\r\n");
     let status_line = lines
         .next()
@@ -597,34 +731,31 @@ fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> io::Result<(u16
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
                 length = value.trim().parse().map_err(|e| {
+                    // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
                     io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}"))
                 })?;
             }
         }
     }
-    while carry.len() < length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed mid-body",
-            ));
-        }
-        carry.extend_from_slice(chunk.get(..n).unwrap_or_default());
-    }
-    let body: Vec<u8> = carry.drain(..length.min(carry.len())).collect();
-    let body =
-        String::from_utf8(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((status, body))
+    Ok((status, length))
+}
+
+/// Wraps a decoding error as `InvalidData`.
+fn invalid_data(e: std::str::Utf8Error) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// One-shot GET against the server (test and tooling convenience; opens
 /// a fresh connection per call).
 pub fn http_get(addr: std::net::SocketAddr, target: &str) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut carry = Vec::new();
-    request(&mut stream, &mut carry, "GET", target)
+    let mut conn = Conn::open(addr)?;
+    let mut request = String::with_capacity(target.len() + 32);
+    request.push_str("GET ");
+    request.push_str(target);
+    request.push_str(" HTTP/1.1\r\nHost: glacsweb\r\n\r\n");
+    conn.stream.write_all(request.as_bytes())?;
+    let (status, body) = conn.read_response()?;
+    Ok((status, String::from(conn.text(body)?)))
 }
 
 #[cfg(test)]

@@ -244,6 +244,30 @@ impl Bytes {
     pub fn min(self, other: Bytes) -> Bytes {
         Bytes(self.0.min(other.0))
     }
+
+    /// Length of this size's `Display` text, counted in integer
+    /// arithmetic instead of float formatting (exact below 2⁵³ bytes,
+    /// where the display's `f64` holds the count exactly).
+    ///
+    /// Only the digit count of the integer part varies: the display
+    /// rounds to one decimal of KiB or two of MiB, and rounding carries
+    /// into the integer part only from `.95` KiB or `.995` MiB, which no
+    /// whole byte count hits exactly — so no tie-breaking rule matters.
+    pub fn display_len(self) -> u64 {
+        /// Integer part of `b / 2^shift` rounded to `1/scale`.
+        fn rounded_whole(b: u64, shift: u32, scale: u128) -> u64 {
+            let scaled = (u128::from(b) * scale + (1 << (shift - 1))) >> shift;
+            u64::try_from(scaled / scale).unwrap_or(u64::MAX)
+        }
+        let (whole, suffix) = if self.0 >= 1 << 20 {
+            (rounded_whole(self.0, 20, 100), ".00 MiB".len())
+        } else if self.0 >= 1 << 10 {
+            (rounded_whole(self.0, 10, 10), ".0 KiB".len())
+        } else {
+            (self.0, " B".len())
+        };
+        u64::from(whole.checked_ilog10().map_or(1, |d| d + 1)) + suffix as u64
+    }
 }
 
 impl fmt::Display for Bytes {
@@ -365,6 +389,28 @@ mod tests {
         assert_eq!(Bytes(12).to_string(), "12 B");
         assert_eq!(Bytes::from_kib(165).to_string(), "165.0 KiB");
         assert_eq!(Bytes::from_mib(4096).to_string(), "4096.00 MiB");
+    }
+
+    #[test]
+    fn display_len_is_the_display_text_length() {
+        use std::fmt::Write;
+        let mut text = String::new();
+        let mut check = |b: u64| {
+            text.clear();
+            write!(text, "{}", Bytes(b)).expect("formats");
+            assert_eq!(Bytes(b).display_len(), text.len() as u64, "{text}");
+        };
+        for b in 0..1 << 21 {
+            check(b);
+        }
+        // Around every carry into a new integer digit, up to 10⁶ MiB.
+        for k in 1..=6u32 {
+            let edge = 10u64.pow(k) << 20;
+            for b in edge - 6_000..edge + 100 {
+                check(b);
+            }
+        }
+        check(u64::from(u32::MAX));
     }
 
     #[test]

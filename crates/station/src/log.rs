@@ -49,9 +49,15 @@ impl LogMeter {
         }
     }
 
+    /// Whether lines at `level` are metered at all — lets a caller skip
+    /// computing a length nobody counts.
+    pub(crate) fn meters(&self, level: TraceLevel) -> bool {
+        level >= self.min_level
+    }
+
     /// Meters a line whose message is `message_len` bytes long.
     pub(crate) fn record_len(&mut self, level: TraceLevel, source: &str, message_len: u64) {
-        if level >= self.min_level {
+        if self.meters(level) {
             self.add(source, message_len);
         }
     }
@@ -68,7 +74,7 @@ impl LogMeter {
 }
 
 /// Length of `args` once formatted, counted without allocating.
-fn formatted_len(args: fmt::Arguments<'_>) -> u64 {
+pub(crate) fn formatted_len(args: fmt::Arguments<'_>) -> u64 {
     struct Counter(u64);
     impl fmt::Write for Counter {
         fn write_str(&mut self, s: &str) -> fmt::Result {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::controller::{ControllerConfig, TraceLevel, WindowReport, WindowStep, WindowSteps};
 use crate::data::{DataStore, FileKind, UploadReport};
-use crate::log::LogMeter;
+use crate::log::{formatted_len, LogMeter};
 use crate::md5::{md5, to_hex};
 use crate::power_state::{PolicyTable, PowerState};
 use crate::recovery::{RecoveryConfig, RecoveryOutcome};
@@ -742,14 +742,19 @@ impl Station {
         let file = self.dgps.take_reading(actual, true_position, &mut self.rng);
         self.clock_error_secs = 0.0;
         self.msp.set_rtc(t, t);
-        self.log.record_fmt(
-            TraceLevel::Debug,
-            "dgps",
-            format_args!(
-                "reading {} ({} sats, {})",
-                file.taken_at, file.satellites, file.size
-            ),
-        );
+        // "reading {taken_at} ({satellites} sats, {size})", with the
+        // size's length counted rather than float-formatted.
+        if self.log.meters(TraceLevel::Debug) {
+            let head = formatted_len(format_args!(
+                "reading {} ({} sats, ",
+                file.taken_at, file.satellites
+            ));
+            self.log.record_len(
+                TraceLevel::Debug,
+                "dgps",
+                head + file.size.display_len() + ")".len() as u64,
+            );
+        }
         Some(dip)
     }
 
