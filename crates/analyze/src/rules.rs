@@ -204,7 +204,8 @@ pub fn numeric_scope(rel: &str) -> bool {
 /// rule is what keeps casual allocations from creeping back in. So is
 /// the replay client that measures it (responses parsed in place,
 /// transcript lines in one arena) and the MD5 the §VI update check runs
-/// three times per station.
+/// three times per station. So is the telemetry store, whose counter
+/// and histogram calls run inside every observed station window.
 pub fn perf_scope(rel: &str) -> bool {
     rel.starts_with("crates/env/src/")
         || rel.starts_with("crates/power/src/")
@@ -221,6 +222,7 @@ pub fn perf_scope(rel: &str) -> bool {
         || rel == "crates/service/src/http.rs"
         || rel == "crates/service/src/core.rs"
         || rel == "crates/service/src/load.rs"
+        || rel == "crates/obs/src/memory.rs"
 }
 
 fn in_scope(scope: &FileScope, crates: &[&str]) -> bool {

@@ -17,9 +17,13 @@
 //! * **Sim time only.** Every record is timestamped with
 //!   [`glacsweb_sim::SimTime`]; wall clocks (`Instant`/`SystemTime`) are
 //!   banned here by the `glacsweb-analyze` determinism rule.
-//! * **Ordered storage.** [`MemoryRecorder`] keeps everything in `Vec`s
-//!   and `BTreeMap`s — iteration order (and therefore JSON byte order)
-//!   never depends on hashing or process state.
+//! * **Ordered storage.** [`MemoryRecorder`] gives each `(origin, name)`
+//!   key a slot in one key registry; counter totals, gauges and
+//!   histograms are columns indexed by slot, and the per-civil-day
+//!   rollup is a date-ordered run of day rows holding one count per
+//!   slot. Every export walks the registry in `(origin, name)` order and
+//!   the rows in date order, so JSON byte order never depends on
+//!   hashing, label addresses, or the order keys were first seen.
 //! * **Deterministic merge.** [`MemoryRecorder::merge_from`] is a pure
 //!   fold; merging per-cell recorders in input-index order produces
 //!   byte-identical [`MemoryRecorder::to_json`] output at any thread
@@ -49,6 +53,8 @@
 
 mod memory;
 mod ndjson;
+#[cfg(test)]
+mod reference;
 
 pub use memory::{merge_all, Histogram, MemoryRecorder, BUCKET_BOUNDS, DEFAULT_EVENT_CAPACITY};
 pub use ndjson::{NdjsonWriter, NDJSON_SCHEMA};
@@ -89,7 +95,8 @@ pub fn intern(s: &str) -> &'static str {
 /// Where a telemetry record came from: a component scoped to a station.
 ///
 /// Both halves are `&'static str` so records are cheap to build and the
-/// pair is `Copy`; the derived `Ord` keys the [`MemoryRecorder`] maps.
+/// pair is `Copy`; the derived `Ord` orders the [`MemoryRecorder`]'s key
+/// registry, and so every export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Origin {
     /// Subsystem label, e.g. `"station"`, `"gprs"`, `"protocol"`,

@@ -9,8 +9,8 @@
 //!   socket) and the telemetry survives even if the process dies
 //!   mid-season.
 //! * [`MemoryRecorder::to_ndjson`] — the aggregated counterpart: dumps a
-//!   recorder's accumulated state as deterministic NDJSON (`BTreeMap`
-//!   key order, fixed key layout per line). Merging per-shard recorders
+//!   recorder's accumulated state as deterministic NDJSON (`(origin,
+//!   name)` key order, fixed key layout per line). Merging per-shard recorders
 //!   in shard-index order and exporting yields byte-identical output at
 //!   any thread count, which is what the service's `/api/telemetry`
 //!   endpoint and the CI byte-identity check rely on.
@@ -162,11 +162,11 @@ impl MemoryRecorder {
     /// Exports the accumulated state as NDJSON, one record per line.
     ///
     /// Line order is fully deterministic: the `schema` header, then
-    /// counters, daily rollups, gauges, and histograms in `BTreeMap`
-    /// key order, then events in record order. Byte-identical output is
-    /// therefore guaranteed for recorders with equal contents, however
-    /// they were assembled — the property the service's telemetry
-    /// endpoint pins in CI.
+    /// counters, daily rollups, gauges, and histograms in `(origin,
+    /// name)` key order (daily rollups by date first), then events in
+    /// record order. Byte-identical output is therefore guaranteed for
+    /// recorders with equal contents, however they were assembled — the
+    /// property the service's telemetry endpoint pins in CI.
     pub fn to_ndjson(&self) -> String {
         let mut o = String::with_capacity(4096);
         self.write_ndjson_into(&mut o);

@@ -78,12 +78,18 @@ impl CommandDesk {
 
     /// Receives a checksum receipt (the §VI immediate HTTP GET).
     pub fn receive_checksum(&mut self, from: StationId, file: &str, md5_hex: &str) {
-        let matches = self
-            .staged_md5
-            .get(file)
-            .is_some_and(|expected| expected == md5_hex);
+        let matches = self.verify_checksum(file, md5_hex);
         self.checksum_reports
             .push((from, file.to_string(), md5_hex.to_string(), matches));
+    }
+
+    /// Whether a receipt reporting `md5_hex` for `file` matches what was
+    /// staged: the verdict [`CommandDesk::receive_checksum`] records,
+    /// without recording anything.
+    pub fn verify_checksum(&self, file: &str, md5_hex: &str) -> bool {
+        self.staged_md5
+            .get(file)
+            .is_some_and(|expected| expected == md5_hex)
     }
 
     /// Receives special results carried in a shipped log.
@@ -187,6 +193,31 @@ mod tests {
         let reports = desk.checksum_reports();
         assert!(reports[0].3, "matching receipt verified");
         assert!(!reports[1].3, "corrupted receipt flagged");
+    }
+
+    #[test]
+    fn verifying_matches_receiving_and_records_nothing() {
+        let mut desk = CommandDesk::new();
+        desk.stage_update(StationId::Base, "control.py", b"new code".to_vec());
+        desk.receive_checksum(StationId::Base, "control.py", "deadbeef");
+        let before = desk.clone();
+        let good = to_hex(&md5(b"new code"));
+        let receipts = [
+            ("control.py", good.as_str()),
+            ("control.py", "deadbeef"),
+            ("other.py", good.as_str()),
+            ("control.py", ""),
+        ];
+        let mut receiver = desk.clone();
+        for i in 0..10_000 {
+            let (file, hex) = receipts[i % receipts.len()];
+            let verdict = desk.verify_checksum(file, hex);
+            receiver.receive_checksum(StationId::Base, file, hex);
+            let recorded = receiver.checksum_reports().last().map(|r| r.3);
+            assert_eq!(Some(verdict), recorded, "receipt {i}: {file} {hex}");
+        }
+        assert_eq!(desk, before, "verifying leaves the desk as it was");
+        assert_eq!(desk.checksum_reports().len(), 1);
     }
 
     #[test]

@@ -32,9 +32,7 @@
 //! `O(shards)`, not `O(stations)`, and no longer serialize against the
 //! write path for any meaningful time. The invariant — maintained
 //! aggregates equal a from-scratch scan after any interleaving of
-//! writes — is pinned by a property test against the retained scan
-//! implementations ([`FleetCore::power_counts_scan`],
-//! [`FleetCore::soc_histogram_scan`]).
+//! writes — is pinned by a property test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -475,7 +473,10 @@ impl FleetCore {
 
     /// A station's MD5 receipt for an applied update (§VI: the tiny HTTP
     /// GET the deployed `wget` could manage). Returns whether the
-    /// reported digest matches what was staged.
+    /// reported digest matches what was staged. The verdict is computed,
+    /// not recorded: no route reads a pair's receipt list, so keeping
+    /// every receipt would only grow it without bound. An unreachable
+    /// pair server receives no receipt, so verifies nothing.
     pub fn ack_update(
         &self,
         station: u64,
@@ -483,13 +484,8 @@ impl FleetCore {
         file: &str,
         md5_hex: &str,
     ) -> Result<bool, CoreError> {
-        self.with_pair(station, |server, recorder, role| {
-            server.report_checksum(role, file, md5_hex);
-            let verified = server
-                .desk()
-                .checksum_reports()
-                .last()
-                .is_some_and(|(_, f, _, ok)| f == file && *ok);
+        self.with_pair(station, |server, recorder, _| {
+            let verified = server.is_reachable() && server.desk().verify_checksum(file, md5_hex);
             recorder.counter(at, ORIGIN, "update_acks", 1);
             if verified {
                 recorder.counter(at, ORIGIN, "update_acks_verified", 1);
@@ -511,32 +507,6 @@ impl FleetCore {
         out
     }
 
-    /// [`FleetCore::power_counts`] recomputed by walking every pair —
-    /// the reference implementation the maintained counts are checked
-    /// against (property-tested; also exercised by CI). Slow on big
-    /// fleets; never on the serving path.
-    pub fn power_counts_scan(&self) -> PowerCounts {
-        let mut out = PowerCounts::default();
-        for index in 0..self.shards.len() {
-            let Some(guard) = self.lock(index) else {
-                continue;
-            };
-            for server in &guard.pairs {
-                for role in [StationId::Base, StationId::Reference] {
-                    match server.states().last_reported(role) {
-                        Some(state) => {
-                            if let Some(slot) = out.reported.get_mut(usize::from(state.level())) {
-                                *slot += 1;
-                            }
-                        }
-                        None => out.unreported += 1,
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Fleet battery histogram over the latest check-in per station:
     /// the maintained per-shard histograms summed in shard-index order.
     pub fn soc_histogram(&self) -> SocHistogram {
@@ -544,25 +514,6 @@ impl FleetCore {
         for index in 0..self.shards.len() {
             if let Some(guard) = self.lock(index) {
                 out.add(&guard.soc);
-            }
-        }
-        out
-    }
-
-    /// [`FleetCore::soc_histogram`] recomputed from every station's last
-    /// state of charge — the reference implementation for the drift
-    /// property test. Never on the serving path.
-    pub fn soc_histogram_scan(&self) -> SocHistogram {
-        let mut out = SocHistogram::default();
-        for index in 0..self.shards.len() {
-            let Some(guard) = self.lock(index) else {
-                continue;
-            };
-            for &soc in guard.last_soc.values() {
-                if let Some(slot) = out.buckets.get_mut(SocHistogram::bucket(soc)) {
-                    *slot += 1;
-                }
-                out.samples += 1;
             }
         }
         out
@@ -624,6 +575,9 @@ pub fn update_payload(station: u64) -> Vec<u8> {
 pub fn update_md5_hex(payload: &[u8]) -> String {
     to_hex(&md5(payload))
 }
+
+#[cfg(test)]
+mod aggregate_drift;
 
 #[cfg(test)]
 mod tests {

@@ -3,13 +3,61 @@
 //! and invalid alike — the maintained per-shard aggregates must equal a
 //! from-scratch scan of the pair servers. A second property pins batch
 //! uploads to exact single-check-in equivalence, prefix-on-error
-//! semantics included.
+//! semantics included. The scans live here, in test code: nothing on
+//! the serving path needs them.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 
-use glacsweb_service::FleetCore;
 use glacsweb_sim::SimTime;
+use glacsweb_station::StationId;
+
+use super::{FleetCore, PowerCounts, SocHistogram};
+
+impl FleetCore {
+    /// [`FleetCore::power_counts`] recomputed by walking every pair:
+    /// the reference the maintained counts are checked against.
+    pub(super) fn power_counts_scan(&self) -> PowerCounts {
+        let mut out = PowerCounts::default();
+        for index in 0..self.shards.len() {
+            let Some(guard) = self.lock(index) else {
+                continue;
+            };
+            for server in &guard.pairs {
+                for role in [StationId::Base, StationId::Reference] {
+                    match server.states().last_reported(role) {
+                        Some(state) => {
+                            if let Some(slot) = out.reported.get_mut(usize::from(state.level())) {
+                                *slot += 1;
+                            }
+                        }
+                        None => out.unreported += 1,
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// [`FleetCore::soc_histogram`] recomputed from every station's last
+    /// state of charge: the reference the maintained histogram is
+    /// checked against.
+    pub(super) fn soc_histogram_scan(&self) -> SocHistogram {
+        let mut out = SocHistogram::default();
+        for index in 0..self.shards.len() {
+            let Some(guard) = self.lock(index) else {
+                continue;
+            };
+            for &soc in guard.last_soc.values() {
+                if let Some(slot) = out.buckets.get_mut(SocHistogram::bucket(soc)) {
+                    *slot += 1;
+                }
+                out.samples += 1;
+            }
+        }
+        out
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
