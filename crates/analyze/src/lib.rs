@@ -68,7 +68,7 @@ pub struct FileAnalysis {
 /// Phase one: analyzes a single file's source text under its
 /// workspace-relative path (the path determines which rules are in
 /// scope). Pure in `(rel, source)`, so files analyze in parallel.
-pub fn analyze_file(rel: &str, source: &str) -> FileAnalysis {
+fn analyze_file(rel: &str, source: &str) -> FileAnalysis {
     let toks = lexer::lex(source);
     let (mask, test_ranges) = rules::test_mask(&toks);
     let mut findings = rules::check_tokens(rel, &toks, &mask);

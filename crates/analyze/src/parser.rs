@@ -90,6 +90,8 @@ pub struct Item {
     pub macro_args: Vec<String>,
     /// `true` if the item sits inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
+    /// `true` for a fn declared bare `pub` (not `pub(crate)` and the like).
+    pub is_pub: bool,
 }
 
 impl Item {
@@ -109,6 +111,7 @@ impl Item {
             calls: Vec::new(),
             macro_args: Vec::new(),
             in_test,
+            is_pub: false,
         }
     }
 }
@@ -623,6 +626,7 @@ fn parse_fn(toks: &[Tok], mask: &[bool], i: usize, end: usize) -> (Item, usize) 
         &toks[i],
         masked(mask, i),
     );
+    item.is_pub = bare_pub_before(toks, i);
     match find_body_open(toks, i + 1, end) {
         Some(b) => {
             let close = skip_group(toks, b, end, "{", "}");
@@ -650,6 +654,23 @@ fn parse_fn(toks: &[Tok], mask: &[bool], i: usize, end: usize) -> (Item, usize) 
             (item, next)
         }
     }
+}
+
+/// `true` if the `fn` keyword at `i` is preceded, across its qualifiers
+/// (`const`, `async`, `unsafe`, `extern "C"`), by a bare `pub`.
+fn bare_pub_before(toks: &[Tok], i: usize) -> bool {
+    let mut j = i;
+    while j > 0 {
+        j -= 1;
+        let t = &toks[j];
+        if t.kind == TokKind::Str
+            || matches!(t.text.as_str(), "const" | "async" | "unsafe" | "extern")
+        {
+            continue;
+        }
+        return t.is_ident("pub");
+    }
+    false
 }
 
 fn parse_impl(toks: &[Tok], mask: &[bool], i: usize, end: usize) -> (Item, usize) {
@@ -855,6 +876,31 @@ mod tests {
         assert_eq!(items[1].kind, ItemKind::Trait);
         assert_eq!(items[2].name, "has");
         assert!(items[2].body.is_some());
+    }
+
+    #[test]
+    fn bare_pub_is_recorded_on_fns() {
+        let items = parse(
+            "pub fn a() {}\npub(crate) fn b() {}\nfn c() {}\npub const unsafe fn d() {}\n\
+             impl S { pub fn e(&self) {} pub(super) fn f(&self) {} }",
+        );
+        let fns: Vec<(&str, bool)> = items
+            .iter()
+            .flat_map(|i| std::iter::once(i).chain(&i.children))
+            .filter(|i| i.kind == ItemKind::Fn)
+            .map(|i| (i.name.as_str(), i.is_pub))
+            .collect();
+        assert_eq!(
+            fns,
+            [
+                ("a", true),
+                ("b", false),
+                ("c", false),
+                ("d", true),
+                ("e", true),
+                ("f", false)
+            ]
+        );
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! indexing a fixture vector is fine. The scoping mirrors the invariants
 //! the rules protect:
 //!
-//! * **determinism** (sim, env, core, sweep, obs): the sweep engine
+//! * **determinism** (sim, env, core, sweep, obs, snapshot): the sweep engine
 //!   promises byte-identical output at any thread count, and every
 //!   experiment promises same-seed reproducibility — including the
 //!   telemetry export. One `HashMap` iteration or one wall-clock read
 //!   silently breaks both.
-//! * **panic-freedom** (station, server, power, faults, link, obs): the paper's
-//!   field lesson is that the deployed system must never die
+//! * **panic-freedom** (station, server, power, faults, link, obs,
+//!   snapshot, service): the paper's field lesson is that the deployed system must never die
 //!   unrecoverably; the simulated control paths hold themselves to the
 //!   same bar so that fault-injection campaigns exercise recovery code,
 //!   not unwinding.
@@ -21,6 +21,9 @@
 //!   `as` casts or compare floats with `==`.
 //! * **crate-hygiene** (every `src/lib.rs`): `#![forbid(unsafe_code)]`
 //!   and `#![warn(missing_docs)]` are mandatory.
+//! * **dead-pub** (every crate's library code): a bare `pub fn` that no
+//!   other file names is public API without a caller (see
+//!   [`semantic`](crate::semantic)).
 
 use crate::lexer::{Tok, TokKind};
 
@@ -45,6 +48,8 @@ pub enum RuleId {
     RngDrawBudget,
     /// Memo/cache fields visible to equality or serialized non-null.
     DerivedState,
+    /// Bare `pub fn`s of library code that no other file names.
+    DeadPub,
 }
 
 impl RuleId {
@@ -60,11 +65,12 @@ impl RuleId {
             RuleId::SnapshotCoverage => "snapshot-coverage",
             RuleId::RngDrawBudget => "rng-draw-budget",
             RuleId::DerivedState => "derived-state",
+            RuleId::DeadPub => "dead-pub",
         }
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::Determinism,
         RuleId::PanicFreedom,
         RuleId::NumericSafety,
@@ -74,6 +80,7 @@ impl RuleId {
         RuleId::SnapshotCoverage,
         RuleId::RngDrawBudget,
         RuleId::DerivedState,
+        RuleId::DeadPub,
     ];
 
     /// Parses a rule name as written in a suppression comment.
@@ -86,11 +93,11 @@ impl RuleId {
         match self {
             RuleId::Determinism => {
                 "no unordered-container iteration, wall clocks, ambient RNG, or \
-                 environment reads in sim/env/core/sweep library code"
+                 environment reads in sim/env/core/sweep/obs/snapshot library code"
             }
             RuleId::PanicFreedom => {
                 "no unwrap/expect/panic!/unreachable!/slice indexing in \
-                 station/server/power/faults/link library code"
+                 station/server/power/faults/link/obs/snapshot/service library code"
             }
             RuleId::NumericSafety => {
                 "no integer `as` casts or float `==` in battery/power/schedule math"
@@ -117,6 +124,10 @@ impl RuleId {
             RuleId::DerivedState => {
                 "memo/cache fields must serialize as Value::Null and stay \
                  invisible to PartialEq"
+            }
+            RuleId::DeadPub => {
+                "every bare `pub fn` of a crate's library code must be named by \
+                 some other file; otherwise delete it or drop the `pub`"
             }
         }
     }
@@ -183,7 +194,7 @@ pub const PANIC_CRATES: &[&str] = &[
 /// `true` if the numeric-safety rule applies to this file: all of the
 /// power crate's unit math, plus the station's schedule and power-state
 /// tables (the Table II threshold logic).
-pub fn numeric_scope(rel: &str) -> bool {
+fn numeric_scope(rel: &str) -> bool {
     rel.starts_with("crates/power/src/")
         || rel == "crates/station/src/schedule.rs"
         || rel == "crates/station/src/power_state.rs"
@@ -206,7 +217,7 @@ pub fn numeric_scope(rel: &str) -> bool {
 /// transcript lines in one arena) and the MD5 the §VI update check runs
 /// three times per station. So is the telemetry store, whose counter
 /// and histogram calls run inside every observed station window.
-pub fn perf_scope(rel: &str) -> bool {
+fn perf_scope(rel: &str) -> bool {
     rel.starts_with("crates/env/src/")
         || rel.starts_with("crates/power/src/")
         || rel == "crates/sim/src/event.rs"

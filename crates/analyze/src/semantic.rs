@@ -4,7 +4,7 @@
 //! Analysis is two-phase. [`extract_facts`] reduces one file's item
 //! table to a [`FileFacts`] — a pure function of the file's text, which
 //! is what lets files analyze in parallel. [`check`] then joins the
-//! facts of every file into a workspace item table and runs three packs:
+//! facts of every file into a workspace item table and runs four packs:
 //!
 //! * **snapshot-coverage** — a type with hand-written GLACSNAP serde
 //!   must mention every non-derived field in both its `Serialize` and
@@ -19,6 +19,11 @@
 //!   typed, or `*_buf`/`*_cache`/`*_memo`/`*_scratch` named) must be
 //!   invisible to equality and serialize as null, enforcing the
 //!   derived-state convention mechanically.
+//! * **dead-pub** — a bare `pub fn` of a crate's library code that no
+//!   other scanned file names as an identifier (test files count as
+//!   users) is public API without a caller: delete it or drop the
+//!   `pub`. Matching is by name, so a same-named fn elsewhere hides a
+//!   dead one; the rule can under-report, never over-report.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -141,6 +146,8 @@ pub struct FnFact {
     pub budget: Option<u64>,
     /// The body's draw tree.
     pub tree: DrawTree,
+    /// Declared bare `pub`.
+    pub is_pub: bool,
 }
 
 /// Everything the semantic packs need to know about one file.
@@ -157,6 +164,8 @@ pub struct FileFacts {
     /// Types marked null-serde via convention-macro invocations
     /// (`derived_state_serde!(T)` and the like).
     pub macro_marks: Vec<String>,
+    /// Every identifier token in the file, test code included.
+    pub idents: BTreeSet<String>,
 }
 
 /// Reduces a parsed file to its semantic facts. Test items contribute
@@ -164,6 +173,11 @@ pub struct FileFacts {
 pub fn extract_facts(rel: &str, toks: &[Tok], items: &[Item]) -> FileFacts {
     let mut facts = FileFacts {
         rel: rel.to_string(),
+        idents: toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.clone())
+            .collect(),
         ..FileFacts::default()
     };
     walk(toks, items, None, &mut facts);
@@ -217,6 +231,7 @@ fn walk(toks: &[Tok], items: &[Item], impl_ty: Option<&str>, facts: &mut FileFac
                     line: item.line,
                     budget: item.budget,
                     tree,
+                    is_pub: item.is_pub,
                 });
             }
             ItemKind::Mod => walk(toks, &item.children, None, facts),
@@ -246,7 +261,7 @@ fn body_idents(toks: &[Tok], body: Option<(usize, usize)>) -> BTreeSet<String> {
 // ---------------------------------------------------------------------
 
 /// Builds the draw tree of the token range `start..end`.
-pub fn build_tree(toks: &[Tok], start: usize, end: usize) -> DrawTree {
+fn build_tree(toks: &[Tok], start: usize, end: usize) -> DrawTree {
     let mut nodes = Vec::new();
     build_seq(toks, start, end.min(toks.len()), &mut nodes);
     DrawTree::Seq(nodes)
@@ -589,6 +604,7 @@ pub fn check(facts: &[&FileFacts]) -> Vec<Finding> {
     let mut out = Vec::new();
     check_serde_packs(&table, &mut out);
     check_draw_budgets(&table, &mut out);
+    check_dead_pub(facts, &mut out);
     out
 }
 
@@ -791,6 +807,38 @@ fn check_draw_budgets(table: &Table<'_>, out: &mut Vec<Finding>) {
                     format!(
                         "`{}` declares draw-budget({budget}) but its paths retire between \
                          {lo} and {hi} raw draws",
+                        f.name
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// Pack: dead-pub. Library code of a workspace crate is in scope; the
+/// root facade, `src/bin/` and `main.rs` are entry points, not API.
+fn check_dead_pub(facts: &[&FileFacts], out: &mut Vec<Finding>) {
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for ff in facts {
+        for id in &ff.idents {
+            *files_naming.entry(id).or_default() += 1;
+        }
+    }
+    for ff in facts {
+        let scope = classify(&ff.rel);
+        if !scope.is_lib || scope.crate_name.is_none() || ff.rel.ends_with("/main.rs") {
+            continue;
+        }
+        for f in ff.fns.iter().filter(|f| f.is_pub) {
+            // The defining file always names the fn once itself.
+            if files_naming.get(f.name.as_str()).copied().unwrap_or(0) <= 1 {
+                push(
+                    out,
+                    RuleId::DeadPub,
+                    &ff.rel,
+                    f.line,
+                    format!(
+                        "`pub fn {}` is named by no other file; delete it or drop the `pub`",
                         f.name
                     ),
                 );

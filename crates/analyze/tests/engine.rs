@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use glacsweb_analyze::{analyze_sources, workspace_sources, Report, RuleId};
+use glacsweb_analyze::{analyze_sources, workspace_sources, Finding, Report, RuleId};
 
 fn workspace_root() -> PathBuf {
     // crates/analyze -> crates -> workspace root
@@ -19,15 +19,12 @@ fn live_sources() -> Vec<(String, String)> {
     workspace_sources(&workspace_root()).expect("workspace readable")
 }
 
-fn count(report: &Report, rule: RuleId) -> usize {
-    report.findings.iter().filter(|f| f.rule == rule).count()
-}
-
 /// Applies one textual mutation to one live file and returns the
-/// resulting report plus the baseline. Asserts the anchor text exists so
-/// a refactor that moves it fails loudly here instead of silently
-/// weakening the mutation.
-fn mutate(rel: &str, from: &str, to: &str) -> (Report, Report) {
+/// findings the mutated workspace has and the live one does not. Asserts
+/// the anchor text exists so a refactor that moves it fails loudly here
+/// instead of silently weakening the mutation. Findings elsewhere in the
+/// workspace, ledgered or not, cancel out against the baseline.
+fn mutate(rel: &str, from: &str, to: &str) -> Vec<Finding> {
     let mut files = live_sources();
     let baseline = analyze_sources("live", &files);
     let entry = files
@@ -39,8 +36,32 @@ fn mutate(rel: &str, from: &str, to: &str) -> (Report, Report) {
         "mutation anchor {from:?} missing from {rel}; update the test"
     );
     entry.1 = entry.1.replace(from, to);
-    let mutated = analyze_sources("live", &files);
-    (baseline, mutated)
+    let key = |f: &Finding| (f.rule, f.file.clone(), f.line, f.message.clone());
+    let before: Vec<_> = baseline.findings.iter().map(key).collect();
+    let Report { findings, .. } = analyze_sources("live", &files);
+    findings
+        .into_iter()
+        .filter(|f| !before.contains(&key(f)))
+        .collect()
+}
+
+/// The one finding a mutation adds, which must be of `rule`, unsuppressed
+/// and in `file`.
+fn only_new(added: Vec<Finding>, rule: RuleId, file: &str) -> Finding {
+    let described: Vec<String> = added
+        .iter()
+        .map(|f| format!("{}:{} [{}] {}", f.file, f.line, f.rule.name(), f.message))
+        .collect();
+    let [finding]: [Finding; 1] = added.try_into().unwrap_or_else(|_| {
+        panic!(
+            "expected exactly one new finding:\n{}",
+            described.join("\n")
+        )
+    });
+    assert_eq!(finding.rule, rule, "{}", described.join("\n"));
+    assert!(!finding.suppressed);
+    assert_eq!(finding.file, file);
+    finding
 }
 
 #[test]
@@ -59,57 +80,27 @@ fn live_baseline_is_clean_and_all_packs_are_active() {
 
 #[test]
 fn deleting_a_field_from_a_serialize_path_fires_snapshot_coverage_once() {
-    let (baseline, mutated) = mutate(
+    let added = mutate(
         "crates/power/src/rail.rs",
         "self.harvested.to_value()",
         "Value::Null",
     );
-    assert_eq!(
-        count(&mutated, RuleId::SnapshotCoverage),
-        count(&baseline, RuleId::SnapshotCoverage) + 1
-    );
-    let finding = mutated
-        .findings
-        .iter()
-        .find(|f| f.rule == RuleId::SnapshotCoverage)
-        .expect("coverage finding");
-    assert!(!finding.suppressed);
-    assert_eq!(finding.file, "crates/power/src/rail.rs");
+    let finding = only_new(added, RuleId::SnapshotCoverage, "crates/power/src/rail.rs");
     assert!(
         finding.message.contains("`harvested`"),
         "{}",
         finding.message
     );
-    // No collateral findings from the other packs.
-    assert_eq!(
-        count(&mutated, RuleId::DerivedState),
-        count(&baseline, RuleId::DerivedState)
-    );
-    assert_eq!(
-        count(&mutated, RuleId::RngDrawBudget),
-        count(&baseline, RuleId::RngDrawBudget)
-    );
 }
 
 #[test]
 fn unbalancing_a_wake_branch_fires_rng_draw_budget_once() {
-    let (baseline, mutated) = mutate(
+    let added = mutate(
         "crates/fleet/src/kernel.rs",
         "self.counters.windows_lost += 1;",
         "self.counters.windows_lost += 1; let _ = rng.f64();",
     );
-    assert_eq!(
-        count(&mutated, RuleId::RngDrawBudget),
-        count(&baseline, RuleId::RngDrawBudget) + 1,
-        "exactly one budget finding expected"
-    );
-    let finding = mutated
-        .findings
-        .iter()
-        .find(|f| f.rule == RuleId::RngDrawBudget)
-        .expect("budget finding");
-    assert!(!finding.suppressed);
-    assert_eq!(finding.file, "crates/fleet/src/kernel.rs");
+    let finding = only_new(added, RuleId::RngDrawBudget, "crates/fleet/src/kernel.rs");
     assert!(
         finding
             .message
@@ -121,26 +112,29 @@ fn unbalancing_a_wake_branch_fires_rng_draw_budget_once() {
 
 #[test]
 fn comparing_a_memo_field_in_partial_eq_fires_derived_state_once() {
-    let (baseline, mutated) = mutate(
+    let added = mutate(
         "crates/power/src/rail.rs",
         "&& self.brownout_secs == other.brownout_secs",
         "&& self.brownout_secs == other.brownout_secs && self.taper == other.taper",
     );
-    assert_eq!(
-        count(&mutated, RuleId::DerivedState),
-        count(&baseline, RuleId::DerivedState) + 1
-    );
-    let finding = mutated
-        .findings
-        .iter()
-        .find(|f| f.rule == RuleId::DerivedState)
-        .expect("derived-state finding");
-    assert!(!finding.suppressed);
-    assert_eq!(finding.file, "crates/power/src/rail.rs");
+    let finding = only_new(added, RuleId::DerivedState, "crates/power/src/rail.rs");
     assert!(finding.message.contains("`taper`"), "{}", finding.message);
-    assert_eq!(
-        count(&mutated, RuleId::SnapshotCoverage),
-        count(&baseline, RuleId::SnapshotCoverage)
+}
+
+#[test]
+fn removing_the_only_outside_call_fires_dead_pub_once() {
+    // The fleet kernel is the only file outside env that names
+    // `OuStepCache::decay_pow`.
+    let added = mutate(
+        "crates/fleet/src/kernel.rs",
+        ".decay_pow(",
+        ".decay_pow_renamed(",
+    );
+    let finding = only_new(added, RuleId::DeadPub, "crates/env/src/daycache.rs");
+    assert!(
+        finding.message.contains("`pub fn decay_pow`"),
+        "{}",
+        finding.message
     );
 }
 

@@ -4,7 +4,7 @@
 //! Each fixture is analyzed under a synthetic workspace-relative path,
 //! because the path is what places a file in (or out of) a rule's scope.
 
-use glacsweb_analyze::{analyze_source, RuleId};
+use glacsweb_analyze::{analyze_source, analyze_sources, RuleId};
 
 /// Findings of one rule in `src` analyzed under `rel`.
 fn fire(rel: &str, src: &str, rule: RuleId) -> usize {
@@ -324,6 +324,89 @@ fn crate_hygiene_satisfied_by_both_attributes() {
         fire("crates/power/src/other.rs", bare, RuleId::CrateHygiene),
         0
     );
+}
+
+// -------------------------------------------------------------------- dead-pub
+
+/// Messages of the unsuppressed dead-pub findings when `files` are
+/// analyzed together as one workspace.
+fn dead_pub(files: &[(&str, &str)]) -> Vec<String> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(rel, src)| ((*rel).to_string(), (*src).to_string()))
+        .collect();
+    analyze_sources("", &files)
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == RuleId::DeadPub && !f.suppressed)
+        .map(|f| f.message)
+        .collect()
+}
+
+const LIB: &str = "pub fn used() -> u32 {\n    helper()\n}\n\
+                   pub fn helper() -> u32 {\n    1\n}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert_eq!(super::used(), 1);\n    }\n}\n";
+
+#[test]
+fn dead_pub_fires_on_a_fn_named_only_in_its_own_file() {
+    // `used` is named only by its own tests and `helper` only by `used`:
+    // uses inside the defining file, test code included, do not count.
+    let hits = dead_pub(&[
+        ("crates/power/src/fake.rs", LIB),
+        ("crates/power/src/other.rs", "fn unrelated() {}\n"),
+    ]);
+    assert_eq!(hits.len(), 2, "{hits:?}");
+    assert!(hits.iter().any(|m| m.contains("`pub fn used`")), "{hits:?}");
+    assert!(
+        hits.iter().any(|m| m.contains("`pub fn helper`")),
+        "{hits:?}"
+    );
+}
+
+#[test]
+fn dead_pub_counts_tests_and_bins_in_other_files_as_users() {
+    let names_both = "fn main() {\n    let _ = fake::used() + fake::helper();\n}\n";
+    for user in [
+        "crates/power/tests/fake.rs",
+        "crates/power/src/bin/tool.rs",
+        "tests/fake.rs",
+    ] {
+        let hits = dead_pub(&[("crates/power/src/fake.rs", LIB), (user, names_both)]);
+        assert!(hits.is_empty(), "{user}: {hits:?}");
+    }
+}
+
+#[test]
+fn dead_pub_ignores_restricted_visibility_trait_methods_and_bins() {
+    let src = "pub(crate) fn narrow() {}\npub(super) fn narrower() {}\n\
+               pub struct Meter;\n\
+               impl std::fmt::Display for Meter {\n\
+                   fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n\
+                       write!(f, \"meter\")\n\
+                   }\n\
+               }\n\
+               pub trait Gauge {\n    fn read(&self) -> u32 {\n        0\n    }\n}\n";
+    assert!(dead_pub(&[("crates/power/src/fake.rs", src)]).is_empty());
+    // Binaries and the root facade are entry points, not API.
+    let entry = "pub fn helper() {}\nfn main() {}\n";
+    for rel in [
+        "crates/power/src/bin/tool.rs",
+        "crates/analyze/src/main.rs",
+        "src/lib.rs",
+    ] {
+        assert!(dead_pub(&[(rel, entry)]).is_empty(), "{rel}");
+    }
+}
+
+#[test]
+fn dead_pub_suppression_ledger_applies() {
+    let src = "// glacsweb: allow(dead-pub, reason = \"called by an out-of-tree harness\")\n\
+               pub fn external() {}\n";
+    let (findings, sups) = analyze_source("crates/power/src/fake.rs", src);
+    assert!(findings
+        .iter()
+        .all(|f| f.suppressed || f.rule != RuleId::DeadPub));
+    assert!(sups.iter().all(|s| s.used));
 }
 
 // ----------------------------------------------------------------- suppression

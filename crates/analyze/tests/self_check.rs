@@ -82,7 +82,7 @@ fn json_report_is_parseable_and_consistent() {
     let Some(Value::Seq(rules)) = get("rules") else {
         panic!("rules array missing");
     };
-    assert_eq!(rules.len(), 9);
+    assert_eq!(rules.len(), 10);
     let Some(Value::Map(summary)) = get("summary") else {
         panic!("summary missing");
     };

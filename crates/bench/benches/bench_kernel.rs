@@ -4,9 +4,8 @@
 //!
 //! * `env_advance_day` — one simulated day of `Environment::advance_to`
 //!   at the deployment's half-hour tick grid.
-//! * `battery_step_day` vs `battery_leap_day` — 48 half-hour substeps
-//!   integrated one at a time against one closed-form leap over the same
-//!   horizon (the leap must also *agree* with the stepped charge).
+//! * `battery_step_day` — 48 half-hour substeps integrated one at a
+//!   time.
 //! * `event_wheel_day` — a day of two-station tick scheduling through the
 //!   indexed `EventWheel`.
 
@@ -46,13 +45,6 @@ fn bench_battery(c: &mut Criterion) {
             for _ in 0..TICKS_PER_DAY {
                 accepted = batt.step(TICK, current, temp);
             }
-            (batt.state_of_charge(), accepted)
-        })
-    });
-    c.bench_function("battery_leap_day", |b| {
-        b.iter(|| {
-            let mut batt = LeadAcidBattery::with_state(AmpHours(36.0), 0.5);
-            let accepted = batt.leap(TICKS_PER_DAY, TICK, current, temp);
             (batt.state_of_charge(), accepted)
         })
     });

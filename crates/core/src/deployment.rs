@@ -116,12 +116,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Sets the probe sampling interval (default: hourly).
-    pub fn probe_interval(mut self, interval: SimDuration) -> Self {
-        self.probe_interval = interval;
-        self
-    }
-
     /// Installs in-memory telemetry recorders on the world and on every
     /// station. Recording never consumes simulation randomness, so an
     /// observed run takes the exact same trajectory as an unobserved one;
@@ -185,12 +179,17 @@ impl DeploymentBuilder {
                 .map(|m| m.draw_death_time(self.start, &mut probe_rng));
             death_times.push(death);
         }
+        let start = self.start;
+        let build_station = |c, seed| {
+            Station::try_new(c, start, seed)
+                .unwrap_or_else(|e| panic!("invalid station config: {e}"))
+        };
         let mut base = self
             .base
-            .map(|c| Station::new(c, self.start, master.fork(0xBA5E).next_u64_raw()));
+            .map(|c| build_station(c, master.fork(0xBA5E).next_u64_raw()));
         let mut reference = self
             .reference
-            .map(|c| Station::new(c, self.start, master.fork(0x5EF).next_u64_raw()));
+            .map(|c| build_station(c, master.fork(0x5EF).next_u64_raw()));
         let world_obs: Box<dyn Recorder> = if self.observe {
             for station in [base.as_mut(), reference.as_mut()].into_iter().flatten() {
                 station.set_recorder(Box::new(MemoryRecorder::default()));
@@ -386,26 +385,6 @@ impl Deployment {
     /// [`DeploymentBuilder::leaping`]).
     pub fn leaping(&self) -> bool {
         self.leaping
-    }
-
-    /// Enables or disables event-stream leaping mid-run. Safe at any
-    /// point: leaping only ever elides provably inert events, so the
-    /// trajectory is unchanged either way.
-    pub fn set_leaping(&mut self, on: bool) {
-        self.leaping = on;
-        if on {
-            return;
-        }
-        // Re-arm the probe sweep if leaping had already dropped it.
-        if !self.probes.is_empty()
-            && !self
-                .queue
-                .iter()
-                .any(|(_, e)| matches!(e, WorldEvent::ProbeSample))
-        {
-            self.queue
-                .push(self.now + self.probe_interval, WorldEvent::ProbeSample);
-        }
     }
 
     /// Runs the event loop until `until`.

@@ -75,20 +75,6 @@ impl Scenario {
             .probes(7)
             .mortality(MortalityModel::paper_2008())
     }
-
-    /// The earlier Norwegian site for environment comparisons: milder,
-    /// little winter snow, year-round café power. (The Norway *relay
-    /// architecture* baseline is modelled in
-    /// [`experiments::architecture`](crate::experiments::architecture).)
-    pub fn norway_site() -> DeploymentBuilder {
-        DeploymentBuilder::new(EnvConfig::briksdalsbreen())
-            .seed(2004)
-            .start(SimTime::from_ymd_hms(2008, 8, 15, 0, 0, 0))
-            .base(StationConfig::base_2008())
-            .reference(StationConfig::reference_2008())
-            .probes(7)
-            .mortality(MortalityModel::paper_2008())
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +86,6 @@ mod tests {
         let _ = Scenario::iceland_2008().build();
         let _ = Scenario::iceland_lessons_learnt().build();
         let _ = Scenario::lab_bringup().build();
-        let _ = Scenario::norway_site().build();
         let _ = Scenario::iceland_relay_architecture().build();
     }
 

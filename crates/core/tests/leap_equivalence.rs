@@ -84,28 +84,6 @@ fn leap_fires_once_the_cohort_is_dead() {
     );
 }
 
-/// Re-enabling stepping mid-run re-arms the sweep; disabling it again
-/// drops it at the next fire. Round trips stay bit-identical.
-#[test]
-fn set_leaping_round_trips() {
-    let mut d = fast_mortality(true);
-    d.run_days(30);
-    assert_eq!(d.probes_alive(), 0);
-    let before = common::trajectory_digest(&d);
-    let pending = d.pending_events();
-    d.set_leaping(false);
-    assert_eq!(d.pending_events(), pending + 1, "sweep re-armed");
-    d.set_leaping(true);
-    d.run_days(1);
-    let mut reference = fast_mortality(true);
-    reference.run_days(31);
-    assert_eq!(
-        common::trajectory_digest(&reference),
-        common::trajectory_digest(&d)
-    );
-    let _ = before;
-}
-
 /// Leaping state survives a snapshot round trip.
 #[test]
 fn leaping_flag_round_trips_through_snapshot() {

@@ -1,5 +1,6 @@
-//! Interior-mutable memos for environment terms that depend only on
-//! the clock.
+//! The environment's derived-state memos: interior-mutable memos for
+//! terms that depend only on the clock, and the per-tick step
+//! coefficients of the stochastic models.
 //!
 //! The power rail evaluates the environment at every one-minute substep
 //! of every station — ~1440 times per station per day — but several of
@@ -25,17 +26,25 @@
 //! produce, so trajectories are bit-identical with or without the cache
 //! (asserted by the golden-trajectory test).
 //!
-//! All types use interior mutability (`Cell`/`RefCell`, never wall-clock
-//! or hashing — see the `glacsweb-analyze` determinism rule) so read
-//! paths keep `&self`, and all compare equal regardless of fill state:
-//! memo contents are derived data, invisible to model equality.
+//! These types use interior mutability (`Cell`/`RefCell`, never
+//! wall-clock or hashing — see the `glacsweb-analyze` determinism rule)
+//! so read paths keep `&self`.
+//!
+//! The environment also advances on a *fixed* tick, so the
+//! Ornstein–Uhlenbeck decay factor `exp(-θ·dt)`, its step standard
+//! deviation and the melt filter's gains are constants across a run.
+//! [`OuStepCache`] and [`AlphaStepCache`] keep them keyed on the
+//! last-seen `dt`, computed by exactly the formula the models used
+//! inline, so traces stay bit-identical.
+//!
+//! Every memo compares equal regardless of fill state: memo contents are
+//! derived data, invisible to model equality.
 
 use std::cell::{Cell, OnceCell, RefCell};
 
-/// Serde for the memos (and for `stepcache`'s step caches) mirrors their
-/// `PartialEq`: contents are derived state, so a snapshot carries nothing
-/// (`Null`) and a restore starts from an empty memo that refills
-/// bit-identically on first use.
+/// Serde for the memos mirrors their `PartialEq`: contents are derived
+/// state, so a snapshot carries nothing (`Null`) and a restore starts
+/// from an empty memo that refills bit-identically on first use.
 macro_rules! derived_state_serde {
     ($ty:ident $(<$param:ident>)?) => {
         impl$(<$param: Copy + Default>)? ::serde::Serialize for $ty$(<$param>)? {
@@ -52,11 +61,11 @@ macro_rules! derived_state_serde {
     };
 }
 
-pub(crate) use derived_state_serde;
-
 derived_state_serde!(DayCell<T>);
 derived_state_serde!(MinuteTable);
 derived_state_serde!(SodTable);
+derived_state_serde!(OuStepCache);
+derived_state_serde!(AlphaStepCache);
 
 /// Sentinel key meaning "nothing memoised yet".
 const NO_KEY: u64 = u64::MAX;
@@ -197,6 +206,86 @@ impl PartialEq for SodTable {
     }
 }
 
+/// Memoised Ornstein–Uhlenbeck step coefficients for one `(θ, σ)` pair.
+///
+/// Equality deliberately ignores the cache contents: it is derived
+/// state, reproducible from the owning model's parameters and the tick.
+#[derive(Debug, Clone, Default)]
+pub struct OuStepCache {
+    dt: f64,
+    decay: f64,
+    step_sd: f64,
+    valid: bool,
+}
+
+impl OuStepCache {
+    /// The `(decay, step_sd)` pair for a step of `dt` with rate `theta`
+    /// and stationary standard deviation `stationary_sd`.
+    ///
+    /// Recomputes only when `dt` changes (the owner's `theta` and
+    /// `stationary_sd` are construction-time constants).
+    pub fn coeffs(&mut self, dt: f64, theta: f64, stationary_sd: f64) -> (f64, f64) {
+        if !self.valid || self.dt != dt {
+            let decay = (-theta * dt).exp();
+            self.dt = dt;
+            self.decay = decay;
+            self.step_sd = stationary_sd * (1.0 - decay * decay).sqrt();
+            self.valid = true;
+        }
+        (self.decay, self.step_sd)
+    }
+
+    /// The cached decay factor raised to `n` — the O(log n) closed form
+    /// `decay(dt)ⁿ`.
+    ///
+    /// This is **not** bit-identical to `n` iterated multiplies; it is
+    /// the primitive for recurrences that are *defined* anchor-style,
+    /// like the fleet kernel's sleeping microclimate anomaly
+    /// `x(k) = x₀·decayᵏ`: a per-tick evaluator and a whole-window leap
+    /// both call this with their own `k`, so they agree bit-for-bit by
+    /// construction at any split of the window.
+    pub fn decay_pow(&mut self, n: u32, dt: f64, theta: f64, stationary_sd: f64) -> f64 {
+        let (decay, _) = self.coeffs(dt, theta, stationary_sd);
+        decay.powi(i32::try_from(n).unwrap_or(i32::MAX))
+    }
+}
+
+impl PartialEq for OuStepCache {
+    fn eq(&self, _: &Self) -> bool {
+        true // derived state: two models differing only here are equal
+    }
+}
+
+/// Memoised low-pass filter gains for the hydrology melt filter, which
+/// switches between a rise and a fall time constant.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AlphaStepCache {
+    dt: f64,
+    alpha_rise: f64,
+    alpha_fall: f64,
+    valid: bool,
+}
+
+impl AlphaStepCache {
+    /// `(alpha_rise, alpha_fall)` = `1 - exp(-dt/τ)` for the two time
+    /// constants, recomputed only when `dt` changes.
+    pub(crate) fn alphas(&mut self, dt: f64, tau_rise: f64, tau_fall: f64) -> (f64, f64) {
+        if !self.valid || self.dt != dt {
+            self.dt = dt;
+            self.alpha_rise = 1.0 - (-dt / tau_rise).exp();
+            self.alpha_fall = 1.0 - (-dt / tau_fall).exp();
+            self.valid = true;
+        }
+        (self.alpha_rise, self.alpha_fall)
+    }
+}
+
+impl PartialEq for AlphaStepCache {
+    fn eq(&self, _: &Self) -> bool {
+        true // derived state
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +368,66 @@ mod tests {
         let ma = MinuteTable::default();
         let _ = ma.get_or(60, || 3.0);
         assert_eq!(ma, MinuteTable::default());
+    }
+
+    #[test]
+    fn ou_matches_inline_formula() {
+        let mut c = OuStepCache::default();
+        let (theta, sd, dt) = (1.0 / 12.0, 1.5, 0.5);
+        let (decay, step_sd) = c.coeffs(dt, theta, sd);
+        let expect_decay = (-theta * dt).exp();
+        assert_eq!(decay, expect_decay, "bit-identical decay");
+        assert_eq!(step_sd, sd * (1.0 - expect_decay * expect_decay).sqrt());
+        // Cached path returns the very same bits.
+        assert_eq!(c.coeffs(dt, theta, sd), (decay, step_sd));
+    }
+
+    #[test]
+    fn ou_recomputes_on_dt_change() {
+        let mut c = OuStepCache::default();
+        let a = c.coeffs(0.5, 0.1, 1.0);
+        let b = c.coeffs(1.0, 0.1, 1.0);
+        assert_ne!(a, b);
+        assert_eq!(c.coeffs(1.0, 0.1, 1.0), b);
+    }
+
+    #[test]
+    fn alpha_matches_inline_formula() {
+        let mut c = AlphaStepCache::default();
+        let dt = 1.0 / 144.0;
+        let (rise, fall) = c.alphas(dt, 10.0, 25.0);
+        assert_eq!(rise, 1.0 - (-dt / 10.0).exp());
+        assert_eq!(fall, 1.0 - (-dt / 25.0).exp());
+    }
+
+    #[test]
+    fn decay_pow_is_the_closed_power() {
+        let mut c = OuStepCache::default();
+        let (decay, _) = c.coeffs(0.5, 1.0 / 8.0, 0.15);
+        assert_eq!(
+            c.decay_pow(1, 0.5, 1.0 / 8.0, 0.15).to_bits(),
+            decay.to_bits()
+        );
+        assert_eq!(
+            c.decay_pow(48, 0.5, 1.0 / 8.0, 0.15).to_bits(),
+            decay.powi(48).to_bits()
+        );
+        assert_eq!(
+            c.decay_pow(0, 0.5, 1.0 / 8.0, 0.15).to_bits(),
+            1.0f64.to_bits()
+        );
+        // Splitting a window re-derives from the same anchor expression,
+        // so pow(a)·pow(b) need not equal pow(a+b) — anchor-style users
+        // never multiply two pows together.
+        let whole = c.decay_pow(48, 0.5, 1.0 / 8.0, 0.15);
+        assert!((whole - decay.powi(24) * decay.powi(24)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn caches_compare_equal_regardless_of_state() {
+        let mut a = OuStepCache::default();
+        let b = OuStepCache::default();
+        let _ = a.coeffs(0.5, 0.1, 1.0);
+        assert_eq!(a, b, "cache state is invisible to model equality");
     }
 }

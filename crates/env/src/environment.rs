@@ -355,12 +355,6 @@ impl Environment {
             cafe_mains_available(t, self.config.cafe_season_months)
         })
     }
-
-    /// A deterministic fork of the environment RNG for co-simulated
-    /// components (links, sensors) that need their own stream.
-    pub fn fork_rng(&mut self, stream: u64) -> SimRng {
-        self.rng.fork(stream)
-    }
 }
 
 /// The clear-sky fraction for a solar-elevation sine: the model's
@@ -640,15 +634,6 @@ mod tests {
         let mut norway = Environment::new(EnvConfig::briksdalsbreen(), 1);
         norway.advance_to(jan);
         assert!(norway.cafe_mains_available(jan));
-    }
-
-    #[test]
-    fn forked_rngs_are_reproducible() {
-        let mut a = Environment::new(EnvConfig::lab(), 7);
-        let mut b = Environment::new(EnvConfig::lab(), 7);
-        let mut ra = a.fork_rng(5);
-        let mut rb = b.fork_rng(5);
-        assert_eq!(ra.f64(), rb.f64());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use glacsweb_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::stepcache::AlphaStepCache;
+use crate::daycache::AlphaStepCache;
 
 /// Slow subglacial water state driven by surface melt.
 ///

@@ -50,12 +50,12 @@ mod hydrology;
 mod motion;
 mod snow;
 mod solar;
-pub mod stepcache;
 mod temperature;
 mod wind;
 
 pub use cafe::cafe_mains_available;
 pub use config::EnvConfig;
+pub use daycache::OuStepCache;
 pub use environment::{Environment, Season, SolarSpan};
 pub use hydrology::Hydrology;
 pub use motion::GlacierMotion;

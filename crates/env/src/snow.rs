@@ -42,28 +42,6 @@ impl SnowPack {
         }
     }
 
-    /// Creates a snow pack with a given starting depth (e.g. resuming a
-    /// deployment mid-winter).
-    ///
-    /// # Panics
-    ///
-    /// Panics as for [`SnowPack::new`], or if `depth_m` is negative.
-    pub fn with_depth(
-        storm_rate_winter_per_day: f64,
-        snow_per_storm_m: f64,
-        melt_m_per_degree_day: f64,
-        depth_m: f64,
-    ) -> Self {
-        assert!(depth_m >= 0.0, "depth must be non-negative");
-        let mut s = SnowPack::new(
-            storm_rate_winter_per_day,
-            snow_per_storm_m,
-            melt_m_per_degree_day,
-        );
-        s.depth_m = depth_m;
-        s
-    }
-
     /// Current snow depth in metres.
     pub fn depth_m(&self) -> f64 {
         self.depth_m
@@ -71,7 +49,7 @@ impl SnowPack {
 
     /// Seasonal storm rate at `t`, storms per day. Peaks in late January,
     /// zero around late July.
-    pub fn storm_rate_per_day(&self, t: SimTime) -> f64 {
+    fn storm_rate_per_day(&self, t: SimTime) -> f64 {
         let doy = f64::from(t.day_of_year());
         let phase = (std::f64::consts::TAU * (doy - 25.0) / 365.0).cos();
         (self.storm_rate_winter_per_day * (phase + 0.3) / 1.3).max(0.0)
@@ -128,7 +106,8 @@ mod tests {
 
     #[test]
     fn melts_in_a_warm_summer() {
-        let mut s = SnowPack::with_depth(0.35, 0.18, 0.004, 2.0);
+        let mut s = SnowPack::new(0.35, 0.18, 0.004);
+        s.depth_m = 2.0;
         let mut rng = SimRng::seed_from(22);
         let mut t = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
         let dt_days = 1.0 / 144.0;
@@ -152,7 +131,8 @@ mod tests {
 
     #[test]
     fn burial_factor_derates_linearly() {
-        let s = SnowPack::with_depth(0.0, 0.0, 0.0, 0.6);
+        let mut s = SnowPack::new(0.0, 0.0, 0.0);
+        s.depth_m = 0.6;
         assert!((s.burial_factor(1.2) - 0.5).abs() < 1e-12);
         assert_eq!(s.burial_factor(0.6), 0.0);
         assert_eq!(s.burial_factor(0.3), 0.0);

@@ -73,11 +73,6 @@ impl SolarModel {
             .sin()
             .max(0.0)
     }
-
-    /// Daylight test: `true` if the sun is above the horizon.
-    pub fn is_daylight(&self, t: SimTime) -> bool {
-        solar_elevation_deg(self.latitude_deg, t) > 0.0
-    }
 }
 
 #[cfg(test)]
@@ -140,15 +135,6 @@ mod tests {
             let f = m.clear_sky_fraction(t0 + SimDuration::from_hours(i));
             assert!((0.0..=1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn daylight_predicate_matches_elevation() {
-        let m = SolarModel::new(LAT);
-        let noon = SimTime::from_ymd_hms(2009, 3, 20, 12, 30, 0);
-        let night = SimTime::from_ymd_hms(2009, 3, 20, 1, 0, 0);
-        assert!(m.is_daylight(noon));
-        assert!(!m.is_daylight(night));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 use glacsweb_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::daycache::{DayCell, SodTable};
-use crate::stepcache::OuStepCache;
+use crate::daycache::{DayCell, OuStepCache, SodTable};
 
 /// Seasonal/diurnal air temperature with Ornstein–Uhlenbeck weather noise.
 ///
@@ -59,7 +58,7 @@ impl TemperatureModel {
     ///
     /// The annual minimum falls in late January (lag behind the solstice),
     /// the diurnal minimum just before dawn.
-    pub fn seasonal_c(&self, t: SimTime) -> f64 {
+    fn seasonal_c(&self, t: SimTime) -> f64 {
         // Memoised form of `(annual_mean_c + annual) + diurnal`: the two
         // addends are whole subexpressions of the original — same
         // operations, same association — so a memo hit returns the exact

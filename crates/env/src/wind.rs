@@ -3,8 +3,7 @@
 use glacsweb_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::daycache::DayCell;
-use crate::stepcache::OuStepCache;
+use crate::daycache::{DayCell, OuStepCache};
 
 /// Stochastic wind-speed process.
 ///
@@ -47,7 +46,7 @@ impl WindModel {
 
     /// Seasonal mean wind speed at `t`, m/s (cosine between the summer and
     /// winter means, windiest late January).
-    pub fn seasonal_mean_ms(&self, t: SimTime) -> f64 {
+    fn seasonal_mean_ms(&self, t: SimTime) -> f64 {
         // The whole value depends only on the civil day, so memoise it —
         // a hit returns the exact bits the inline evaluation produces.
         self.seasonal_memo.get_or(t.unix() / 86_400, || {

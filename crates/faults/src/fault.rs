@@ -19,13 +19,6 @@ pub enum FaultTarget {
     Server,
 }
 
-impl FaultTarget {
-    /// `true` for the two Gumsense stations.
-    pub fn is_station(self) -> bool {
-        matches!(self, FaultTarget::Base | FaultTarget::Reference)
-    }
-}
-
 /// One of the paper's §VI failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Fault {
@@ -122,7 +115,7 @@ impl FaultSpec {
 
     /// The absolute first activation instant for a deployment starting
     /// at `start`.
-    pub fn first_onset(&self, start: SimTime) -> SimTime {
+    fn first_onset(&self, start: SimTime) -> SimTime {
         start + self.onset
     }
 

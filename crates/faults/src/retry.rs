@@ -67,17 +67,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A single attempt, no waiting — disables retrying entirely.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: SimDuration::ZERO,
-            multiplier: 1.0,
-            max_backoff: SimDuration::ZERO,
-            jitter: 0.0,
-        }
-    }
-
     /// Validates parameter ranges.
     ///
     /// # Errors
@@ -259,7 +248,6 @@ mod tests {
         assert_eq!(p.validate().unwrap_err().field(), "jitter");
         RetryPolicy::gprs_attach().validate().expect("valid");
         RetryPolicy::server_fetch().validate().expect("valid");
-        RetryPolicy::none().validate().expect("valid");
     }
 
     #[test]

@@ -51,16 +51,6 @@ impl FaultRecord {
         self.restored.map(|r| r.saturating_since(self.activated))
     }
 
-    /// `true` while the fault condition itself is still present.
-    pub fn is_active(&self) -> bool {
-        self.cleared.is_none()
-    }
-
-    /// `true` once service came back after the fault.
-    pub fn is_recovered(&self) -> bool {
-        self.restored.is_some()
-    }
-
     fn applies_to_station(&self, station: FaultTarget) -> bool {
         match self.target {
             FaultTarget::Base | FaultTarget::Reference => self.target == station,
@@ -282,9 +272,9 @@ mod tests {
             WindowClass::Healthy,
             Bytes::ZERO,
         );
-        assert!(!tr.records()[0].is_recovered());
+        assert!(tr.records()[0].restored.is_none());
         tr.note_window(FaultTarget::Base, day(2), WindowClass::Healthy, Bytes::ZERO);
-        assert!(tr.records()[0].is_recovered());
+        assert!(tr.records()[0].restored.is_some());
     }
 
     #[test]
@@ -306,6 +296,6 @@ mod tests {
         // classified healthy (e.g. local fallback), it predates clearance.
         tr.note_window(FaultTarget::Base, day(1), WindowClass::Healthy, Bytes::ZERO);
         tr.clear(0, day(3), None);
-        assert!(!tr.records()[0].is_recovered());
+        assert!(tr.records()[0].restored.is_none());
     }
 }

@@ -17,7 +17,7 @@
 //!   from the anchor, so any split of the window lands on the same bits.
 //! * **Microclimate**: the OU anomaly decays noiselessly while asleep,
 //!   `ou(k) = ou₀ · decayᵏ` via
-//!   [`OuStepCache::decay_pow`](glacsweb_env::stepcache::OuStepCache::decay_pow)
+//!   [`OuStepCache::decay_pow`](glacsweb_env::OuStepCache::decay_pow)
 //!   — again one expression, evaluated at whichever `k` a mode needs.
 //! * **RNG**: a sleeping station draws nothing. Every wake retires
 //!   exactly [`RAW_DRAWS_PER_WAKE`] raw draws — the handler's branches

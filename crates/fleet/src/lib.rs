@@ -20,14 +20,17 @@
 //!   and RNG streams — so the fleet shards site-by-site across the
 //!   [`glacsweb_sweep`] thread pool with an index-ordered merge.
 //! * **Quiescent-station leaping**: a sleeping station whose next event
-//!   is its own wake-up is advanced over the whole sleep window with the
-//!   closed-form leap entry points pinned in PR 5 —
-//!   [`LeadAcidBattery::leap`](glacsweb_power::LeadAcidBattery::leap),
-//!   [`OuStepCache::decay_leap`](glacsweb_env::stepcache::OuStepCache::decay_leap)
-//!   and [`SimRng::skip_raw`](glacsweb_sim::SimRng::skip_raw) — each of
-//!   which replays the exact per-tick recurrence, so leaping is
-//!   **bit-identical** to ticking (asserted by this crate's equivalence
-//!   tests on top of the existing `leap(n) ≡ n×step` proptests).
+//!   is its own wake-up is advanced over the whole sleep window in one
+//!   step. Its sleep trajectory is *defined* by closed forms anchored at
+//!   the segment start — a [`SleepGlide`](glacsweb_power::SleepGlide)
+//!   for the battery and
+//!   [`OuStepCache::decay_pow`](glacsweb_env::OuStepCache::decay_pow)
+//!   for the microclimate anomaly — and every wake retires a fixed
+//!   number of raw draws, topped up with
+//!   [`SimRng::skip_raw`](glacsweb_sim::SimRng::skip_raw). The per-tick
+//!   path and the leap evaluate the same expressions at different `k`,
+//!   so leaping is **bit-identical** to ticking by construction
+//!   (asserted by this crate's equivalence tests).
 //!
 //! # Quick start
 //!

@@ -4,7 +4,7 @@
 //! Everything in this module is either cold setup code or pure
 //! parameter math; the hot event loop lives in [`crate::kernel`].
 
-use glacsweb_env::stepcache::OuStepCache;
+use glacsweb_env::OuStepCache;
 use glacsweb_power::{LeadAcidBattery, SleepGlide};
 use glacsweb_sim::{AmpHours, Amps, Celsius, EventWheel, SimDuration, SimRng, SimTime};
 use serde::{de, Deserialize, Serialize, Value};
@@ -139,7 +139,7 @@ impl SiteParams {
     }
 
     /// Seasonal insolation factor in `[0.25, 1.0]` (June solstice peak).
-    pub fn season_factor(&self, t: SimTime) -> f64 {
+    fn season_factor(&self, t: SimTime) -> f64 {
         let doy = f64::from(t.day_of_year());
         let phase = (doy - 172.0) / 365.0 * std::f64::consts::TAU;
         (0.25 + 0.75 * phase.cos()).clamp(0.25, 1.0)
@@ -156,7 +156,7 @@ impl SiteParams {
     }
 
     /// Clear-sky panel current over a wake slot at `t`, amps.
-    pub fn wake_harvest_amps(&self, t: SimTime) -> f64 {
+    fn wake_harvest_amps(&self, t: SimTime) -> f64 {
         let hour = t.hour_of_day_f64();
         let elevation = ((hour - 13.0) / 12.0 * std::f64::consts::PI).cos().max(0.0);
         self.panel_amps * self.season_factor(t) * elevation
@@ -165,7 +165,7 @@ impl SiteParams {
     /// Mean clear-sky panel current frozen over a sleep span starting
     /// near `t`, amps — the diurnal-average credit a sleeping charger
     /// banks per tick.
-    pub fn sleep_harvest_amps(&self, t: SimTime) -> f64 {
+    fn sleep_harvest_amps(&self, t: SimTime) -> f64 {
         self.panel_amps * self.season_factor(t) * 0.18
     }
 }

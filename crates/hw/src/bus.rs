@@ -107,6 +107,7 @@ fn fletcher16(data: &[u8]) -> u16 {
     ((b << 8) | a) as u16
 }
 
+#[cfg(test)]
 fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 3);
     out.push(opcode);
@@ -129,9 +130,12 @@ fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), BusError> {
     Ok((body[0], &body[1..]))
 }
 
+/// The whole-message codec: the tests' reference for the in-place
+/// voltage-log path the daily window runs.
+#[cfg(test)]
 impl BusRequest {
     /// Encodes the request as an on-wire frame.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         match self {
             BusRequest::ReadVoltageLog => frame(0x01, &[]),
             BusRequest::ReadRtc => frame(0x02, &[]),
@@ -150,7 +154,7 @@ impl BusRequest {
     ///
     /// Returns a [`BusError`] for truncated frames, checksum mismatches,
     /// unknown opcodes or malformed payloads.
-    pub fn decode(bytes: &[u8]) -> Result<BusRequest, BusError> {
+    fn decode(bytes: &[u8]) -> Result<BusRequest, BusError> {
         let (opcode, payload) = unframe(bytes)?;
         match opcode {
             0x01 if payload.is_empty() => Ok(BusRequest::ReadVoltageLog),
@@ -189,7 +193,7 @@ fn millivolts(v: Volts) -> u16 {
 
 /// Writes a voltage-log response frame into `out` (cleared first): the
 /// opcode, ten bytes per `(unix seconds, millivolts)` sample, then the
-/// checksum — the bytes [`frame`] would build around the same payload.
+/// checksum — the bytes `frame` would build around the same payload.
 fn write_voltage_frame(samples: impl Iterator<Item = (u64, u16)>, out: &mut Vec<u8>) {
     out.clear();
     out.push(0x81);
@@ -216,21 +220,21 @@ fn voltage_samples(
 }
 
 /// Frames the MSP430's voltage log straight into `out` (cleared first):
-/// the bytes `BusResponse::from_voltage_samples(samples).encode()`
-/// writes, without building either vector. The daily window reuses one
-/// buffer for this transfer.
+/// the [`BusResponse::VoltageLog`] frame of the samples at millivolt
+/// precision, built without an intermediate vector. The daily window
+/// reuses one buffer for this transfer.
 pub fn encode_voltage_log(samples: &[(SimTime, Volts)], out: &mut Vec<u8>) {
     write_voltage_frame(samples.iter().map(|&(t, v)| (t.unix(), millivolts(v))), out);
 }
 
 /// Checks a voltage-log response frame and walks its `(unix seconds,
-/// millivolts)` samples in place — [`BusResponse::decode`] without the
-/// copy.
+/// millivolts)` samples in place, without copying them out.
 ///
 /// # Errors
 ///
-/// The errors of [`BusResponse::decode`], and [`BusError::Malformed`]
-/// for a valid frame that is not a voltage log.
+/// Returns a [`BusError`] for a truncated frame, a checksum mismatch,
+/// an unknown opcode or a malformed payload, and
+/// [`BusError::Malformed`] for a valid frame that is not a voltage log.
 pub fn decode_voltage_log(
     bytes: &[u8],
 ) -> Result<impl Iterator<Item = (u64, u16)> + Clone + '_, BusError> {
@@ -241,9 +245,10 @@ pub fn decode_voltage_log(
     }
 }
 
+#[cfg(test)]
 impl BusResponse {
     /// Encodes the response as an on-wire frame.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         match self {
             BusResponse::VoltageLog(samples) => {
                 let mut out = Vec::with_capacity(samples.len() * 10 + 3);
@@ -261,7 +266,7 @@ impl BusResponse {
     ///
     /// Returns a [`BusError`] for truncated frames, checksum mismatches,
     /// unknown opcodes or malformed payloads.
-    pub fn decode(bytes: &[u8]) -> Result<BusResponse, BusError> {
+    fn decode(bytes: &[u8]) -> Result<BusResponse, BusError> {
         let (opcode, payload) = unframe(bytes)?;
         match opcode {
             0x80 if payload.is_empty() => Ok(BusResponse::Ack),
@@ -280,7 +285,7 @@ impl BusResponse {
     /// Convenience: packs the MSP430's `(time, volts)` samples into the
     /// wire representation (millivolt precision, as a 10-bit-ADC-plus-
     /// divider supervisor actually measures).
-    pub fn from_voltage_samples(samples: &[(SimTime, Volts)]) -> BusResponse {
+    fn from_voltage_samples(samples: &[(SimTime, Volts)]) -> BusResponse {
         BusResponse::VoltageLog(
             samples
                 .iter()

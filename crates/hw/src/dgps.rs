@@ -102,11 +102,6 @@ impl DGps {
         &self.pending
     }
 
-    /// Total size of everything waiting.
-    pub fn pending_bytes(&self) -> Bytes {
-        self.pending.iter().map(|f| f.size).sum()
-    }
-
     /// Lifetime reading count.
     pub fn readings_taken(&self) -> u64 {
         self.readings_taken

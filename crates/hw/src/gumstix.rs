@@ -40,7 +40,7 @@ pub enum GumstixState {
 /// let ready = g.power_on(t);
 /// assert!(ready > t, "Linux takes a while to boot");
 /// g.boot_complete(ready);
-/// assert!(g.is_on());
+/// assert!(matches!(g.state(), GumstixState::On { .. }));
 /// g.power_off(ready + SimDuration::from_mins(20));
 /// assert_eq!(g.state(), GumstixState::Off);
 /// ```
@@ -70,30 +70,9 @@ impl Gumstix {
         self.state
     }
 
-    /// `true` once booted and running.
-    pub fn is_on(&self) -> bool {
-        matches!(self.state, GumstixState::On { .. })
-    }
-
     /// Rated draw while powered (booting or on).
     pub fn power(&self) -> Watts {
         self.power
-    }
-
-    /// Boot duration.
-    pub fn boot_time(&self) -> SimDuration {
-        self.boot_time
-    }
-
-    /// Lifetime powered-on time (for energy cross-checks).
-    pub fn total_on(&self) -> SimDuration {
-        self.total_on
-    }
-
-    /// Number of power cycles — the MSP430 wakes it once per day, so a
-    /// year-long deployment shows ~365.
-    pub fn power_cycles(&self) -> u64 {
-        self.power_cycles
     }
 
     /// The MSP430 switches the rail on at `t`; returns when Linux will be
@@ -160,15 +139,15 @@ mod tests {
         g.boot_complete(ready);
         let off_at = ready + SimDuration::from_mins(30);
         g.power_off(off_at);
-        assert_eq!(g.total_on(), SimDuration::from_mins(30));
-        assert_eq!(g.power_cycles(), 1);
+        assert_eq!(g.total_on, SimDuration::from_mins(30));
+        assert_eq!(g.power_cycles, 1);
         // A second day accumulates.
         let day2 = t0() + SimDuration::from_days(1);
         let ready2 = g.power_on(day2);
         g.boot_complete(ready2);
         g.power_off(ready2 + SimDuration::from_mins(15));
-        assert_eq!(g.total_on(), SimDuration::from_mins(45));
-        assert_eq!(g.power_cycles(), 2);
+        assert_eq!(g.total_on, SimDuration::from_mins(45));
+        assert_eq!(g.power_cycles, 2);
     }
 
     #[test]
@@ -182,7 +161,7 @@ mod tests {
         g.power_on(t0());
         g.power_off(t0() + SimDuration::from_secs(10));
         assert_eq!(g.state(), GumstixState::Off);
-        assert_eq!(g.total_on(), SimDuration::from_secs(10));
+        assert_eq!(g.total_on, SimDuration::from_secs(10));
     }
 
     #[test]
@@ -205,6 +184,6 @@ mod tests {
         let mut g = Gumstix::new();
         g.power_off(t0());
         assert_eq!(g.state(), GumstixState::Off);
-        assert_eq!(g.total_on(), SimDuration::ZERO);
+        assert_eq!(g.total_on, SimDuration::ZERO);
     }
 }

@@ -32,11 +32,6 @@ impl GprsModem {
     pub fn transfer_time(&self, size: Bytes) -> SimDuration {
         self.rate().transfer_time(size)
     }
-
-    /// Energy to move `size` over an ideal session.
-    pub fn energy_for(&self, size: Bytes) -> glacsweb_sim::WattHours {
-        self.power().over(self.transfer_time(size))
-    }
 }
 
 /// The 500 mW 466 MHz long-range radio modem of the abandoned
@@ -66,11 +61,6 @@ impl RadioModem {
     pub fn transfer_time(&self, size: Bytes) -> SimDuration {
         self.rate().transfer_time(size)
     }
-
-    /// Energy to move `size` over an ideal link.
-    pub fn energy_for(&self, size: Bytes) -> glacsweb_sim::WattHours {
-        self.power().over(self.transfer_time(size))
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +88,8 @@ mod tests {
         let radio = RadioModem::new();
         let reading = Bytes(table1::DGPS_READING_BYTES);
         assert!(gprs.transfer_time(reading) < radio.transfer_time(reading));
-        let e_gprs = gprs.energy_for(reading);
-        let e_radio = radio.energy_for(reading);
+        let e_gprs = gprs.power().over(gprs.transfer_time(reading));
+        let e_radio = radio.power().over(radio.transfer_time(reading));
         assert!(
             e_radio.value() / e_gprs.value() > 2.0,
             "radio {} vs gprs {}",

@@ -31,7 +31,7 @@ use crate::table1;
 ///
 /// // Total battery exhaustion: RAM and RTC are lost.
 /// msp.power_loss();
-/// assert_eq!(msp.rtc(), SimTime::EPOCH);
+/// assert!(msp.rtc_is_suspect(boot, boot), "the RTC restarted from the epoch");
 /// assert!(msp.schedule().is_none());
 /// assert!(msp.voltage_log().is_empty());
 /// ```
@@ -117,14 +117,8 @@ impl<S> Msp430<S> {
     /// After a power loss the RTC restarts from the epoch, so its reading
     /// is `EPOCH + (wall - moment_of_restart)` — far in the past, which is
     /// the recovery code's detection signal.
-    pub fn rtc_at(&self, wall: SimTime) -> SimTime {
+    fn rtc_at(&self, wall: SimTime) -> SimTime {
         self.rtc_base + wall.saturating_since(self.rtc_set_at)
-    }
-
-    /// The RTC reading at the moment it was last set or reset (used by
-    /// examples and tests that don't track wall time).
-    pub fn rtc(&self) -> SimTime {
-        self.rtc_base
     }
 
     /// Sets the RTC (from a GPS fix or NTP) at true time `wall`.
@@ -141,11 +135,6 @@ impl<S> Msp430<S> {
     /// The RAM schedule, if it survived.
     pub fn schedule(&self) -> Option<&S> {
         self.schedule.as_ref()
-    }
-
-    /// Mutable access to the RAM schedule.
-    pub fn schedule_mut(&mut self) -> Option<&mut S> {
-        self.schedule.as_mut()
     }
 
     /// Records one half-hourly battery-voltage sample (§III).
@@ -273,9 +262,5 @@ mod tests {
         assert!(msp.schedule().is_none());
         msp.write_schedule("midday".to_string());
         assert_eq!(msp.schedule().map(String::as_str), Some("midday"));
-        if let Some(s) = msp.schedule_mut() {
-            s.push_str(" utc");
-        }
-        assert_eq!(msp.schedule().map(String::as_str), Some("midday utc"));
     }
 }

@@ -62,11 +62,6 @@ impl BaseSensors {
             roll_deg: lean * 0.4 + rng.normal(0.0, 0.3),
         }
     }
-
-    /// Lifetime sample count.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
-    }
 }
 
 impl Default for BaseSensors {
@@ -92,7 +87,7 @@ mod tests {
         assert!((r.snow_depth_m - env.snow_depth_m()).abs() < 0.1);
         assert!(r.internal_temp_c > r.air_temp_c, "enclosure self-heats");
         assert!((0.0..=100.0).contains(&r.humidity_pct));
-        assert_eq!(sensors.samples_taken(), 1);
+        assert_eq!(sensors.samples_taken, 1);
     }
 
     #[test]

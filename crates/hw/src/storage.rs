@@ -47,7 +47,7 @@ impl FileKind {
     }
 
     /// The extension of the kind's files.
-    pub fn ext(self) -> &'static str {
+    fn ext(self) -> &'static str {
         match self {
             FileKind::Gps => "obs",
             FileKind::Probe | FileKind::Sensor => "dat",

@@ -38,14 +38,6 @@ impl Watchdog {
         Watchdog { started, limit }
     }
 
-    /// Arms the paper's standard two-hour watchdog.
-    pub fn start_standard(started: SimTime) -> Self {
-        Watchdog::start(
-            started,
-            SimDuration::from_secs(crate::table1::WATCHDOG_LIMIT_SECS),
-        )
-    }
-
     /// When the watchdog was armed.
     pub fn started(&self) -> SimTime {
         self.started
@@ -85,16 +77,24 @@ mod tests {
         SimTime::from_ymd_hms(2009, 9, 22, 12, 0, 0)
     }
 
+    /// The paper's standard watchdog, armed at noon.
+    fn standard() -> Watchdog {
+        Watchdog::start(
+            noon(),
+            SimDuration::from_secs(crate::table1::WATCHDOG_LIMIT_SECS),
+        )
+    }
+
     #[test]
     fn standard_watchdog_is_two_hours() {
-        let wd = Watchdog::start_standard(noon());
+        let wd = standard();
         assert_eq!(wd.limit(), SimDuration::from_hours(2));
         assert_eq!(wd.deadline(), noon() + SimDuration::from_hours(2));
     }
 
     #[test]
     fn remaining_counts_down_and_saturates() {
-        let wd = Watchdog::start_standard(noon());
+        let wd = standard();
         assert_eq!(wd.remaining(noon()), SimDuration::from_hours(2));
         assert_eq!(
             wd.remaining(noon() + SimDuration::from_mins(30)),
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn cap_limits_work_to_the_window() {
-        let wd = Watchdog::start_standard(noon());
+        let wd = standard();
         let near_end = noon() + SimDuration::from_mins(110);
         assert_eq!(
             wd.cap(near_end, SimDuration::from_hours(1)),

@@ -46,11 +46,6 @@ impl DataCostMeter {
         self.bytes += size;
     }
 
-    /// Total bytes charged so far.
-    pub fn total_bytes(&self) -> Bytes {
-        self.bytes
-    }
-
     /// Total cost so far.
     pub fn total_cost(&self) -> f64 {
         self.bytes.as_mib_f64() * self.tariff_per_mib
@@ -72,7 +67,7 @@ mod tests {
         assert_eq!(m.total_cost(), 0.0);
         m.charge(Bytes::from_mib(3));
         assert!((m.total_cost() - 6.0).abs() < 1e-12);
-        assert_eq!(m.total_bytes(), Bytes::from_mib(3));
+        assert_eq!(m.bytes, Bytes::from_mib(3));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The GPRS uplink: session establishment, dropouts, throughput and cost.
 
-use glacsweb_faults::RetryPolicy;
 use glacsweb_sim::{BitsPerSecond, Bytes, ConfigError, SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -69,17 +68,6 @@ impl GprsConfig {
     }
 }
 
-/// Outcome of a retried attach sequence ([`GprsLink::attach_with_retry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttachOutcome {
-    /// `true` if a session is up when the sequence ended.
-    pub connected: bool,
-    /// Attach attempts actually made (≥ 1 unless the budget was zero).
-    pub attempts: u32,
-    /// Wall time consumed by attaches and backoff waits.
-    pub elapsed: SimDuration,
-}
-
 /// Outcome of one transfer attempt over an established session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferOutcome {
@@ -108,7 +96,7 @@ impl TransferOutcome {
 /// use glacsweb_link::{GprsConfig, GprsLink};
 /// use glacsweb_sim::{Bytes, SimDuration, SimRng};
 ///
-/// let mut link = GprsLink::new(GprsConfig::ideal());
+/// let mut link = GprsLink::try_new(GprsConfig::ideal()).expect("valid config");
 /// let mut rng = SimRng::seed_from(7);
 /// let setup = link.connect(&mut rng).expect("ideal network attaches");
 /// let out = link.transfer(Bytes::from_kib(165), SimDuration::from_hours(1), &mut rng);
@@ -145,20 +133,6 @@ impl GprsLink {
             attach_failures: 0,
             drops: 0,
         })
-    }
-
-    /// Creates a link in the disconnected state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; fallible callers should
-    /// use [`GprsLink::try_new`].
-    pub fn new(config: GprsConfig) -> Self {
-        match GprsLink::try_new(config) {
-            Ok(link) => link,
-            // glacsweb: allow(panic-freedom, reason = "construction-time wiring check; the fallible path is try_new, which Station::try_new uses")
-            Err(e) => panic!("invalid GPRS config: {e}"),
-        }
     }
 
     /// The configuration.
@@ -224,60 +198,6 @@ impl GprsLink {
         Ok(self.config.setup_time)
     }
 
-    /// Runs attach attempts under a [`RetryPolicy`] until one succeeds,
-    /// the policy's attempt budget is spent, or the wall-time `budget`
-    /// runs out — the §VI recovery loop ("retry with backoff rather than
-    /// hammer the network") as a reusable primitive.
-    ///
-    /// Backoff waits are jittered from `rng` and capped so the sequence
-    /// never exceeds `budget`. The first attempt starts immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if already connected, the multiplier is not positive, or
-    /// the policy is invalid.
-    pub fn attach_with_retry(
-        &mut self,
-        weather_multiplier: f64,
-        policy: &RetryPolicy,
-        budget: SimDuration,
-        rng: &mut SimRng,
-    ) -> AttachOutcome {
-        if let Err(e) = policy.validate() {
-            // glacsweb: allow(panic-freedom, reason = "retry policies are static tables validated again at station construction; an invalid one here is a wiring bug, not a runtime condition")
-            panic!("invalid retry policy: {e}");
-        }
-        let mut elapsed = SimDuration::ZERO;
-        let mut attempts = 0;
-        for attempt in 0..policy.max_attempts {
-            if attempt > 0 {
-                let wait = policy.backoff_jittered(attempt, rng);
-                let wait = wait.min(budget.saturating_sub(elapsed));
-                elapsed += wait;
-            }
-            if elapsed >= budget {
-                break;
-            }
-            attempts += 1;
-            match self.connect_weathered(weather_multiplier, rng) {
-                Ok(setup) => {
-                    elapsed += setup;
-                    return AttachOutcome {
-                        connected: true,
-                        attempts,
-                        elapsed,
-                    };
-                }
-                Err(wasted) => elapsed += wasted,
-            }
-        }
-        AttachOutcome {
-            connected: false,
-            attempts,
-            elapsed,
-        }
-    }
-
     /// Transfers up to `size` bytes within `budget` wall time.
     ///
     /// The session may drop mid-transfer; the outcome says how far it got.
@@ -325,7 +245,7 @@ mod tests {
 
     #[test]
     fn ideal_link_moves_everything() {
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(50);
         link.connect(&mut rng).expect("attach");
         let size = Bytes::from_kib(500);
@@ -344,7 +264,7 @@ mod tests {
 
     #[test]
     fn budget_truncates_transfers() {
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(51);
         link.connect(&mut rng).expect("attach");
         let out = link.transfer(Bytes::from_mib(10), SimDuration::from_mins(1), &mut rng);
@@ -358,7 +278,7 @@ mod tests {
 
     #[test]
     fn field_network_fails_attaches_sometimes() {
-        let mut link = GprsLink::new(GprsConfig::field());
+        let mut link = GprsLink::try_new(GprsConfig::field()).unwrap();
         let mut rng = SimRng::seed_from(52);
         let mut failures = 0;
         for _ in 0..1000 {
@@ -385,7 +305,7 @@ mod tests {
             setup_failure_p: 0.0,
             ..GprsConfig::field()
         };
-        let mut link = GprsLink::new(config);
+        let mut link = GprsLink::try_new(config).unwrap();
         let mut rng = SimRng::seed_from(53);
         let mut dropped = 0;
         for _ in 0..200 {
@@ -412,7 +332,7 @@ mod tests {
             setup_failure_p: 0.0,
             ..GprsConfig::field()
         };
-        let mut link = GprsLink::new(config);
+        let mut link = GprsLink::try_new(config).unwrap();
         let mut rng = SimRng::seed_from(54);
         let total = Bytes::from_mib(2);
         let mut remaining = total;
@@ -440,7 +360,7 @@ mod tests {
     fn weather_multiplier_scales_failures() {
         let mut rng = SimRng::seed_from(90);
         let rate_at = |mult: f64, rng: &mut SimRng| {
-            let mut link = GprsLink::new(GprsConfig::field());
+            let mut link = GprsLink::try_new(GprsConfig::field()).unwrap();
             let mut failures = 0u32;
             for _ in 0..2000 {
                 if link.connect_weathered(mult, rng).is_err() {
@@ -461,79 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_attaches_on_an_ideal_network_first_try() {
-        let mut link = GprsLink::new(GprsConfig::ideal());
-        let mut rng = SimRng::seed_from(60);
-        let out = link.attach_with_retry(
-            1.0,
-            &RetryPolicy::gprs_attach(),
-            SimDuration::from_hours(1),
-            &mut rng,
-        );
-        assert!(out.connected);
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.elapsed, SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn retry_survives_flaky_attaches() {
-        // 60 % attach failure: a single attempt usually loses, three
-        // attempts with backoff almost always win.
-        let config = GprsConfig {
-            setup_failure_p: 0.6,
-            ..GprsConfig::field()
-        };
-        let mut rng = SimRng::seed_from(61);
-        let mut single = 0u32;
-        let mut retried = 0u32;
-        for _ in 0..300 {
-            let mut link = GprsLink::new(config.clone());
-            if link.connect(&mut rng).is_ok() {
-                single += 1;
-            }
-            let mut link = GprsLink::new(config.clone());
-            let out = link.attach_with_retry(
-                1.0,
-                &RetryPolicy::gprs_attach(),
-                SimDuration::from_hours(1),
-                &mut rng,
-            );
-            if out.connected {
-                retried += 1;
-                assert!(link.is_connected());
-            }
-        }
-        assert!(
-            retried > single,
-            "retry ({retried}) beats single ({single})"
-        );
-        assert!(
-            retried > 210,
-            "3 attempts at p=0.6 ≈ 78 % success: {retried}/300"
-        );
-    }
-
-    #[test]
-    fn retry_respects_the_wall_time_budget() {
-        let config = GprsConfig {
-            setup_failure_p: 1.0,
-            ..GprsConfig::field()
-        };
-        let mut link = GprsLink::new(config);
-        let mut rng = SimRng::seed_from(62);
-        let budget = SimDuration::from_secs(50);
-        let out = link.attach_with_retry(1.0, &RetryPolicy::gprs_attach(), budget, &mut rng);
-        assert!(!out.connected);
-        // 45 s wasted on attempt 1; backoff would overshoot the 50 s
-        // budget, so the sequence stops early.
-        assert_eq!(out.attempts, 1);
-        assert!(out.elapsed <= budget, "{:?} > {budget:?}", out.elapsed);
-    }
-
-    #[test]
     #[should_panic(expected = "multiplier must be positive")]
     fn rejects_bad_weather_multiplier() {
-        let mut link = GprsLink::new(GprsConfig::field());
+        let mut link = GprsLink::try_new(GprsConfig::field()).unwrap();
         let mut rng = SimRng::seed_from(1);
         let _ = link.connect_weathered(0.0, &mut rng);
     }
@@ -541,7 +391,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "transfer on a down link")]
     fn transfer_requires_connection() {
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(55);
         let _ = link.transfer(Bytes(1), SimDuration::from_secs(1), &mut rng);
     }
@@ -553,6 +403,6 @@ mod tests {
             setup_failure_p: 2.0,
             ..GprsConfig::ideal()
         };
-        let _ = GprsLink::new(bad);
+        GprsLink::try_new(bad).expect("invalid GPRS config");
     }
 }

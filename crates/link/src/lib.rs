@@ -28,7 +28,7 @@ mod probe_radio;
 mod wan;
 
 pub use cost::DataCostMeter;
-pub use gprs::{AttachOutcome, GprsConfig, GprsLink, TransferOutcome};
+pub use gprs::{GprsConfig, GprsLink, TransferOutcome};
 pub use loss::LossModel;
 pub use ppp::{DisconnectReason, PppRadioLink};
 pub use probe_radio::{BatchResult, ProbeRadioLink};

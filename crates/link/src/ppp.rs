@@ -65,7 +65,7 @@ impl PppRadioLink {
 
     /// Drop hazard (events/hour) at time `t` — peaks mid-afternoon when
     /// local activity is highest.
-    pub fn drop_rate_per_hour(&self, t: SimTime) -> f64 {
+    fn drop_rate_per_hour(&self, t: SimTime) -> f64 {
         let hod = t.hour_of_day_f64();
         // 1.0 at the 04:00 trough rising to `interference_peak` at 16:00.
         let day_factor = 1.0

@@ -57,36 +57,10 @@ impl ProbeRadioLink {
         }
     }
 
-    /// Creates a link with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate or payload is zero.
-    pub fn with_params(rate: BitsPerSecond, packet_payload: Bytes, packet_overhead: Bytes) -> Self {
-        assert!(rate.value() > 0, "rate must be non-zero");
-        assert!(packet_payload.value() > 0, "payload must be non-zero");
-        ProbeRadioLink {
-            rate,
-            packet_payload,
-            packet_overhead,
-            rx_power: Watts(0.5),
-        }
-    }
-
     /// Airtime of one packet (payload + framing).
     pub fn packet_time(&self) -> SimDuration {
         self.rate
             .transfer_time(self.packet_payload + self.packet_overhead)
-    }
-
-    /// Payload bytes carried per packet (one probe reading).
-    pub fn packet_payload(&self) -> Bytes {
-        self.packet_payload
-    }
-
-    /// Base-station receiver draw while a probe session is open.
-    pub fn rx_power(&self) -> Watts {
-        self.rx_power
     }
 
     /// Streams `n` packets through the ice at the given loss probability.
@@ -96,12 +70,7 @@ impl ProbeRadioLink {
     }
 
     /// Streams `n` packets using an explicit (possibly bursty) loss model.
-    pub fn send_batch_with(
-        &self,
-        n: usize,
-        model: &mut LossModel,
-        rng: &mut SimRng,
-    ) -> BatchResult {
+    fn send_batch_with(&self, n: usize, model: &mut LossModel, rng: &mut SimRng) -> BatchResult {
         let received: Vec<bool> = (0..n).map(|_| !model.next_lost(rng)).collect();
         BatchResult {
             received,
@@ -189,11 +158,5 @@ mod tests {
             "bursty loss should cluster: {adjacent} adjacent of {}",
             missing.len()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be non-zero")]
-    fn rejects_zero_rate() {
-        let _ = ProbeRadioLink::with_params(BitsPerSecond(0), Bytes(32), Bytes(16));
     }
 }

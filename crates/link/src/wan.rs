@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn gprs_satisfies_the_trait() {
-        let mut wan: Box<dyn WanLink> = Box::new(GprsLink::new(GprsConfig::ideal()));
+        let mut wan: Box<dyn WanLink> = Box::new(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         assert_eq!(wan.label(), "gprs");
         assert_eq!(wan.rate().value(), 5000);
         let mut rng = SimRng::seed_from(1);
@@ -400,8 +400,8 @@ mod tests {
         use glacsweb_obs::MemoryRecorder;
         let cfg = GprsConfig::field();
         let origin = Origin::new("gprs", "base");
-        let mut plain = GprsLink::new(cfg.clone());
-        let mut observed = GprsLink::new(cfg);
+        let mut plain = GprsLink::try_new(cfg.clone()).unwrap();
+        let mut observed = GprsLink::try_new(cfg).unwrap();
         let mut rng_a = SimRng::seed_from(12);
         let mut rng_b = SimRng::seed_from(12);
         let mut obs = MemoryRecorder::default();

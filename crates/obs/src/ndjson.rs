@@ -35,8 +35,7 @@ pub const NDJSON_SCHEMA: &str = "glacsweb-obs/ndjson-1";
 ///
 /// The `Recorder` trait's methods cannot return errors, so I/O failures
 /// are stashed: the first error stops all further writes and is
-/// surfaced by [`NdjsonWriter::finish`] (or peeked at with
-/// [`NdjsonWriter::io_error`]). Lines are written whole — a record
+/// surfaced by [`NdjsonWriter::finish`]. Lines are written whole — a record
 /// either appears complete or not at all (short of the underlying
 /// writer tearing a single `write_all`).
 pub struct NdjsonWriter<W: io::Write + Send> {
@@ -63,12 +62,6 @@ impl<W: io::Write + Send> NdjsonWriter<W> {
     /// Lines successfully written so far.
     pub fn lines(&self) -> u64 {
         self.lines
-    }
-
-    /// The first I/O error encountered, if any; once set, the writer
-    /// drops every subsequent record.
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
     }
 
     /// Flushes and returns the underlying sink, or the first error the
@@ -277,7 +270,7 @@ mod tests {
         w.counter(at(1, 12), orig(), "b", 1); // fails
         w.counter(at(1, 12), orig(), "c", 1); // dropped silently
         assert_eq!(w.lines(), 1);
-        assert!(w.io_error().is_some());
+        assert!(w.error.is_some());
         assert!(w.finish().is_err());
     }
 

@@ -142,7 +142,7 @@ impl LeadAcidBattery {
 
     /// Effective capacity at the given temperature (lead-acid loses
     /// roughly 0.7 %/°C below 25 °C; clamped at 50 %).
-    pub fn effective_capacity(&self, temp: Celsius) -> AmpHours {
+    fn effective_capacity(&self, temp: Celsius) -> AmpHours {
         let factor = (1.0 + 0.007 * (temp.value() - 25.0)).clamp(0.5, 1.1);
         AmpHours(self.capacity.value() * factor)
     }
@@ -199,57 +199,15 @@ impl LeadAcidBattery {
         Amps(actual_delta_ah / hours)
     }
 
-    /// Advances the bank by `n_steps` equal steps of `dt` in one call.
-    ///
-    /// Replays the exact per-step recurrence of [`LeadAcidBattery::step`]
-    /// with the step-invariant terms (effective capacity, commanded
-    /// charge increment, self-discharge rate) hoisted out of the loop —
-    /// each is a whole subexpression of the stepped formula, so the
-    /// final state and meters are **bit-identical** to calling `step`
-    /// `n_steps` times (asserted by proptests). Returns the current
-    /// actually absorbed/delivered over the *final* step, which is what
-    /// a stepped caller would have observed last.
-    pub fn leap(&mut self, n_steps: u32, dt: SimDuration, current: Amps, temp: Celsius) -> Amps {
-        let hours = dt.as_hours_f64();
-        if hours <= 0.0 || n_steps == 0 {
-            return Amps(0.0);
-        }
-        let cap = self.effective_capacity(temp).value();
-        let mut delta_ah = current.value() * hours;
-        if delta_ah > 0.0 {
-            delta_ah *= self.charge_efficiency;
-        }
-        // Whole subexpressions of the per-step formulas, constant across
-        // the leap (`hours / (30·24)` and `Δah / cap`).
-        let leak_time = hours / (30.0 * 24.0);
-        let soc_step = delta_ah / cap;
-        let mut last = Amps(0.0);
-        for _ in 0..n_steps {
-            let leak = self.soc * self.self_discharge_per_month * leak_time;
-            let proposed = self.soc + soc_step - leak;
-            let clamped = proposed.clamp(0.0, 1.0);
-            let actual_delta_ah = (clamped - self.soc + leak) * cap;
-            self.soc = clamped;
-            let v = self.open_circuit_voltage().value();
-            if actual_delta_ah >= 0.0 {
-                self.charged += WattHours(actual_delta_ah / self.charge_efficiency * v);
-            } else {
-                self.discharged += WattHours(-actual_delta_ah * v);
-            }
-            last = Amps(actual_delta_ah / hours);
-        }
-        last
-    }
-
     /// Opens a constant-current **sleep glide** anchored at the bank's
     /// current state: the closed-form sleep-window integrator the fleet
     /// kernel leaps on.
     ///
-    /// Where [`LeadAcidBattery::leap`] *replays* the stepped recurrence
-    /// (bit-identical to `n × step`, but O(n)), a glide *defines* the
-    /// sleep trajectory as an exact closed form: the leak and rest
-    /// voltage are linearised at the anchor, so the state after `k`
-    /// ticks is `clamp(soc₀ + k·δ)` — one multiply-add whatever `k` is.
+    /// A glide *defines* the sleep trajectory as an exact closed form
+    /// instead of replaying `n` calls of [`LeadAcidBattery::step`]: the
+    /// leak and rest voltage are linearised at the anchor, so the state
+    /// after `k` ticks is `clamp(soc₀ + k·δ)` — one multiply-add
+    /// whatever `k` is.
     /// A per-tick stepper and a whole-window leap evaluate the *same
     /// expression* at `k = 1, 2, …` versus once at `k = n`, which is
     /// what makes leaping bit-identical to ticking **by construction**
@@ -291,12 +249,6 @@ impl LeadAcidBattery {
             delta,
             scale,
         }
-    }
-
-    /// Recharges instantly to full — used by scenario setup, not by the
-    /// simulation loop.
-    pub fn reset_full(&mut self) {
-        self.soc = 1.0;
     }
 
     /// Drains instantly to total exhaustion — the §IV "total exhaustion"
@@ -356,13 +308,13 @@ pub struct SleepGlide {
 
 impl SleepGlide {
     /// State of charge after `k` ticks: `clamp(soc₀ + k·δ)`.
-    pub fn soc_at(&self, k: u32) -> f64 {
+    fn soc_at(&self, k: u32) -> f64 {
         (self.soc0 + f64::from(k) * self.delta).clamp(0.0, 1.0)
     }
 
     /// Charged-energy meter after `k` ticks, Wh. Only a charging glide
     /// (`δ ≥ 0`) moves it; clamping at full truncates it exactly.
-    pub fn charged_at(&self, k: u32) -> f64 {
+    fn charged_at(&self, k: u32) -> f64 {
         if self.delta >= 0.0 {
             self.charged0 + (self.soc_at(k) - self.soc0) * self.scale
         } else {
@@ -372,7 +324,7 @@ impl SleepGlide {
 
     /// Discharged-energy meter after `k` ticks, Wh. Only a discharging
     /// glide (`δ < 0`) moves it; clamping at empty truncates it exactly.
-    pub fn discharged_at(&self, k: u32) -> f64 {
+    fn discharged_at(&self, k: u32) -> f64 {
         if self.delta >= 0.0 {
             self.discharged0
         } else {
@@ -661,40 +613,6 @@ mod tests {
     }
 
     proptest! {
-        /// `leap(n)` leaves the bank (state and lifetime meters)
-        /// bit-identical to `n × step` — the battery-integration leg of
-        /// the kernel's leap-equivalence contract.
-        #[test]
-        fn leap_equals_n_steps(
-            soc0 in 0.0f64..1.0,
-            current in -5.0f64..5.0,
-            secs in 1u64..7200,
-            temp in -30.0f64..30.0,
-            n in 0u32..200,
-        ) {
-            let mut leaper = LeadAcidBattery::with_state(AmpHours(36.0), soc0);
-            let mut stepper = leaper.clone();
-            let dt = SimDuration::from_secs(secs);
-            let last_leap = leaper.leap(n, dt, Amps(current), Celsius(temp));
-            let mut last_step = Amps(0.0);
-            for _ in 0..n {
-                last_step = stepper.step(dt, Amps(current), Celsius(temp));
-            }
-            prop_assert_eq!(
-                leaper.state_of_charge().to_bits(),
-                stepper.state_of_charge().to_bits()
-            );
-            prop_assert_eq!(
-                leaper.total_charged().value().to_bits(),
-                stepper.total_charged().value().to_bits()
-            );
-            prop_assert_eq!(
-                leaper.total_discharged().value().to_bits(),
-                stepper.total_discharged().value().to_bits()
-            );
-            prop_assert_eq!(last_leap.value().to_bits(), last_step.value().to_bits());
-        }
-
         /// SoC stays in [0,1] and voltage stays in the clamp range under
         /// arbitrary step sequences.
         #[test]

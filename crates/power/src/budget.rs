@@ -56,13 +56,8 @@ pub fn time_to_deplete_duty(
 }
 
 /// Energy consumed per day by a load that is on for `on_per_day` each day.
-pub fn daily_energy(load: Watts, on_per_day: SimDuration) -> WattHours {
+fn daily_energy(load: Watts, on_per_day: SimDuration) -> WattHours {
     load.over(on_per_day)
-}
-
-/// Average power of a duty-cycled load.
-pub fn average_power(load: Watts, on_per_day: SimDuration) -> Watts {
-    daily_energy(load, on_per_day).average_over(SimDuration::from_days(1))
 }
 
 /// Days of backlog at which accumulated dGPS data exceeds what one
@@ -121,14 +116,6 @@ mod tests {
         assert!((s2 - 259.0).abs() < 15.0, "state 2 bound {s2}");
         // And the paper's internal consistency: s2 = 12 × s3.
         assert!((s2 / s3 - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_power_scales_with_duty() {
-        let avg = average_power(Watts(3.6), SimDuration::from_hours(1));
-        assert!((avg.value() - 0.15).abs() < 1e-12);
-        let full = average_power(Watts(3.6), SimDuration::from_days(1));
-        assert!((full.value() - 3.6).abs() < 1e-12);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl SolarPanel {
         SolarPanel { rated }
     }
 
-    /// Rated output at full sun.
-    pub fn rated(&self) -> Watts {
-        self.rated
-    }
-
     /// Instantaneous output.
     pub fn output(&self, env: &Environment, t: SimTime) -> Watts {
         self.output_at_factor(env.solar_factor(t))
@@ -71,7 +66,7 @@ impl WindTurbine {
     ///
     /// Panics if the curve speeds are not strictly increasing or `rated`
     /// is negative.
-    pub fn with_curve(rated: Watts, cut_in_ms: f64, rated_speed_ms: f64, cut_out_ms: f64) -> Self {
+    fn with_curve(rated: Watts, cut_in_ms: f64, rated_speed_ms: f64, cut_out_ms: f64) -> Self {
         assert!(rated.value() >= 0.0, "rated power must be non-negative");
         assert!(
             0.0 < cut_in_ms && cut_in_ms < rated_speed_ms && rated_speed_ms < cut_out_ms,
@@ -85,13 +80,8 @@ impl WindTurbine {
         }
     }
 
-    /// Rated output.
-    pub fn rated(&self) -> Watts {
-        self.rated
-    }
-
     /// Output at a given wind speed.
-    pub fn output_at_speed(&self, speed_ms: f64) -> Watts {
+    fn output_at_speed(&self, speed_ms: f64) -> Watts {
         if speed_ms < self.cut_in_ms || speed_ms >= self.cut_out_ms {
             Watts::ZERO
         } else if speed_ms >= self.rated_speed_ms {
@@ -226,7 +216,7 @@ mod tests {
         let (e2, night) = env_at(2009, 6, 21, 1);
         assert!(p.output(&e, noon) > Watts(1.0));
         assert!(p.output(&e2, night) < p.output(&e, noon));
-        assert!(p.output(&e, noon) <= p.rated());
+        assert!(p.output(&e, noon) <= Watts(10.0));
     }
 
     #[test]

@@ -165,18 +165,6 @@ impl LoadSet {
         }
     }
 
-    /// `true` if the named device rail is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is unknown.
-    pub fn is_on(&self, name: &str) -> bool {
-        self.get(name)
-            // glacsweb: allow(panic-freedom, reason = "load names are compile-time constants (station::loads); querying an unregistered rail is a wiring bug the simulation must not paper over")
-            .unwrap_or_else(|| panic!("unknown load {name:?}"))
-            .on
-    }
-
     /// Total instantaneous draw of all switched-on devices.
     ///
     /// Cached between switching events: the power rail reads this once
@@ -308,7 +296,7 @@ mod tests {
         l.set_on("gps", true);
         l.all_off();
         assert_eq!(l.total_power(), Watts::ZERO);
-        assert!(!l.is_on("gumstix"));
+        assert!(!l.get("gumstix").expect("registered").on);
     }
 
     #[test]
@@ -380,7 +368,8 @@ mod tests {
         let shuffled = "{\"loads\":{\"gumstix\":{\"power\":0.9,\"on\":true,\"energy\":0.0},\
                         \"gps\":{\"power\":3.6,\"on\":false,\"energy\":0.0}}}";
         let back: LoadSet = serde_json::from_str(shuffled).expect("deserialize");
-        assert!(back.is_on("gumstix") && !back.is_on("gps"));
+        let on = |name| back.get(name).expect("registered").on;
+        assert!(on("gumstix") && !on("gps"));
         let names: Vec<String> = back.snapshot().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["gps", "gumstix"]);
     }

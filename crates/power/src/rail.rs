@@ -203,12 +203,6 @@ impl PowerRail {
         self.harvested
     }
 
-    /// Cumulative seconds during which the battery could not carry the
-    /// switched-on loads.
-    pub fn brownout_secs(&self) -> u64 {
-        self.brownout_secs
-    }
-
     /// `true` if the battery is completely exhausted right now.
     pub fn is_exhausted(&self) -> bool {
         self.battery.is_exhausted()
@@ -227,7 +221,7 @@ impl PowerRail {
     /// it finds the largest acceptance fraction whose resulting terminal
     /// voltage stays within the absorb/float band, which is what caps the
     /// midday peaks of Fig 5 near 14.4 V.
-    pub fn charge_power(&self, env: &Environment, t: SimTime) -> Watts {
+    fn charge_power(&self, env: &Environment, t: SimTime) -> Watts {
         let raw: Watts = self.chargers.iter().map(|c| c.output(env, t)).sum();
         self.tapered_charge(raw)
     }
@@ -523,7 +517,7 @@ mod tests {
         env.advance_to(end);
         rail.advance(&env, end);
         assert!(rail.battery().state_of_charge() > 0.75);
-        assert_eq!(rail.brownout_secs(), 0);
+        assert_eq!(rail.brownout_secs, 0);
     }
 
     #[test]
@@ -567,7 +561,7 @@ mod tests {
         let days = (depleted_at.expect("should deplete") - t0).as_days_f64();
         // Lab temperature ~18 °C slightly derates capacity; accept 4–6 days.
         assert!((4.0..6.0).contains(&days), "depleted after {days} days");
-        assert!(rail.brownout_secs() > 0, "brown-out accounted");
+        assert!(rail.brownout_secs > 0, "brown-out accounted");
     }
 
     #[test]
@@ -790,7 +784,7 @@ mod tests {
                     .collect()
             };
             prop_assert_eq!(by(span), by(reference));
-            prop_assert_eq!(span.brownout_secs(), reference.brownout_secs());
+            prop_assert_eq!(span.brownout_secs, reference.brownout_secs);
             for (name, _) in LOADS {
                 let energy = |r: &PowerRail| r.loads().energy(name).map(bits);
                 prop_assert_eq!(energy(span), energy(reference), "load {}", name);

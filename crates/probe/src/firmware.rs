@@ -75,11 +75,6 @@ impl ProbeFirmware {
         self.id
     }
 
-    /// When the probe was lowered down the borehole.
-    pub fn deployed_at(&self) -> SimTime {
-        self.deployed_at
-    }
-
     /// `true` if the probe has failed ("vanished offline").
     pub fn is_dead(&self) -> bool {
         self.dead_at.is_some()
@@ -93,11 +88,6 @@ impl ProbeFirmware {
         }
     }
 
-    /// `true` while the radio can answer the base.
-    pub fn radio_ok(&self) -> bool {
-        self.radio_ok
-    }
-
     /// Silences (or restores) the probe radio — the blackout fault. A
     /// silenced probe keeps sampling into its buffer but never answers a
     /// manifest query, so the base sees it exactly like a dead probe
@@ -109,11 +99,6 @@ impl ProbeFirmware {
     /// Number of readings currently buffered.
     pub fn stored_readings(&self) -> usize {
         self.buffer.readings.len()
-    }
-
-    /// Readings lost to ring-buffer overwrite (base fell too far behind).
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
     }
 
     /// The next sequence number to be assigned.
@@ -264,7 +249,7 @@ mod tests {
         }
         assert_eq!(probe.stored_readings(), 3000);
         assert_eq!(probe.manifest(), Some((0, 2999)));
-        assert_eq!(probe.overwritten(), 0);
+        assert_eq!(probe.overwritten, 0);
     }
 
     #[test]
@@ -277,7 +262,7 @@ mod tests {
             probe.sample(&env, t, &mut rng);
         }
         assert_eq!(probe.stored_readings(), 100);
-        assert_eq!(probe.overwritten(), 50);
+        assert_eq!(probe.overwritten, 50);
         assert_eq!(probe.manifest(), Some((50, 149)));
     }
 

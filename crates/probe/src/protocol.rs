@@ -212,11 +212,6 @@ impl FetchSession {
         self.probe_id
     }
 
-    /// Sessions run so far.
-    pub fn sessions_run(&self) -> u64 {
-        self.sessions_run
-    }
-
     /// Total packets over the protocol's life.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
@@ -278,7 +273,7 @@ impl FetchSession {
 
     /// [`run_with_model`](Self::run_with_model) plus telemetry (see
     /// [`run_observed`](Self::run_observed)).
-    pub fn run_with_model_observed(
+    fn run_with_model_observed(
         &mut self,
         probe: &mut ProbeFirmware,
         link: &ProbeRadioLink,

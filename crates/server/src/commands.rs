@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use glacsweb_sim::SimTime;
 use glacsweb_station::md5::{md5, to_hex};
 use glacsweb_station::{CodeUpdate, SpecialCommand, SpecialResult, StationId};
 use serde::{Deserialize, Serialize};
@@ -108,35 +107,6 @@ impl CommandDesk {
     pub fn special_results(&self) -> &[(StationId, SpecialResult)] {
         &self.special_results
     }
-
-    /// Round-trip latency of a special command: staged at `staged_at`,
-    /// result visible at the server only once the next day's log arrives —
-    /// the §VI "48 hours delay between the code being sent and the results
-    /// from it being acted upon".
-    ///
-    /// Returns `None` when no result for `id` has arrived, **and** when
-    /// `arrived_at` precedes `staged_at`. The latter happens after the
-    /// paper's §IV RTC-reset restart: a station whose clock reset stamps
-    /// its uploads before the staging instant, and a negative round trip
-    /// is a clock anomaly, not a zero-latency ride — saturating it to
-    /// zero would silently drag every latency statistic toward the
-    /// impossible. Callers that want to count anomalies separately can
-    /// compare the timestamps themselves; this method only ever reports
-    /// latencies that were actually measured forwards.
-    pub fn result_latency(
-        &self,
-        id: u64,
-        staged_at: SimTime,
-        arrived_at: SimTime,
-    ) -> Option<glacsweb_sim::SimDuration> {
-        if arrived_at < staged_at {
-            return None;
-        }
-        self.special_results
-            .iter()
-            .find(|(_, r)| r.id == id)
-            .map(|_| arrived_at.saturating_since(staged_at))
-    }
 }
 
 #[cfg(test)]
@@ -238,50 +208,5 @@ mod tests {
             }],
         );
         assert_eq!(desk.special_results().len(), 1);
-        let staged = glacsweb_sim::SimTime::from_ymd_hms(2009, 9, 22, 9, 0, 0);
-        let arrived = glacsweb_sim::SimTime::from_ymd_hms(2009, 9, 24, 12, 30, 0);
-        let latency = desk
-            .result_latency(id, staged, arrived)
-            .expect("result exists");
-        assert!(
-            latency > SimDuration::from_hours(48),
-            "the §VI ~48 h round trip"
-        );
-    }
-
-    #[test]
-    fn clock_reset_latency_is_unmeasurable_not_zero() {
-        // The §IV RTC-reset restart: the station's clock reset to the
-        // epoch, so its "arrival" stamp precedes the staging instant.
-        // Pre-fix this saturated to Some(0s) — a fake zero-latency round
-        // trip polluting every latency statistic. It must be None.
-        let mut desk = CommandDesk::new();
-        let id = desk.stage_special(
-            StationId::Base,
-            Bytes(1),
-            SimDuration::from_secs(1),
-            Bytes(1),
-        );
-        desk.receive_special_results(
-            StationId::Base,
-            &[SpecialResult {
-                id,
-                executed_at: glacsweb_sim::SimTime::EPOCH + SimDuration::from_hours(1),
-                output_size: Bytes(1),
-            }],
-        );
-        let staged = glacsweb_sim::SimTime::from_ymd_hms(2009, 9, 22, 9, 0, 0);
-        let arrived_before_staging = glacsweb_sim::SimTime::EPOCH + SimDuration::from_hours(2);
-        assert_eq!(
-            desk.result_latency(id, staged, arrived_before_staging),
-            None,
-            "a backwards round trip is a clock anomaly, not zero latency"
-        );
-        // Sanity: the same result measured forwards still reports.
-        let arrived = staged + SimDuration::from_hours(50);
-        assert_eq!(
-            desk.result_latency(id, staged, arrived),
-            Some(SimDuration::from_hours(50))
-        );
     }
 }

@@ -201,25 +201,6 @@ impl Warehouse {
         s
     }
 
-    /// Subglacial water-pressure series for one probe, kPa — the other
-    /// half of the §I stick-slip analysis.
-    pub fn pressure_series(&self, probe: ProbeId) -> TimeSeries {
-        let mut s = TimeSeries::new(format!("probe {probe} pressure (kPa)"));
-        for r in self.probe_series(probe) {
-            s.push(r.time, r.pressure_kpa);
-        }
-        s
-    }
-
-    /// Case-tilt series for one probe, degrees (till-deformation studies).
-    pub fn tilt_series(&self, probe: ProbeId) -> TimeSeries {
-        let mut s = TimeSeries::new(format!("probe {probe} tilt (deg)"));
-        for r in self.probe_series(probe) {
-            s.push(r.time, r.tilt_deg);
-        }
-        s
-    }
-
     /// Totals: (upload items, sensor samples, logs, log bytes).
     pub fn totals(&self) -> (u64, u64, u64, Bytes) {
         (
@@ -476,9 +457,6 @@ mod tests {
         assert_eq!(series.len(), 2);
         assert_eq!(w.probe_series(24).len(), 1);
         assert!(w.conductivity_series(99).is_empty());
-        assert_eq!(w.pressure_series(21).len(), 2);
-        assert_eq!(w.tilt_series(24).len(), 1);
-        assert!((w.pressure_series(21).stats().mean - 600.0).abs() < 1e-9);
     }
 
     #[test]

@@ -296,11 +296,6 @@ impl FleetCore {
         self.stations
     }
 
-    /// Shard count (fixed at construction).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Requests the HTTP layer has completed so far.
     pub fn requests_served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
@@ -559,6 +554,7 @@ fn apply_check_in(shard: &mut Shard, station: u64, at: SimTime, soc: u32) {
 }
 
 /// The staged update's file name for a station (pure function).
+// glacsweb: allow(dead-pub, reason = "the glacbench service workload stages and checks updates through this; glacbench is a separate workspace the analyzer does not scan")
 pub fn update_name(station: u64) -> String {
     // glacsweb: allow(perf-hygiene, reason = "staging runs once at startup, never per request")
     format!("control-{station}.py")
@@ -572,6 +568,7 @@ pub fn update_payload(station: u64) -> Vec<u8> {
 }
 
 /// Hex digest of a staged payload — what a correct station reports back.
+// glacsweb: allow(dead-pub, reason = "the glacbench service workload verifies fetched updates with this; glacbench is a separate workspace the analyzer does not scan")
 pub fn update_md5_hex(payload: &[u8]) -> String {
     to_hex(&md5(payload))
 }
@@ -597,7 +594,7 @@ mod tests {
     #[test]
     fn shards_never_outnumber_pairs() {
         let core = FleetCore::new(4, 64).expect("valid");
-        assert_eq!(core.shard_count(), 2, "2 pairs cap 64 requested shards");
+        assert_eq!(core.shards.len(), 2, "2 pairs cap 64 requested shards");
     }
 
     #[test]

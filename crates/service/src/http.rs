@@ -231,9 +231,8 @@ impl<'a> Request<'a> {
 
 /// Serialises responses into a reusable output buffer.
 ///
-/// A handler builds its body with [`ResponseWriter::put_str`] /
-/// [`ResponseWriter::put_u64`] / [`ResponseWriter::put_hex`] (or writes
-/// into [`ResponseWriter::body_mut`] directly), then seals it with
+/// A handler builds its body with `put_str` / `put_u64` / `put_hex` (or
+/// writes into `body_mut` directly), then seals it with
 /// [`ResponseWriter::finish`], which serialises status line + headers +
 /// body into the pending output. Pending output is flushed to the
 /// socket before the connection blocks reading — so pipelined
@@ -250,25 +249,25 @@ pub struct ResponseWriter {
 
 impl ResponseWriter {
     /// Appends literal text to the current response body.
-    pub fn put_str(&mut self, s: &str) {
+    fn put_str(&mut self, s: &str) {
         self.body.push_str(s);
     }
 
     /// Appends a decimal integer to the current response body without
     /// allocating.
-    pub fn put_u64(&mut self, v: u64) {
+    fn put_u64(&mut self, v: u64) {
         push_u64(&mut self.body, v);
     }
 
     /// Appends lower-case hex of `bytes` to the current response body
     /// without allocating.
-    pub fn put_hex(&mut self, bytes: &[u8]) {
+    fn put_hex(&mut self, bytes: &[u8]) {
         push_hex(&mut self.body, bytes);
     }
 
     /// Direct access to the body buffer, for writers that append into a
     /// `&mut String` (analytics JSON, telemetry NDJSON).
-    pub fn body_mut(&mut self) -> &mut String {
+    fn body_mut(&mut self) -> &mut String {
         &mut self.body
     }
 
@@ -890,15 +889,7 @@ pub fn push_hex(out: &mut String, bytes: &[u8]) {
     }
 }
 
-/// Lower-case hex encoding into a fresh `String` (tooling convenience;
-/// the serving path appends with [`push_hex`] instead).
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    push_hex(&mut out, bytes);
-    out
-}
-
-/// Inverse of [`hex_encode`], decoding into `out` (cleared first, its
+/// Inverse of [`push_hex`], decoding into `out` (cleared first, its
 /// capacity reused); `false` on odd length or non-hex digits.
 pub fn hex_decode_into(text: &str, out: &mut Vec<u8>) -> bool {
     out.clear();
@@ -928,8 +919,10 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let data = b"glacsweb \x00\xff payload";
+        let mut hex = String::new();
+        push_hex(&mut hex, data);
         let mut out = vec![7u8; 3];
-        assert!(hex_decode_into(&hex_encode(data), &mut out));
+        assert!(hex_decode_into(&hex, &mut out));
         assert_eq!(out, data, "decoding replaces what the buffer held");
         assert!(!hex_decode_into("abc", &mut out), "odd length");
         assert!(!hex_decode_into("zz", &mut out), "non-hex");

@@ -224,7 +224,7 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Nearest-rank percentiles over an ascending-sorted sample.
-    pub fn from_sorted(sorted: &[u64]) -> LatencyStats {
+    fn from_sorted(sorted: &[u64]) -> LatencyStats {
         LatencyStats {
             p50_us: percentile_us(sorted, 500),
             p99_us: percentile_us(sorted, 990),

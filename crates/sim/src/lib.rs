@@ -28,7 +28,7 @@
 //!
 //! let (t, what) = queue.pop().expect("queue is non-empty");
 //! assert_eq!(what, "battery sample");
-//! assert_eq!(t.time_of_day(), (0, 30, 0));
+//! assert_eq!(t.seconds_of_day(), 30 * 60);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -100,21 +100,6 @@ impl SimRng {
         }
     }
 
-    /// Jumps forward to an absolute stream position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is behind the current position — the stream
-    /// only moves forward.
-    pub fn seek(&mut self, target: u64) {
-        assert!(
-            target >= self.pos,
-            "cannot seek backwards (at {}, asked for {target})",
-            self.pos
-        );
-        self.skip_raw(target - self.pos);
-    }
-
     /// Derives an independent child generator for a named stream.
     ///
     /// Components each fork their own stream so that adding a new consumer
@@ -211,16 +196,6 @@ impl SimRng {
         );
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         scale * (-u.ln()).powf(1.0 / shape)
-    }
-
-    /// Chooses one element of a non-empty slice uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot choose from an empty slice");
-        &items[self.below(items.len() as u64) as usize]
     }
 }
 
@@ -465,24 +440,6 @@ mod tests {
         assert_eq!(one, parts);
         assert_eq!(one.position(), total);
         assert_eq!(one.next_u64(), parts.next_u64());
-    }
-
-    #[test]
-    fn seek_reaches_absolute_position() {
-        let mut a = SimRng::seed_from(55);
-        let mut b = SimRng::seed_from(55);
-        a.f64();
-        a.seek(37);
-        b.skip_raw(37);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "seek backwards")]
-    fn seek_backwards_panics() {
-        let mut rng = SimRng::seed_from(56);
-        rng.skip_raw(5);
-        rng.seek(2);
     }
 
     proptest! {

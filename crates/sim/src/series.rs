@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{CivilDate, SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A named series of `(time, value)` samples in non-decreasing time order.
 ///
@@ -134,56 +134,6 @@ impl TimeSeries {
             .take_while(move |&(t, _)| t < end)
     }
 
-    /// Daily mean values, keyed by civil date.
-    ///
-    /// This is exactly the paper's §III daily battery-voltage averaging:
-    /// half-hourly samples are reduced to one figure per day so that the
-    /// power-state decision reflects overall battery health rather than the
-    /// midday peak.
-    pub fn daily_means(&self) -> Vec<(CivilDate, f64)> {
-        let mut out: Vec<(CivilDate, f64, usize)> = Vec::new();
-        for &(t, v) in &self.points {
-            let date = t.date();
-            match out.last_mut() {
-                Some((d, sum, n)) if *d == date => {
-                    *sum += v;
-                    *n += 1;
-                }
-                _ => out.push((date, v, 1)),
-            }
-        }
-        out.into_iter()
-            .map(|(d, sum, n)| (d, sum / n as f64))
-            .collect()
-    }
-
-    /// Mean values over fixed-size buckets starting at the first sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is zero.
-    pub fn resample_mean(&self, bucket: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(bucket.as_secs() > 0, "bucket must be non-zero");
-        let Some(&(t0, _)) = self.points.first() else {
-            return Vec::new();
-        };
-        let mut out: Vec<(SimTime, f64, usize)> = Vec::new();
-        for &(t, v) in &self.points {
-            let idx = (t - t0).as_secs() / bucket.as_secs();
-            let bucket_start = t0 + bucket * idx;
-            match out.last_mut() {
-                Some((bt, sum, n)) if *bt == bucket_start => {
-                    *sum += v;
-                    *n += 1;
-                }
-                _ => out.push((bucket_start, v, 1)),
-            }
-        }
-        out.into_iter()
-            .map(|(t, sum, n)| (t, sum / n as f64))
-            .collect()
-    }
-
     /// Ordinary least-squares slope of value against time (per second).
     ///
     /// # Panics
@@ -299,23 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn daily_means_reduce_half_hourly_samples() {
-        let mut s = TimeSeries::new("v");
-        let day1 = SimTime::from_ymd_hms(2009, 9, 22, 0, 0, 0);
-        // 48 half-hourly samples of 12.0 on day one, 48 of 13.0 on day two.
-        for i in 0..96u64 {
-            let v = if i < 48 { 12.0 } else { 13.0 };
-            s.push(day1 + SimDuration::from_mins(30 * i), v);
-        }
-        let means = s.daily_means();
-        assert_eq!(means.len(), 2);
-        assert!((means[0].1 - 12.0).abs() < 1e-12);
-        assert!((means[1].1 - 13.0).abs() < 1e-12);
-        assert_eq!(means[0].0.day, 22);
-        assert_eq!(means[1].0.day, 23);
-    }
-
-    #[test]
     fn window_selects_half_open_range() {
         let mut s = TimeSeries::new("v");
         for i in 0..10u64 {
@@ -328,25 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn resample_mean_buckets() {
-        let mut s = TimeSeries::new("v");
-        for i in 0..6u64 {
-            s.push(t(i * 10), i as f64);
-        }
-        let r = s.resample_mean(SimDuration::from_secs(20));
-        assert_eq!(r.len(), 3);
-        assert!((r[0].1 - 0.5).abs() < 1e-12);
-        assert!((r[1].1 - 2.5).abs() < 1e-12);
-        assert!((r[2].1 - 4.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_series_behaviour() {
         let s = TimeSeries::new("v");
         assert!(s.is_empty());
         assert_eq!(s.last(), None);
-        assert!(s.resample_mean(SimDuration::from_secs(60)).is_empty());
-        assert!(s.daily_means().is_empty());
     }
 
     #[test]

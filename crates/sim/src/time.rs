@@ -31,7 +31,7 @@ const DAY: u64 = 86_400;
 ///
 /// let t = SimTime::from_ymd_hms(2009, 9, 22, 12, 0, 0);
 /// assert_eq!(t.date().to_string(), "2009-09-22");
-/// assert_eq!(t.time_of_day(), (12, 0, 0));
+/// assert_eq!(t.to_string(), "2009-09-22 12:00:00");
 /// assert_eq!((t + SimDuration::from_days(3)).date().day, 25);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ impl SimTime {
     }
 
     /// The `(hour, minute, second)` of the day, UTC.
-    pub const fn time_of_day(self) -> (u32, u32, u32) {
+    const fn time_of_day(self) -> (u32, u32, u32) {
         let s = self.0 % DAY;
         (
             (s / HOUR) as u32,

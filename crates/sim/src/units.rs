@@ -162,18 +162,6 @@ impl Watts {
     pub fn over(self, dt: SimDuration) -> WattHours {
         WattHours(self.0 * dt.as_hours_f64())
     }
-
-    /// Current drawn at this power from the given rail voltage.
-    pub fn current_at(self, v: Volts) -> Amps {
-        Amps(self.0 / v.0)
-    }
-}
-
-impl WattHours {
-    /// The average power if spread over `dt`.
-    pub fn average_over(self, dt: SimDuration) -> Watts {
-        Watts(self.0 / dt.as_hours_f64())
-    }
 }
 
 impl AmpHours {
@@ -380,8 +368,6 @@ mod tests {
     fn power_current_voltage_relations() {
         let p = Volts(12.0) * Amps(0.1);
         assert!((p.value() - 1.2).abs() < 1e-12);
-        let i = Watts(0.9).current_at(Volts(5.0));
-        assert!((i.value() - 0.18).abs() < 1e-12);
     }
 
     #[test]
@@ -433,11 +419,5 @@ mod tests {
     #[test]
     fn dimensionless_ratio() {
         assert!((WattHours(432.0) / WattHours(3.6) - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_power_over_window() {
-        let avg = WattHours(4.32).average_over(SimDuration::from_days(1));
-        assert!((avg.value() - 0.18).abs() < 1e-12);
     }
 }

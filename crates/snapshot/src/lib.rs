@@ -163,7 +163,7 @@ impl From<serde::de::Error> for SnapshotError {
 // idx) and the table initializer runs at compile time; see the inline
 // ledger entries.
 #[allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     // const-evaluated once; no runtime table-build cost per call site.
     const TABLE: [u32; 256] = {
         // `crc32_table` is not const-callable on this toolchain floor, so

@@ -122,11 +122,6 @@ impl DataStore {
         self.total_uploaded
     }
 
-    /// Lifetime files delivered.
-    pub fn total_files(&self) -> u64 {
-        self.total_files
-    }
-
     /// Names of files fully delivered since the last drain — the caller
     /// uses this to free the corresponding CF-card copies.
     pub fn drain_completed(&mut self) -> impl Iterator<Item = FileName> + '_ {
@@ -243,7 +238,7 @@ mod tests {
             let (n, s, p) = sensor_file(i, 40);
             store.queue(n, s, p, noon());
         }
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(1);
         link.connect(&mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
@@ -260,7 +255,7 @@ mod tests {
         assert_eq!(report.files_completed, 5);
         assert_eq!(uplink.items.len(), 5);
         assert_eq!(store.backlog_bytes(), Bytes::ZERO);
-        assert_eq!(store.total_files(), 5);
+        assert_eq!(store.total_files, 5);
         assert!(cost.total_cost() > 0.0);
     }
 
@@ -269,7 +264,7 @@ mod tests {
         let mut store = DataStore::new();
         let (n, s, p) = sensor_file(1, 400); // 400 KiB ≈ 655 s at 625 B/s
         store.queue(n, s, p, noon());
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(2);
         link.connect(&mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
@@ -311,7 +306,7 @@ mod tests {
             let (n, s, p) = sensor_file(i, 200);
             store.queue(n, s, p, noon());
         }
-        let mut link = GprsLink::new(config);
+        let mut link = GprsLink::try_new(config).unwrap();
         let mut rng = SimRng::seed_from(3);
         link.connect(&mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
@@ -340,7 +335,7 @@ mod tests {
         }
         // 12 × 165 KiB ≈ 1.93 MiB needs ≈ 54 min on an ideal link; give
         // 20-minute windows so several days are needed.
-        let mut link = GprsLink::new(GprsConfig::ideal());
+        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
         let mut rng = SimRng::seed_from(4);
         let mut uplink = FakeUplink::default();
         let mut cost = DataCostMeter::per_megabyte(4.0);

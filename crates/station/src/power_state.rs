@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use glacsweb_sim::{SimDuration, Volts};
+use glacsweb_sim::Volts;
 use serde::{Deserialize, Serialize};
 
 /// One of the four operating states of Table II.
@@ -96,15 +96,6 @@ impl PowerState {
     /// MSP430 sensor readings always run (Table II).
     pub fn sensor_readings(self) -> bool {
         true
-    }
-
-    /// The interval between dGPS readings, if any are scheduled (2-hourly
-    /// in state 3 — the spacing of the Fig 5 dips).
-    pub fn gps_interval(self) -> Option<SimDuration> {
-        match self.gps_readings_per_day() {
-            0 => None,
-            n => Some(SimDuration::from_hours(24 / u64::from(n))),
-        }
     }
 }
 
@@ -214,19 +205,6 @@ mod tests {
         assert_eq!(p.state_for(Volts(11.5)), PowerState::S1);
         assert_eq!(p.state_for(Volts(11.49)), PowerState::S0);
         assert_eq!(p.state_for(Volts(9.0)), PowerState::S0);
-    }
-
-    #[test]
-    fn state3_reads_every_two_hours() {
-        assert_eq!(
-            PowerState::S3.gps_interval(),
-            Some(SimDuration::from_hours(2))
-        );
-        assert_eq!(
-            PowerState::S2.gps_interval(),
-            Some(SimDuration::from_hours(24))
-        );
-        assert_eq!(PowerState::S1.gps_interval(), None);
     }
 
     #[test]

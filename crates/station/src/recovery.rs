@@ -42,14 +42,6 @@ impl RecoveryConfig {
         }
     }
 
-    /// With the proposed NTP extension enabled.
-    pub fn with_ntp_fallback() -> Self {
-        RecoveryConfig {
-            ntp_fallback: true,
-            ..RecoveryConfig::deployed_2008()
-        }
-    }
-
     /// Validates parameter ranges.
     ///
     /// # Errors
@@ -99,11 +91,6 @@ pub enum RecoveryOutcome {
 }
 
 impl RecoveryOutcome {
-    /// `true` if the station ended the check with a trusted clock.
-    pub fn clock_trusted(self) -> bool {
-        !matches!(self, RecoveryOutcome::SleepAndRetry)
-    }
-
     /// `true` if a recovery action (not merely a check) took place.
     pub fn recovered(self) -> bool {
         matches!(
@@ -126,18 +113,19 @@ mod tests {
 
     #[test]
     fn ntp_variant_enables_fallback() {
-        let c = RecoveryConfig::with_ntp_fallback();
+        let c = RecoveryConfig {
+            ntp_fallback: true,
+            ..RecoveryConfig::deployed_2008()
+        };
         assert!(c.ntp_fallback);
         c.validate().expect("valid");
     }
 
     #[test]
     fn outcome_predicates() {
-        assert!(RecoveryOutcome::NotNeeded.clock_trusted());
         assert!(!RecoveryOutcome::NotNeeded.recovered());
         assert!(RecoveryOutcome::RecoveredViaGps.recovered());
-        assert!(RecoveryOutcome::RecoveredViaNtp.clock_trusted());
-        assert!(!RecoveryOutcome::SleepAndRetry.clock_trusted());
+        assert!(RecoveryOutcome::RecoveredViaNtp.recovered());
         assert!(!RecoveryOutcome::SleepAndRetry.recovered());
     }
 

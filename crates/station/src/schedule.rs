@@ -39,14 +39,6 @@ impl Schedule {
         Schedule::standard(PowerState::S0)
     }
 
-    /// Next battery sample strictly after `now`.
-    pub fn next_sample(&self, now: SimTime) -> SimTime {
-        let step = self.sample_interval.as_secs();
-        let since_midnight = now.seconds_of_day();
-        let next_slot = (since_midnight / step + 1) * step;
-        now.start_of_day() + SimDuration::from_secs(next_slot)
-    }
-
     /// Next daily window opening strictly after `now`.
     pub fn next_window(&self, now: SimTime) -> SimTime {
         now.next_time_of_day(self.window_hour_utc, 0, 0)
@@ -106,20 +98,6 @@ mod tests {
 
     fn at(h: u32, m: u32) -> SimTime {
         SimTime::from_ymd_hms(2009, 9, 22, h, m, 0)
-    }
-
-    #[test]
-    fn samples_every_thirty_minutes() {
-        let s = Schedule::standard(PowerState::S2);
-        assert_eq!(s.next_sample(at(10, 0)), at(10, 30));
-        assert_eq!(s.next_sample(at(10, 29)), at(10, 30));
-        assert_eq!(s.next_sample(at(10, 30)), at(11, 0));
-        // Midnight wrap.
-        let last = SimTime::from_ymd_hms(2009, 9, 22, 23, 45, 0);
-        assert_eq!(
-            s.next_sample(last),
-            SimTime::from_ymd_hms(2009, 9, 23, 0, 0, 0)
-        );
     }
 
     #[test]

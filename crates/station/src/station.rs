@@ -324,20 +324,6 @@ pub struct StationState {
 }
 
 impl Station {
-    /// Builds a station at `start` simulated time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; fallible callers should
-    /// use [`Station::try_new`].
-    pub fn new(config: StationConfig, start: SimTime, seed: u64) -> Self {
-        match Station::try_new(config, start, seed) {
-            Ok(station) => station,
-            // glacsweb: allow(panic-freedom, reason = "construction-time wiring check kept for example/test ergonomics; the fallible path is try_new")
-            Err(e) => panic!("invalid station config: {e}"),
-        }
-    }
-
     /// Builds a station at `start` simulated time, validating the
     /// configuration first.
     ///
@@ -618,12 +604,6 @@ impl Station {
     /// When the station last completed (or started) a daily run.
     pub fn last_run(&self) -> Option<SimTime> {
         self.last_run
-    }
-
-    /// Current RTC error in seconds (positive = this unit's clock runs
-    /// fast). Zeroed by every GPS time fix.
-    pub fn clock_error_secs(&self) -> f64 {
-        self.clock_error_secs
     }
 
     /// A housekeeping snapshot of the station's condition.
@@ -1022,21 +1002,11 @@ impl Station {
         self.gprs_degradation = severity;
     }
 
-    /// The current fault-injected GPRS degradation multiplier.
-    pub fn gprs_degradation(&self) -> f64 {
-        self.gprs_degradation
-    }
-
     /// Arms (or clears) the §VI stuck-transfer hang: while armed, the
     /// upload step stalls until the watchdog cuts the window — "a
     /// watchdog was added … to reboot the system if the software hangs".
     pub fn inject_stuck_transfer(&mut self, stuck: bool) {
         self.stuck_transfer = stuck;
-    }
-
-    /// `true` while a stuck-transfer fault is armed.
-    pub fn stuck_transfer(&self) -> bool {
-        self.stuck_transfer
     }
 
     /// Forces total battery exhaustion at `t` — the §IV power-failure
@@ -1056,20 +1026,10 @@ impl Station {
         self.wired_probe_ok = ok;
     }
 
-    /// `true` while the wired-probe gateway is functional.
-    pub fn wired_probe_ok(&self) -> bool {
-        self.wired_probe_ok
-    }
-
     /// Informs a relay-architecture station whether its partner (the
     /// reference station) is alive; a no-op for dual-GPRS stations.
     pub fn set_wan_partner_up(&mut self, up: bool) {
         self.wan.set_partner_up(up);
-    }
-
-    /// The station's CF card.
-    pub fn card(&self) -> &CfCard {
-        &self.card
     }
 
     /// Mirrors a queued file onto the CF card, logging (but tolerating)
@@ -1749,7 +1709,7 @@ mod tests {
         let mut config = StationConfig::base_2008();
         config.gprs = GprsConfig::ideal();
         config.controller = ControllerConfig::lessons_learnt();
-        let station = Station::new(config, start, 4242);
+        let station = Station::try_new(config, start, 4242).unwrap();
         (env, station)
     }
 
@@ -2062,7 +2022,7 @@ mod tests {
         config.initial_soc = 0.2;
         config.solar = None;
         config.wind = None;
-        let mut station = Station::new(config, start, 9);
+        let mut station = Station::try_new(config, start, 9).unwrap();
         // Leave the Gumstix-scale GPS load on via gps slots: simply advance
         // with the MSP on; self-discharge plus load kills a 0.2-SoC 1-Ah
         // bank within days.
@@ -2157,7 +2117,7 @@ mod tests {
         config.initial_soc = 0.02; // deeply discharged → S0 daily average
         config.solar = None;
         config.wind = None;
-        let mut station = Station::new(config, start, 4242);
+        let mut station = Station::try_new(config, start, 4242).unwrap();
         let mut server = FakeServer::default();
         let report = run_day(&mut env, &mut station, &mut [], &mut server, start)
             .expect("still powered, barely");
@@ -2174,7 +2134,7 @@ mod tests {
         let mut env = Environment::new(EnvConfig::vatnajokull(), 17);
         let mut config = StationConfig::reference_2008();
         config.gprs = GprsConfig::ideal();
-        let mut station = Station::new(config, start, 7);
+        let mut station = Station::try_new(config, start, 7).unwrap();
         let slot = start + SimDuration::from_mins(30);
         station.on_gps_slot(&mut env, slot);
         let file = &station.dgps().pending_files()[0];
@@ -2196,7 +2156,7 @@ mod tests {
             setup_failure_p: 1.0,
             ..GprsConfig::field()
         };
-        let mut station = Station::new(config, start, 4242);
+        let mut station = Station::try_new(config, start, 4242).unwrap();
         let mut server = FakeServer::default();
         for d in 0..3 {
             run_day(
@@ -2208,11 +2168,11 @@ mod tests {
             );
         }
         assert_eq!(
-            station.card().list().len(),
+            station.card.list().len(),
             station.store().backlog_files(),
             "card and queue agree"
         );
-        assert!(station.card().used().value() > 0);
+        assert!(station.card.used().value() > 0);
         let _ = station;
     }
 
@@ -2224,7 +2184,7 @@ mod tests {
         let report = run_day(&mut env, &mut station, &mut [], &mut server, start).expect("runs");
         assert!(report.upload.drained);
         assert_eq!(
-            station.card().list().len(),
+            station.card.list().len(),
             0,
             "everything uploaded and freed"
         );
@@ -2241,7 +2201,7 @@ mod tests {
             ..GprsConfig::field()
         };
         config.controller = ControllerConfig::lessons_learnt();
-        let mut station = Station::new(config, start, 4242);
+        let mut station = Station::try_new(config, start, 4242).unwrap();
         let mut server = FakeServer::default();
         for d in 0..4 {
             run_day(
@@ -2252,10 +2212,10 @@ mod tests {
                 start + SimDuration::from_days(d),
             );
         }
-        let files_before = station.card().list().len();
+        let files_before = station.card.list().len();
         assert!(files_before > 0);
         station.inject_card_corruption();
-        assert!(station.card().is_corrupted());
+        assert!(station.card.is_corrupted());
         let report = run_day(
             &mut env,
             &mut station,
@@ -2266,8 +2226,8 @@ mod tests {
         .expect("runs");
         let (kept, lost) = report.card_recovered.expect("recovery ran");
         assert_eq!(kept + lost, files_before, "every file accounted for");
-        assert!(!station.card().is_corrupted());
-        assert_eq!(station.card().corruption_events(), 1);
+        assert!(!station.card.is_corrupted());
+        assert_eq!(station.card.corruption_events(), 1);
     }
 
     #[test]
@@ -2281,7 +2241,7 @@ mod tests {
         config.solar = None;
         config.wind = None;
         config.initial_soc = 0.11; // state 0
-        let mut station = Station::new(config, start, 4242);
+        let mut station = Station::try_new(config, start, 4242).unwrap();
         let mut rng = SimRng::seed_from(5);
         let mut probe = ProbeFirmware::deploy(21, start, &mut rng);
         let mut server = FakeServer::default();
@@ -2359,15 +2319,15 @@ mod tests {
     fn rtc_drift_accumulates_and_gps_readings_fix_it() {
         let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
         let (mut env, mut station) = lab_station(start);
-        assert_eq!(station.clock_error_secs(), 0.0);
+        assert_eq!(station.clock_error_secs, 0.0);
         // Thirty days with no GPS activity: the crystal drifts.
         station.advance(&mut env, start + SimDuration::from_days(30));
-        let drifted = station.clock_error_secs();
+        let drifted = station.clock_error_secs;
         assert!((drifted - 120.0).abs() < 1.0, "4 s/day × 30 d: {drifted}");
         // One dGPS recording doubles as a time fix.
         let slot = start + SimDuration::from_days(30) + SimDuration::from_mins(30);
         station.on_gps_slot(&mut env, slot);
-        assert_eq!(station.clock_error_secs(), 0.0, "GPS time zeroes the error");
+        assert_eq!(station.clock_error_secs, 0.0, "GPS time zeroes the error");
         // And the reading's timestamp reflects the pre-fix skew.
         let file = station
             .dgps()
@@ -2406,7 +2366,7 @@ mod tests {
         let env = Environment::new(env_config, 17);
         let mut config = StationConfig::base_2008();
         config.gprs = GprsConfig::ideal();
-        let station = Station::new(config, start, 4242);
+        let station = Station::try_new(config, start, 4242).unwrap();
         (env, station)
     }
 
@@ -2492,15 +2452,18 @@ mod tests {
         station.set_wired_probe_ok(true);
         server.unreachable = false;
         // Every GPRS attach fails for a week: files pile up on the card.
-        station.wan = Box::new(GprsLink::new(GprsConfig {
-            setup_failure_p: 1.0,
-            ..GprsConfig::ideal()
-        }));
+        station.wan = Box::new(
+            GprsLink::try_new(GprsConfig {
+                setup_failure_p: 1.0,
+                ..GprsConfig::ideal()
+            })
+            .unwrap(),
+        );
         for _ in 0..7 {
             let no_attach = next(&mut station, &mut [], &mut server);
             assert!(!no_attach.gprs_connected);
         }
-        station.wan = Box::new(GprsLink::new(GprsConfig::ideal()));
+        station.wan = Box::new(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         // The card is corrupted (recovered, some files lost) and the
         // transfer hangs until the watchdog cuts the window.
         station.inject_card_corruption();
@@ -2588,6 +2551,6 @@ mod tests {
     fn rejects_invalid_config() {
         let mut config = StationConfig::base_2008();
         config.initial_soc = 2.0;
-        let _ = Station::new(config, SimTime::EPOCH, 0);
+        Station::try_new(config, SimTime::EPOCH, 0).expect("invalid station config");
     }
 }

@@ -78,7 +78,7 @@ proptest! {
             mean_time_to_drop: SimDuration::from_mins(mean_drop_mins),
             ..GprsConfig::field()
         };
-        let mut link = GprsLink::new(config);
+        let mut link = GprsLink::try_new(config).unwrap();
         let mut rng = SimRng::seed_from(seed);
         let total = Bytes::from_kib(size_kib);
         let mut remaining = total;
