@@ -1102,7 +1102,7 @@ mod tests {
         assert_eq!(telemetry.counter_value(world, "faults_on"), 1);
         assert_eq!(telemetry.counter_value(world, "faults_off"), 1);
         assert!(
-            telemetry.events().iter().any(|e| e.name == "fault_on"),
+            telemetry.events().any(|e| e.name == "fault_on"),
             "fault activation event present"
         );
     }

@@ -258,6 +258,15 @@ impl Fleet {
                     site.index
                 )));
             }
+            // Every run advances all sites and the fleet to one horizon,
+            // so the clocks agree; a site clock elsewhere would make the
+            // next run simulate from it.
+            if site.now != state.now {
+                return Err(SnapshotError::invalid(format!(
+                    "site {i} clock {:?} differs from the fleet clock {:?}",
+                    site.now, state.now
+                )));
+            }
             if !site.st.columns_consistent(stations) {
                 return Err(SnapshotError::invalid(format!(
                     "site {i} station columns are inconsistent with {stations} stations"

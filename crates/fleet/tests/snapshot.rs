@@ -62,6 +62,25 @@ fn restore_rejects_clock_before_start() {
 }
 
 #[test]
+fn restore_rejects_a_fleet_clock_apart_from_its_sites() {
+    let mut fleet = Fleet::new(FleetConfig::new(2, 8)).unwrap();
+    fleet.run_days(3);
+    let mut state: glacsweb_fleet::FleetState = from_bytes(&to_bytes(&fleet.snapshot())).unwrap();
+    state.now += glacsweb_sim::SimDuration::from_days(1);
+    // Re-encoded, so the checksum is valid and only the clocks disagree.
+    let state = from_bytes(&to_bytes(&state)).unwrap();
+    let err = Fleet::restore(state).unwrap_err();
+    assert!(
+        matches!(err, glacsweb_snapshot::SnapshotError::Invalid(_)),
+        "{err}"
+    );
+    assert!(
+        err.to_string().contains("differs from the fleet clock"),
+        "{err}"
+    );
+}
+
+#[test]
 fn restore_rejects_mangled_station_columns() {
     let mut fleet = Fleet::new(config()).unwrap();
     fleet.run_days(1);

@@ -15,11 +15,13 @@ use std::error::Error;
 use std::fmt;
 
 use glacsweb_sim::{SimTime, Volts};
-use serde::{Deserialize, Serialize};
 
-/// A request from the Gumstix to the MSP430.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum BusRequest {
+/// A request from the Gumstix to the MSP430. The whole-message codec
+/// (and so this type) is the tests' reference for the in-place
+/// voltage-log path the daily window runs.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+enum BusRequest {
     /// Read the buffered half-hourly voltage samples.
     ReadVoltageLog,
     /// Read the supervisor's real-time clock.
@@ -42,9 +44,10 @@ pub enum BusRequest {
     },
 }
 
-/// The MSP430's reply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum BusResponse {
+/// The MSP430's reply (test reference, like [`BusRequest`]).
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+enum BusResponse {
     /// Voltage samples as `(unix seconds, millivolts)` pairs.
     VoltageLog(Vec<(u64, u16)>),
     /// The RTC reading.
@@ -130,8 +133,6 @@ fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), BusError> {
     Ok((body[0], &body[1..]))
 }
 
-/// The whole-message codec: the tests' reference for the in-place
-/// voltage-log path the daily window runs.
 #[cfg(test)]
 impl BusRequest {
     /// Encodes the request as an on-wire frame.
@@ -220,8 +221,10 @@ fn voltage_samples(
 }
 
 /// Frames the MSP430's voltage log straight into `out` (cleared first):
-/// the [`BusResponse::VoltageLog`] frame of the samples at millivolt
-/// precision, built without an intermediate vector. The daily window
+/// the voltage-log response frame (opcode `0x81`, then ten bytes per
+/// `(unix seconds, millivolts)` sample, then the checksum) of the
+/// samples at millivolt precision, built without an intermediate
+/// vector. The daily window
 /// reuses one buffer for this transfer.
 pub fn encode_voltage_log(samples: &[(SimTime, Volts)], out: &mut Vec<u8>) {
     write_voltage_frame(samples.iter().map(|&(t, v)| (t.unix(), millivolts(v))), out);

@@ -31,5 +31,5 @@ pub use cost::DataCostMeter;
 pub use gprs::{GprsConfig, GprsLink, TransferOutcome};
 pub use loss::LossModel;
 pub use ppp::{DisconnectReason, PppRadioLink};
-pub use probe_radio::{BatchResult, ProbeRadioLink};
+pub use probe_radio::{BatchResult, ProbeRadioLink, PROBE_RX_POWER};
 pub use wan::{RelayWanLink, WanLink, WanState};

@@ -30,6 +30,11 @@ impl BatchResult {
     }
 }
 
+/// The base station's draw while its probe radio receives (~0.5 W):
+/// the figure [`ProbeRadioLink`] carries and the station's power rail
+/// charges for the probe-radio load.
+pub const PROBE_RX_POWER: Watts = Watts(0.5);
+
 /// The through-ice radio used to fetch probe readings.
 ///
 /// A low-rate packet channel: the base transmits queries, the probe
@@ -42,18 +47,21 @@ pub struct ProbeRadioLink {
     rate: BitsPerSecond,
     packet_payload: Bytes,
     packet_overhead: Bytes,
+    /// Always [`PROBE_RX_POWER`]; kept so the snapshot wire form holds
+    /// the figure the rail charges.
     rx_power: Watts,
 }
 
 impl ProbeRadioLink {
     /// Creates the deployment's probe radio: 2 400 bps, 32-byte readings
-    /// in 48-byte packets, ~0.5 W receiver draw at the base station.
+    /// in 48-byte packets, [`PROBE_RX_POWER`] receiver draw at the base
+    /// station.
     pub fn new() -> Self {
         ProbeRadioLink {
             rate: BitsPerSecond(2_400),
             packet_payload: Bytes(32),
             packet_overhead: Bytes(16),
-            rx_power: Watts(0.5),
+            rx_power: PROBE_RX_POWER,
         }
     }
 

@@ -24,6 +24,8 @@
 //!   slot. Every export walks the registry in `(origin, name)` order and
 //!   the rows in date order, so JSON byte order never depends on
 //!   hashing, label addresses, or the order keys were first seen.
+//!   Retained events sit in record order in a compact arena and are
+//!   read back as [`EventRef`] views (see [`Events`]).
 //! * **Deterministic merge.** [`MemoryRecorder::merge_from`] is a pure
 //!   fold; merging per-cell recorders in input-index order produces
 //!   byte-identical [`MemoryRecorder::to_json`] output at any thread
@@ -51,11 +53,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod events;
 mod memory;
 mod ndjson;
 #[cfg(test)]
 mod reference;
 
+pub use events::{EventRef, Events};
 pub use memory::{merge_all, Histogram, MemoryRecorder, BUCKET_BOUNDS, DEFAULT_EVENT_CAPACITY};
 pub use ndjson::{NdjsonWriter, NDJSON_SCHEMA};
 
@@ -350,9 +354,14 @@ impl serde::Deserialize for Event {
 ///
 /// Call-site pattern for anything that allocates to describe itself:
 ///
-/// ```ignore
-/// if obs.enabled() {
-///     obs.event(Event::new(now, origin, "fault_on").with("fault", fault.label()));
+/// ```
+/// use glacsweb_obs::{Event, Origin, Recorder};
+/// use glacsweb_sim::SimTime;
+///
+/// fn fault_on(obs: &mut dyn Recorder, now: SimTime, origin: Origin, label: &str) {
+///     if obs.enabled() {
+///         obs.event(Event::new(now, origin, "fault_on").with("fault", label));
+///     }
 /// }
 /// ```
 pub trait Recorder: fmt::Debug + Send {

@@ -18,7 +18,8 @@ use std::fmt::{self, Write};
 
 use glacsweb_sim::{CivilDate, SimTime};
 
-use crate::{Event, Origin, Recorder, Value};
+use crate::events::{EventLog, Events, ValueRef};
+use crate::{Event, Origin, Recorder};
 
 /// Default cap on retained events; beyond it events are counted in
 /// `events_dropped` instead of stored, bounding memory on long runs.
@@ -361,15 +362,16 @@ impl fmt::Debug for Store {
 /// A [`Recorder`] that accumulates everything in memory and exports the
 /// lot as a hand-rolled `TELEMETRY.json`.
 ///
-/// Events sit in a bounded buffer; counters, gauges and histograms in
-/// slot-indexed columns behind one key registry (see the module docs).
+/// Events sit in a bounded compact arena (see [`Events`]); counters,
+/// gauges and histograms in slot-indexed columns behind one key
+/// registry (see the module docs).
 /// Every export and comparison walks the registry in `(origin, name)`
 /// order and the day rows in date order, so the JSON byte stream is a
 /// pure function of the recorded data, and two recorders holding the
 /// same records are equal however they were assembled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryRecorder {
-    events: Vec<Event>,
+    events: EventLog,
     max_events: usize,
     events_dropped: u64,
     store: Store,
@@ -386,16 +388,16 @@ impl MemoryRecorder {
     /// (`0` retains none; counters/gauges/histograms are unaffected).
     pub fn with_capacity(max_events: usize) -> Self {
         MemoryRecorder {
-            events: Vec::new(),
+            events: EventLog::default(),
             max_events,
             events_dropped: 0,
             store: Store::default(),
         }
     }
 
-    /// The retained events, in record order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    /// The retained events, in record order, decoded one at a time.
+    pub fn events(&self) -> Events<'_> {
+        self.events.iter()
     }
 
     /// Events discarded once the retention cap was hit.
@@ -476,11 +478,13 @@ impl MemoryRecorder {
     /// is what lets `glacsweb-sweep` merge per-cell recorders in input
     /// order and get byte-identical JSON at any thread count.
     pub fn merge_from(&mut self, other: MemoryRecorder) {
-        self.store.merge(&other.store);
-        for event in other.events {
-            self.push_event(event);
+        if self.events.is_empty() && other.events.len() <= self.max_events {
+            self.store.merge(&other.store);
+            self.events = other.events;
+            self.events_dropped += other.events_dropped;
+        } else {
+            self.merge_ref(&other);
         }
-        self.events_dropped += other.events_dropped;
     }
 
     /// [`MemoryRecorder::merge_from`] without taking ownership: folds
@@ -490,22 +494,20 @@ impl MemoryRecorder {
     ///
     /// This is the aggregation path for hot readers that fold many
     /// shard-local recorders into one accumulator per export: nothing of
-    /// `other` is cloned except the retained events that fit under
+    /// `other` is copied except the retained events that fit under
     /// `self`'s cap, where `merge_from` would first require cloning the
     /// whole recorder.
     pub fn merge_ref(&mut self, other: &MemoryRecorder) {
         self.store.merge(&other.store);
         let room = self.max_events.saturating_sub(self.events.len());
         let kept = room.min(other.events.len());
-        self.events.extend(other.events.iter().take(kept).cloned());
-        let dropped = u64::try_from(other.events.len() - kept).unwrap_or(u64::MAX);
+        let refused = self.events.extend_from(&other.events, kept);
+        let dropped = u64::try_from(other.events.len() - kept + refused).unwrap_or(u64::MAX);
         self.events_dropped += dropped + other.events_dropped;
     }
 
-    fn push_event(&mut self, event: Event) {
-        if self.events.len() < self.max_events {
-            self.events.push(event);
-        } else {
+    fn push_event(&mut self, event: &Event) {
+        if self.events.len() >= self.max_events || !self.events.push(event) {
             self.events_dropped += 1;
         }
     }
@@ -568,7 +570,7 @@ impl MemoryRecorder {
             let _ = write!(o, "{{\"at\": \"{}\", ", event.at);
             push_origin(o, event.origin, event.name, Layout::Pretty);
             o.push_str(", \"fields\": {");
-            push_fields(o, &event.fields, Layout::Pretty);
+            push_fields(o, event.raw_fields(), Layout::Pretty);
             o.push_str("}}");
         });
         o.push_str("]\n");
@@ -584,7 +586,7 @@ impl Recorder for MemoryRecorder {
     }
 
     fn event(&mut self, event: Event) {
-        self.push_event(event);
+        self.push_event(&event);
     }
 
     fn counter(&mut self, at: SimTime, origin: Origin, name: &'static str, delta: u64) {
@@ -692,7 +694,10 @@ impl serde::Serialize for MemoryRecorder {
             })
             .collect();
         serde::Value::Map(vec![
-            (label("events"), self.events.to_value()),
+            (
+                label("events"),
+                serde::Value::Seq(self.events().map(|e| e.to_event().to_value()).collect()),
+            ),
             (
                 label("max_events"),
                 serde::Value::U64(self.max_events as u64),
@@ -764,13 +769,19 @@ impl serde::Deserialize for MemoryRecorder {
         let max_events: u64 = serde::de::field(v, "max_events")?;
         let max_events = usize::try_from(max_events)
             .map_err(|_| serde::de::Error::custom("telemetry max_events exceeds usize"))?;
-        let events: Vec<Event> = serde::de::field(v, "events")?;
-        if events.len() > max_events {
+        let raw_events: Vec<Event> = serde::de::field(v, "events")?;
+        if raw_events.len() > max_events {
             // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per record")
             return Err(serde::de::Error::custom(format!(
                 "telemetry holds {} events over its cap of {max_events}",
-                events.len()
+                raw_events.len()
             )));
+        }
+        let mut events = EventLog::default();
+        for event in &raw_events {
+            if !events.push(event) {
+                return Err(serde::de::Error::custom("telemetry event cannot be stored"));
+            }
         }
         let mut store = Store::default();
         for row in rows(v, "counters", 3)? {
@@ -905,8 +916,12 @@ pub(crate) fn push_origin(o: &mut String, origin: Origin, name: &str, layout: La
 
 /// Appends an event's fields as the entries of a JSON object, in their
 /// insertion order.
-pub(crate) fn push_fields(o: &mut String, fields: &[(&str, Value)], layout: Layout) {
-    for (i, (key, value)) in fields.iter().enumerate() {
+pub(crate) fn push_fields<'k, 'v>(
+    o: &mut String,
+    fields: impl Iterator<Item = (&'k str, ValueRef<'v>)>,
+    layout: Layout,
+) {
+    for (i, (key, value)) in fields.enumerate() {
         if i > 0 {
             o.push_str(layout.comma());
         }
@@ -979,17 +994,17 @@ pub(crate) fn push_json_f64(o: &mut String, v: f64) {
 }
 
 /// Appends an event field value.
-pub(crate) fn push_json_value(o: &mut String, v: &Value) {
+fn push_json_value(o: &mut String, v: ValueRef<'_>) {
     match v {
-        Value::U64(n) => {
+        ValueRef::U64(n) => {
             let _ = write!(o, "{n}");
         }
-        Value::I64(n) => {
+        ValueRef::I64(n) => {
             let _ = write!(o, "{n}");
         }
-        Value::F64(x) => push_json_f64(o, *x),
-        Value::Bool(b) => o.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => push_json_str(o, s),
+        ValueRef::F64(x) => push_json_f64(o, x),
+        ValueRef::Bool(b) => o.push_str(if b { "true" } else { "false" }),
+        ValueRef::Str(s) => push_json_str(o, s),
     }
 }
 
@@ -1066,7 +1081,7 @@ mod tests {
         assert_eq!(merged.counter_value(orig(), "c"), 3);
         assert_eq!(merged.histogram(orig(), "h").map(Histogram::total), Some(2));
         assert_eq!(merged.events().len(), 2);
-        assert_eq!(merged.events().first().map(|e| e.name), Some("from_a"));
+        assert_eq!(merged.events().next().map(|e| e.name), Some("from_a"));
 
         // Same bytes regardless of how the fold is associated.
         let mut left = MemoryRecorder::default();

@@ -25,6 +25,7 @@ use std::io;
 
 use glacsweb_sim::SimTime;
 
+use crate::events::ValueRef;
 use crate::memory::{push_buckets, push_fields, push_json_f64, push_json_str, push_origin, Layout};
 use crate::{Event, MemoryRecorder, Origin, Recorder};
 
@@ -107,7 +108,10 @@ impl<W: io::Write + Send> Recorder for NdjsonWriter<W> {
     }
 
     fn event(&mut self, event: Event) {
-        self.write_line(|o| push_event_line(o, &event));
+        self.write_line(|o| {
+            let fields = event.fields.iter().map(|(key, value)| (*key, value.view()));
+            push_event_line(o, event.at, event.origin, event.name, fields);
+        });
     }
 
     fn counter(&mut self, at: SimTime, origin: Origin, name: &'static str, delta: u64) {
@@ -133,11 +137,17 @@ impl<W: io::Write + Send> Recorder for NdjsonWriter<W> {
 
 /// Appends one event as a single NDJSON line, without the newline
 /// (shared between the streaming writer and the aggregated export).
-fn push_event_line(o: &mut String, event: &Event) {
-    let _ = write!(o, "{{\"kind\":\"event\",\"at\":\"{}\",", event.at);
-    push_origin(o, event.origin, event.name, Layout::Compact);
+fn push_event_line<'k, 'v>(
+    o: &mut String,
+    at: SimTime,
+    origin: Origin,
+    name: &str,
+    fields: impl Iterator<Item = (&'k str, ValueRef<'v>)>,
+) {
+    let _ = write!(o, "{{\"kind\":\"event\",\"at\":\"{at}\",");
+    push_origin(o, origin, name, Layout::Compact);
     o.push_str(",\"fields\":{");
-    push_fields(o, &event.fields, Layout::Compact);
+    push_fields(o, fields, Layout::Compact);
     o.push_str("}}");
 }
 
@@ -201,7 +211,7 @@ impl MemoryRecorder {
             o.push_str("]}\n");
         }
         for event in self.events() {
-            push_event_line(o, event);
+            push_event_line(o, event.at, event.origin, event.name, event.raw_fields());
             o.push('\n');
         }
     }

@@ -41,6 +41,14 @@ impl BTreeRecorder {
         }
     }
 
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    pub fn events_dropped(&self) -> u64 {
+        self.events_dropped
+    }
+
     pub fn counter_value(&self, origin: Origin, name: &'static str) -> u64 {
         self.counters.get(&(origin, name)).copied().unwrap_or(0)
     }
@@ -198,7 +206,11 @@ impl BTreeRecorder {
             let _ = write!(o, "{{\"at\": \"{}\", ", event.at);
             push_origin(o, event.origin, event.name, Layout::Pretty);
             o.push_str(", \"fields\": {");
-            push_fields(o, &event.fields, Layout::Pretty);
+            push_fields(
+                o,
+                event.fields.iter().map(|(k, v)| (*k, v.view())),
+                Layout::Pretty,
+            );
             o.push_str("}}");
         });
         o.push_str("]\n");
@@ -245,7 +257,11 @@ impl BTreeRecorder {
             let _ = write!(o, "{{\"kind\":\"event\",\"at\":\"{}\",", event.at);
             push_origin(&mut o, event.origin, event.name, Layout::Compact);
             o.push_str(",\"fields\":{");
-            push_fields(&mut o, &event.fields, Layout::Compact);
+            push_fields(
+                &mut o,
+                event.fields.iter().map(|(k, v)| (*k, v.view())),
+                Layout::Compact,
+            );
             o.push_str("}}\n");
         }
         o

@@ -978,11 +978,11 @@ mod tests {
         );
         assert_eq!(obs.counter_value(origin, "protocol_packets"), out.packets);
         assert!(
-            obs.events().iter().any(|e| e.name == "fetch_abort"),
+            obs.events().any(|e| e.name == "fetch_abort"),
             "abort event recorded"
         );
         assert!(
-            obs.events().iter().any(|e| e.name == "bulk_round"),
+            obs.events().any(|e| e.name == "bulk_round"),
             "bulk rounds recorded"
         );
         let _ = obs.enabled();

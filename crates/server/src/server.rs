@@ -299,16 +299,9 @@ mod tests {
         assert_eq!(rec.counter_value(origin, "override_fetches"), 1);
         let event = rec
             .events()
-            .iter()
             .find(|e| e.name == "override_decision")
             .expect("decision event recorded");
-        let field = |key: &str| {
-            event
-                .fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone())
-        };
+        let field = |key: &str| event.fields().find(|(k, _)| *k == key).map(|(_, v)| v);
         assert_eq!(field("own"), Some(Value::U64(3)));
         assert_eq!(field("other"), Some(Value::U64(1)));
         assert_eq!(field("manual_cap"), Some(Value::U64(2)));

@@ -352,7 +352,7 @@ impl Station {
             l.add(loads::GPS, glacsweb_hw::table1::GPS_POWER);
             l.add(loads::GPRS, glacsweb_hw::table1::GPRS_POWER);
             l.add(loads::RADIO_MODEM, glacsweb_hw::table1::RADIO_MODEM_POWER);
-            l.add(loads::PROBE_RADIO, Watts(0.5));
+            l.add(loads::PROBE_RADIO, glacsweb_link::PROBE_RX_POWER);
             l.set_on(loads::MSP430, true);
         }
         let mut msp = Msp430::new(start);
@@ -2053,7 +2053,7 @@ mod tests {
                 l.add(loads::GPS, glacsweb_hw::table1::GPS_POWER);
                 l.add(loads::GPRS, glacsweb_hw::table1::GPRS_POWER);
                 l.add(loads::RADIO_MODEM, glacsweb_hw::table1::RADIO_MODEM_POWER);
-                l.add(loads::PROBE_RADIO, Watts(0.5));
+                l.add(loads::PROBE_RADIO, glacsweb_link::PROBE_RX_POWER);
             }
             rail
         };

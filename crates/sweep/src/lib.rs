@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -113,27 +114,55 @@ where
 }
 
 /// [`run_cells`] for observed cells: each cell returns its result plus
-/// a per-cell [`MemoryRecorder`], and the recorders are merged in
-/// input-index order after the fan-out completes.
+/// a per-cell [`MemoryRecorder`], and the recorders are folded into one
+/// in input-index order while the fan-out runs.
 ///
-/// Because every cell records into its own recorder and the merge
-/// order is the cell order (never completion order), the merged
-/// telemetry — including its JSON export — is **byte-identical for any
-/// thread count**, the same contract `run_cells` gives the results.
+/// Cell *i*'s recorder is merged as soon as cell *i* finishes if cells
+/// `0..i` are already merged; otherwise it is parked until they are.
+/// The merge order is therefore the cell order (never completion
+/// order), so the merged telemetry — including its JSON export — is
+/// **byte-identical for any thread count**, the same contract
+/// `run_cells` gives the results. What stays alive is the merged
+/// recorder plus the parked ones: the out-of-order window, which for
+/// cells of similar cost is about one recorder per worker.
 pub fn run_cells_observed<T, R, F>(cells: Vec<T>, threads: usize, f: F) -> (Vec<R>, MemoryRecorder)
 where
     T: Send,
     R: Send,
     F: Fn(T) -> (R, MemoryRecorder) + Sync,
 {
-    let pairs = run_cells(cells, threads, f);
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut merged = MemoryRecorder::default();
-    for (result, recorder) in pairs {
-        results.push(result);
-        merged.merge_from(recorder);
+    let fold = Mutex::new(Fold::default());
+    let cells: Vec<(usize, T)> = cells.into_iter().enumerate().collect();
+    let results = run_cells(cells, threads, |(i, cell)| {
+        let (result, recorder) = f(cell);
+        fold.lock().expect("fold lock").offer(i, recorder);
+        result
+    });
+    let fold = fold.into_inner().expect("fold lock");
+    debug_assert!(fold.parked.is_empty(), "every cell was merged");
+    (results, fold.merged)
+}
+
+/// The in-order fold of [`run_cells_observed`].
+#[derive(Default)]
+struct Fold {
+    merged: MemoryRecorder,
+    /// The next cell to merge: cells `0..next` are in `merged`.
+    next: usize,
+    /// Finished cells waiting for an earlier cell, by index.
+    parked: BTreeMap<usize, MemoryRecorder>,
+}
+
+impl Fold {
+    /// Takes cell `i`'s recorder and merges every recorder that is now
+    /// next in cell order.
+    fn offer(&mut self, i: usize, recorder: MemoryRecorder) {
+        self.parked.insert(i, recorder);
+        while let Some(recorder) = self.parked.remove(&self.next) {
+            self.merged.merge_from(recorder);
+            self.next += 1;
+        }
     }
-    (results, merged)
 }
 
 /// Resolves the worker-pool size for this thread.
@@ -297,6 +326,85 @@ mod tests {
             20
         );
         assert_eq!(serial_telemetry.events().len(), 40);
+    }
+
+    /// Cells chained so that within each claim group of `threads` cells
+    /// (the cells the workers hold at once) the last finishes first:
+    /// the fold parks the early finishers, and the merged export, the
+    /// dropped-event count past the merged cap included, still matches
+    /// the in-order serial run byte for byte.
+    #[test]
+    fn fold_output_ignores_completion_order() {
+        use std::sync::mpsc;
+
+        use glacsweb_obs::{Event, Origin, Recorder, DEFAULT_EVENT_CAPACITY};
+        use glacsweb_sim::{SimDuration, SimTime};
+
+        const CELLS: usize = 8;
+        const EVENTS: u64 = 10_000;
+        let run = |threads: usize| {
+            // Cell i waits for cell i + 1 of its group to finish.
+            let (senders, receivers): (Vec<_>, Vec<_>) =
+                (0..CELLS).map(|_| mpsc::channel::<()>()).unzip();
+            let mut receivers: Vec<Option<mpsc::Receiver<()>>> =
+                receivers.into_iter().map(Some).collect();
+            let cells: Vec<_> = senders
+                .into_iter()
+                .enumerate()
+                .map(|(i, done)| {
+                    let last_of_group = (i + 1) % threads == 0 || i + 1 == CELLS;
+                    let wait = if last_of_group {
+                        None
+                    } else {
+                        receivers.get_mut(i + 1).and_then(Option::take)
+                    };
+                    (i as u64, wait, done)
+                })
+                .collect();
+            let finished = Mutex::new(Vec::new());
+            let (_, merged) = run_cells_observed(cells, threads, |(i, wait, done)| {
+                if let Some(wait) = wait {
+                    wait.recv().expect("the next cell signals");
+                }
+                let mut rec = MemoryRecorder::default();
+                let origin = Origin::new("sweep", "cell");
+                let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0) + SimDuration::from_days(i);
+                for k in 0..EVENTS {
+                    let at = start + SimDuration::from_secs(k);
+                    rec.counter(at, origin, "events", 1);
+                    rec.event(
+                        Event::new(at, origin, "tick")
+                            .with("cell", i)
+                            .with("k", k)
+                            .with("odd", k % 2 == 1),
+                    );
+                }
+                finished.lock().expect("log").push(i);
+                let _ = done.send(());
+                ((), rec)
+            });
+            (merged, finished.into_inner().expect("log"))
+        };
+        let (serial, order) = run(1);
+        assert_eq!(order, (0..CELLS as u64).collect::<Vec<_>>());
+        let total = CELLS as u64 * EVENTS;
+        let dropped = total - DEFAULT_EVENT_CAPACITY as u64;
+        assert_eq!(serial.events_dropped(), dropped, "the merged cap is hit");
+        assert_eq!(serial.events().len(), DEFAULT_EVENT_CAPACITY);
+        let json = serial.to_json();
+        for threads in [2, 4] {
+            let (merged, order) = run(threads);
+            assert_eq!(
+                order.first().copied(),
+                Some(threads as u64 - 1),
+                "the last cell of the first group finishes first at threads={threads}"
+            );
+            assert_eq!(merged.events_dropped(), dropped, "threads={threads}");
+            assert!(
+                merged.to_json() == json,
+                "byte-identical at threads={threads}"
+            );
+        }
     }
 
     #[test]
