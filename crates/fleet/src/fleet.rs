@@ -38,10 +38,16 @@ impl Fleet {
     /// Builds a fleet from a validated configuration.
     pub fn new(config: FleetConfig) -> Result<Fleet, FleetConfigError> {
         config.validate()?;
+        // Forking is a site's only draw from the master: fork every
+        // stream in index order, then build the sites across the pool.
         let mut master = SimRng::seed_from(config.seed);
-        let sites: Vec<Site> = (0..config.sites)
-            .map(|i| Site::new(&config, i, &mut master))
+        let streams: Vec<(u32, SimRng)> = (0..config.sites)
+            .map(|i| (i, master.fork(u64::from(i))))
             .collect();
+        let threads = glacsweb_sweep::threads();
+        let sites = glacsweb_sweep::run_cells(streams, threads, |(i, rng)| {
+            Site::from_stream(&config, i, rng)
+        });
         let origins = site_origins(config.sites);
         let now = config.start;
         Ok(Fleet {
@@ -49,7 +55,7 @@ impl Fleet {
             sites,
             origins,
             now,
-            threads: glacsweb_sweep::threads(),
+            threads,
         })
     }
 
@@ -232,7 +238,7 @@ impl Fleet {
     /// Rebuilds a fleet from a captured state, re-imposing every
     /// cross-field invariant (a crafted snapshot yields a typed error,
     /// never a panicking world).
-    pub fn restore(state: FleetState) -> Result<Fleet, SnapshotError> {
+    pub fn restore(mut state: FleetState) -> Result<Fleet, SnapshotError> {
         state
             .config
             .validate()
@@ -251,7 +257,7 @@ impl Fleet {
             )));
         }
         let stations = state.config.stations_per_site as usize;
-        for (i, site) in state.sites.iter().enumerate() {
+        for (i, site) in state.sites.iter_mut().enumerate() {
             if site.index as usize != i {
                 return Err(SnapshotError::invalid(format!(
                     "site at position {i} carries index {}",
@@ -272,17 +278,20 @@ impl Fleet {
                     "site {i} station columns are inconsistent with {stations} stations"
                 )));
             }
-            for (t, event) in site.wheel.iter() {
-                let (SiteEvent::Tick(s) | SiteEvent::Wake(s)) = *event;
+            // The storm draws divide by the schedule's means.
+            if !site.storms.follows(&state.config) {
+                return Err(SnapshotError::invalid(format!(
+                    "site {i} storm schedule differs from the one its config implies"
+                )));
+            }
+            site.wheel
+                .rebase(site.now)
+                .map_err(|e| SnapshotError::invalid(format!("site {i} calendar: {e}")))?;
+            for (_, _, event) in site.wheel.iter() {
+                let (SiteEvent::Tick(s) | SiteEvent::Wake(s)) = event;
                 if s as usize >= stations {
                     return Err(SnapshotError::invalid(format!(
                         "site {i} queues an event for station {s} of {stations}"
-                    )));
-                }
-                if t < site.now && site.now > state.config.start {
-                    return Err(SnapshotError::invalid(format!(
-                        "site {i} queues an event at {t:?} before its clock {:?}",
-                        site.now
                     )));
                 }
             }

@@ -39,7 +39,7 @@
 //! current on. Anything that cannot be expressed that way simply
 //! schedules an earlier wake — the leap never crosses an observation.
 
-use glacsweb_sim::{Amps, Celsius, SimTime};
+use glacsweb_sim::{Amps, Celsius, SimDuration, SimTime};
 
 use crate::site::{
     classify_tier, Site, SiteEvent, Tier, DEAD_SOC, DT_HOURS, KIND_COMMS, KIND_OVERRIDE,
@@ -51,36 +51,106 @@ fn ticks(from: SimTime, to: SimTime) -> u32 {
     u32::try_from(to.saturating_since(from).as_secs() / TICK.as_secs()).unwrap_or(u32::MAX)
 }
 
+/// What a wake at instant `t` reads that depends only on `t`, derived
+/// once per instant and shared by every station waking then.
+#[derive(Debug, Clone, Copy)]
+struct InstantCtx {
+    /// The instant.
+    t: SimTime,
+    /// Storm active over the wake slot `[t, t+TICK)`.
+    storm: bool,
+    /// Storm active over the first sleeping slot `[t+TICK, t+2·TICK)`.
+    storm_next: bool,
+    /// Site air temperature at `t`, °C.
+    temp_c: f64,
+    /// Clear-sky panel current over the wake slot, amps.
+    wake_harvest: f64,
+    /// Clear-sky harvest credit for the sleep span that follows, amps.
+    sleep_harvest: f64,
+    /// The wake-schedule terms at `t`.
+    grid: WakeGrid,
+}
+
+/// The terms of the wake schedule after `t` that depend only on `t`.
+#[derive(Debug, Clone, Copy)]
+struct WakeGrid {
+    t: SimTime,
+    /// Today's comms slot for role 0: `start_of_day(t) + slot_hour`.
+    comms_base: SimTime,
+    /// The next server role-rotation instant strictly after `t`.
+    override_at: Option<SimTime>,
+}
+
+impl WakeGrid {
+    /// The next wake instant after `t` for a station in `tier` with
+    /// comms role `role`, and the wake kinds due then.
+    ///
+    /// Server overrides and restart checks are folded in here: anything
+    /// that would interrupt a sleep span *bounds* it instead, which is
+    /// what keeps every inter-event stretch exactly leapable.
+    fn next_wake(&self, tier: Tier, role: u32) -> (SimTime, u8) {
+        let t = self.t;
+        let mut best = t + TICK * tier.sample_cadence_ticks();
+        let mut kinds = KIND_SAMPLE;
+        if tier != Tier::Dead {
+            let slot = self.comms_base + SimDuration::from_secs(u64::from(role % 8) * 1_800);
+            let comms = if slot > t {
+                slot
+            } else {
+                slot + SimDuration::from_days(1)
+            };
+            if comms < best {
+                best = comms;
+                kinds = KIND_COMMS;
+            } else if comms == best {
+                kinds |= KIND_COMMS;
+            }
+            if let Some(ovr) = self.override_at {
+                if ovr < best {
+                    best = ovr;
+                    kinds = KIND_OVERRIDE;
+                } else if ovr == best {
+                    kinds |= KIND_OVERRIDE;
+                }
+            }
+        }
+        (best, kinds)
+    }
+}
+
 impl Site {
     /// Advances the site to horizon `h` (tick-grid aligned), processing
-    /// every event strictly before `h` and bringing every station's
-    /// cursor up to `h`.
+    /// every event strictly before `h` one whole instant at a time and
+    /// bringing every station's cursor up to `h`.
     pub fn advance_to(&mut self, h: SimTime) {
-        while let Some(t) = self.wheel.peek_time() {
-            if t >= h {
-                break;
-            }
-            let Some((t, event)) = self.wheel.pop() else {
-                break;
-            };
-            self.exec.events += 1;
-            match event {
-                SiteEvent::Tick(s) => {
-                    let su = s as usize;
-                    if t == self.st.next_wake[su] {
-                        self.wake(su, t);
-                    } else {
-                        self.sleep_tick(su, t);
+        while let Some((t, batch)) = self.wheel.take_before(h) {
+            // Derived at the instant's first wake. A tick-mode instant
+            // may have none: its sleeping ticks keep their own storm
+            // reach, which the state digest sees.
+            let mut ctx = None;
+            for &(_, event) in &batch {
+                self.exec.events += 1;
+                match event {
+                    SiteEvent::Tick(s) => {
+                        let su = s as usize;
+                        if t == self.st.next_wake[su] {
+                            let ctx = ctx.get_or_insert_with(|| self.instant_ctx(t));
+                            self.wake(su, ctx);
+                        } else {
+                            self.sleep_tick(su, t);
+                        }
+                        self.wheel.push(t + TICK, SiteEvent::Tick(s));
                     }
-                    self.wheel.push(t + TICK, SiteEvent::Tick(s));
-                }
-                SiteEvent::Wake(s) => {
-                    let su = s as usize;
-                    self.leap_sleep(su, t);
-                    self.wake(su, t);
-                    self.wheel.push(self.st.next_wake[su], SiteEvent::Wake(s));
+                    SiteEvent::Wake(s) => {
+                        let su = s as usize;
+                        let ctx = ctx.get_or_insert_with(|| self.instant_ctx(t));
+                        self.leap_sleep(su, t);
+                        self.wake(su, ctx);
+                        self.wheel.push(self.st.next_wake[su], SiteEvent::Wake(s));
+                    }
                 }
             }
+            self.wheel.recycle(batch);
         }
         // Flush the quiescent tail: stations whose next wake lies beyond
         // the horizon still owe the ticks up to it. (In tick mode every
@@ -91,6 +161,22 @@ impl Site {
             }
         }
         self.now = h;
+    }
+
+    /// Derives the context of the wakes at `t`. Its storm reach,
+    /// `t + 2·TICK`, is the one every wake's first sleeping slot needs.
+    fn instant_ctx(&mut self, t: SimTime) -> InstantCtx {
+        self.storms.ensure(t + TICK * 2);
+        let (temp_c, wake_harvest, sleep_harvest) = self.climate.at(&self.params, t);
+        InstantCtx {
+            t,
+            storm: self.storms.active_at(t),
+            storm_next: self.storms.active_at(t + TICK),
+            temp_c,
+            wake_harvest,
+            sleep_harvest,
+            grid: self.wake_grid(t),
+        }
     }
 
     /// One naive sleeping tick for station `s` over the slot
@@ -164,10 +250,9 @@ impl Site {
     /// it with identical inputs at identical instants.
     ///
     /// glacsweb: draw-budget(4)
-    fn wake(&mut self, s: usize, t: SimTime) {
+    fn wake(&mut self, s: usize, ctx: &InstantCtx) {
         self.exec.wakes += 1;
-        self.storms.ensure(t + TICK);
-        let storm = self.storms.active_at(t);
+        let (t, storm) = (ctx.t, ctx.storm);
         let kinds = self.st.wake_kinds[s];
         let theta = self.params.ou_theta;
         let sd = self.params.ou_sd;
@@ -179,7 +264,7 @@ impl Site {
         let pos0 = self.st.rng[s].position();
         let entry = self.st.tier[s];
         let tier = if entry == Tier::Dead {
-            self.wake_dead(s, t, storm, at_wake)
+            self.wake_dead(s, ctx, at_wake)
         } else {
             let (decay, step_sd) = self.ou_cache.coeffs(DT_HOURS, theta, sd);
             let ou = if kinds & KIND_SAMPLE != 0 {
@@ -188,8 +273,7 @@ impl Site {
                 at_wake * decay
             };
             self.st.ou[s] = ou;
-            let (site_temp, site_harvest, _) = self.climate.at(&self.params, t);
-            let temp = site_temp + ou;
+            let temp = ctx.temp_c + ou;
             let soc = self.st.battery[s].state_of_charge();
             let volts = self.st.battery[s]
                 .terminal_voltage(Amps(-entry.wake_draw_amps()))
@@ -215,7 +299,7 @@ impl Site {
                     self.counters.sample_wakes += 1;
                 }
             }
-            let harvest = if storm { 0.0 } else { site_harvest };
+            let harvest = if storm { 0.0 } else { ctx.wake_harvest };
             let gprs = if comms { 1.1 } else { 0.0 };
             let draw = tier.wake_draw_amps() + gprs;
             self.st.battery[s].step(TICK, Amps(harvest - draw), Celsius(temp));
@@ -227,12 +311,12 @@ impl Site {
         debug_assert!(used <= RAW_DRAWS_PER_WAKE, "wake overdrew its budget");
         self.st.rng[s].skip_raw(RAW_DRAWS_PER_WAKE - used);
         self.st.tier[s] = tier;
-        self.finish_wake(s, t, tier);
+        self.finish_wake(s, ctx, tier);
     }
 
     /// Wake path for a station that entered the slot dead: a restart
     /// check on the recharging battery, no sensing, no comms, no draws.
-    fn wake_dead(&mut self, s: usize, t: SimTime, storm: bool, at_wake: f64) -> Tier {
+    fn wake_dead(&mut self, s: usize, ctx: &InstantCtx, at_wake: f64) -> Tier {
         self.counters.sample_wakes += 1;
         let (decay, _) = self
             .ou_cache
@@ -240,15 +324,14 @@ impl Site {
         let ou = at_wake * decay;
         self.st.ou[s] = ou;
         let soc = self.st.battery[s].state_of_charge();
-        let (site_temp, site_harvest, _) = self.climate.at(&self.params, t);
-        let temp = site_temp + ou;
+        let temp = ctx.temp_c + ou;
         let tier = if soc >= RESTART_SOC {
             self.counters.restarts += 1;
             Tier::S1
         } else {
             Tier::Dead
         };
-        let harvest = if storm { 0.0 } else { site_harvest };
+        let harvest = if ctx.storm { 0.0 } else { ctx.wake_harvest };
         let draw = Tier::Dead.wake_draw_amps();
         self.st.battery[s].step(TICK, Amps(harvest - draw), Celsius(temp));
         tier
@@ -273,21 +356,18 @@ impl Site {
         }
     }
 
-    /// Reschedules station `s` after a wake at `t`, freezes the sleep
+    /// Reschedules station `s` after a wake, freezes the sleep
     /// parameters the next span will run on, and anchors a fresh glide
     /// at the first sleeping tick.
-    fn finish_wake(&mut self, s: usize, t: SimTime, tier: Tier) {
-        let role = self.st.role[s];
-        let (next, kinds) = self.next_wake_for(t, tier, role);
+    fn finish_wake(&mut self, s: usize, ctx: &InstantCtx, tier: Tier) {
+        let (next, kinds) = ctx.grid.next_wake(tier, self.st.role[s]);
         self.st.next_wake[s] = next;
         self.st.wake_kinds[s] = kinds;
-        let (site_temp, _, site_sleep_harvest) = self.climate.at(&self.params, t);
         self.st.sleep_load[s] = tier.sleep_draw_amps();
-        self.st.sleep_harvest[s] = site_sleep_harvest;
-        self.st.sleep_temp[s] = site_temp + self.st.ou[s];
-        let anchor = t + TICK;
-        self.storms.ensure(anchor + TICK);
-        let storm = self.storms.active_at(anchor);
+        self.st.sleep_harvest[s] = ctx.sleep_harvest;
+        self.st.sleep_temp[s] = ctx.temp_c + self.st.ou[s];
+        let anchor = ctx.t + TICK;
+        let storm = ctx.storm_next;
         let i = if storm {
             -self.st.sleep_load[s]
         } else {
@@ -301,41 +381,17 @@ impl Site {
 
     /// The next wake instant after a wake at `t` for a station in
     /// `tier` with comms role `role`, and the wake kinds due then.
-    ///
-    /// Server overrides and restart checks are folded in here: anything
-    /// that would interrupt a sleep span *bounds* it instead, which is
-    /// what keeps every inter-event stretch exactly leapable.
     pub(crate) fn next_wake_for(&self, t: SimTime, tier: Tier, role: u32) -> (SimTime, u8) {
-        let mut best = t + TICK * tier.sample_cadence_ticks();
-        let mut kinds = KIND_SAMPLE;
-        if tier != Tier::Dead {
-            let comms = self.next_comms_after(t, role);
-            if comms < best {
-                best = comms;
-                kinds = KIND_COMMS;
-            } else if comms == best {
-                kinds |= KIND_COMMS;
-            }
-            if let Some(ovr) = self.next_override_after(t) {
-                if ovr < best {
-                    best = ovr;
-                    kinds = KIND_OVERRIDE;
-                } else if ovr == best {
-                    kinds |= KIND_OVERRIDE;
-                }
-            }
-        }
-        (best, kinds)
+        self.wake_grid(t).next_wake(tier, role)
     }
 
-    /// The next daily comms slot strictly after `t` for a given role.
-    fn next_comms_after(&self, t: SimTime, role: u32) -> SimTime {
-        let offset = u64::from(self.params.slot_hour) * 3_600 + u64::from(role % 8) * 1_800;
-        let slot = t.start_of_day() + glacsweb_sim::SimDuration::from_secs(offset);
-        if slot > t {
-            slot
-        } else {
-            slot + glacsweb_sim::SimDuration::from_days(1)
+    /// The wake-schedule terms at `t`.
+    fn wake_grid(&self, t: SimTime) -> WakeGrid {
+        WakeGrid {
+            t,
+            comms_base: t.start_of_day()
+                + SimDuration::from_secs(u64::from(self.params.slot_hour) * 3_600),
+            override_at: self.next_override_after(t),
         }
     }
 
@@ -345,12 +401,11 @@ impl Site {
             return None;
         }
         let period = u64::from(self.rotation_days) * 86_400;
-        let first =
-            self.start.start_of_day() + glacsweb_sim::SimDuration::from_secs(3 * 3_600 + period);
+        let first = self.start.start_of_day() + SimDuration::from_secs(3 * 3_600 + period);
         if t < first {
             return Some(first);
         }
         let k = (t.unix() - first.unix()) / period + 1;
-        Some(first + glacsweb_sim::SimDuration::from_secs(k * period))
+        Some(first + SimDuration::from_secs(k * period))
     }
 }

@@ -15,10 +15,11 @@
 //!   field (battery, RNG stream, microclimate anomaly, schedule cursor)
 //!   lives in its own column vector, so batch advancing sweeps cache
 //!   lines instead of chasing pointers through 100k station objects.
-//! * **Per-site event wheels**: sites are fully independent — their own
-//!   [`EventWheel`](glacsweb_sim::EventWheel), climate, storm timeline
-//!   and RNG streams — so the fleet shards site-by-site across the
-//!   [`glacsweb_sweep`] thread pool with an index-ordered merge.
+//! * **Per-site tick calendars**: sites are fully independent — their
+//!   own [`SiteCalendar`] (pending events on a ring indexed by tick, one
+//!   whole instant taken at a time), climate, storm timeline and RNG
+//!   streams — so the fleet builds and shards them site-by-site across
+//!   the [`glacsweb_sweep`] thread pool with an index-ordered merge.
 //! * **Quiescent-station leaping**: a sleeping station whose next event
 //!   is its own wake-up is advanced over the whole sleep window in one
 //!   step. Its sleep trajectory is *defined* by closed forms anchored at
@@ -49,12 +50,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calendar;
 mod config;
 mod fleet;
 mod kernel;
 mod site;
 mod trace;
 
+pub use calendar::{SiteCalendar, MAX_AHEAD_TICKS};
 pub use config::{FleetConfig, FleetConfigError};
 pub use fleet::{ExecStats, Fleet, FleetState, FleetSummary, SiteSummary};
 pub use site::{Site, SiteEvent, Tier, KIND_COMMS, KIND_OVERRIDE, KIND_SAMPLE, TICK};

@@ -6,9 +6,10 @@
 
 use glacsweb_env::OuStepCache;
 use glacsweb_power::{LeadAcidBattery, SleepGlide};
-use glacsweb_sim::{AmpHours, Amps, Celsius, EventWheel, SimDuration, SimRng, SimTime};
+use glacsweb_sim::{AmpHours, Amps, Celsius, SimDuration, SimRng, SimTime};
 use serde::{de, Deserialize, Serialize, Value};
 
+use crate::calendar::SiteCalendar;
 use crate::config::FleetConfig;
 
 /// The fleet tick: the five-minute MSP430 duty-cycle grid every station
@@ -59,7 +60,7 @@ pub enum Tier {
 
 impl Tier {
     /// Sampling cadence in ticks (dead stations check for restart).
-    pub fn sample_cadence_ticks(self) -> u64 {
+    pub const fn sample_cadence_ticks(self) -> u64 {
         match self {
             Tier::S3 => 72,  // every 6 h
             Tier::S2 => 144, // every 12 h
@@ -247,15 +248,34 @@ pub struct StormTimeline {
 
 impl StormTimeline {
     fn new(config: &FleetConfig, start: SimTime, rng: SimRng) -> Self {
-        let enabled = config.storm_mean_gap_days > 0.0;
+        let (enabled, mean_gap_secs, mean_len_secs) = Self::schedule(config);
         StormTimeline {
             rng,
             spans: Vec::new(),
             covered_until: start,
-            mean_gap_secs: config.storm_mean_gap_days * 86_400.0,
-            mean_len_secs: config.storm_mean_hours * 3_600.0,
+            mean_gap_secs,
+            mean_len_secs,
             enabled,
         }
+    }
+
+    /// `(enabled, mean gap, mean length)` in seconds, as `config` sets them.
+    fn schedule(config: &FleetConfig) -> (bool, f64, f64) {
+        (
+            config.storm_mean_gap_days > 0.0,
+            config.storm_mean_gap_days * 86_400.0,
+            config.storm_mean_hours * 3_600.0,
+        )
+    }
+
+    /// `true` if the timeline's schedule is the one `config` implies
+    /// (compared bit for bit). A restored timeline must pass: its draws
+    /// divide by these means.
+    pub(crate) fn follows(&self, config: &FleetConfig) -> bool {
+        let (enabled, gap, len) = Self::schedule(config);
+        self.enabled == enabled
+            && self.mean_gap_secs.to_bits() == gap.to_bits()
+            && self.mean_len_secs.to_bits() == len.to_bits()
     }
 
     /// Materialises every span starting before `until`.
@@ -431,10 +451,10 @@ impl ExecCounters {
     }
 }
 
-/// Events on a site's wheel.
+/// Events on a site's calendar.
 ///
-/// Leap mode schedules only [`SiteEvent::Wake`]s — the wheel holds one
-/// event per station. The naive reference kernel schedules a
+/// Leap mode schedules only [`SiteEvent::Wake`]s — the calendar holds
+/// one event per station. The naive reference kernel schedules a
 /// [`SiteEvent::Tick`] per station per five-minute slot instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SiteEvent {
@@ -445,7 +465,7 @@ pub enum SiteEvent {
 }
 
 /// One glacier site: independent climate, storm timeline, RNG streams,
-/// event wheel and station columns.
+/// event calendar and station columns.
 ///
 /// Sites never read each other's state, which is what lets the fleet
 /// shard them across the sweep pool and merge results in index order.
@@ -457,8 +477,9 @@ pub struct Site {
     pub params: SiteParams,
     /// Storm timeline.
     pub storms: StormTimeline,
-    /// Pending events.
-    pub wheel: EventWheel<SiteEvent>,
+    /// Pending events (named `wheel` on the wire, which keeps the form
+    /// of the event wheel this calendar replaced).
+    pub wheel: SiteCalendar,
     /// Station state columns.
     pub st: StationArrays,
     /// Memoised OU step coefficients (derived state; serialises null).
@@ -483,7 +504,14 @@ impl Site {
     /// Builds site `index` of a fleet, forking its streams from the
     /// fleet master RNG.
     pub fn new(config: &FleetConfig, index: u32, master: &mut SimRng) -> Self {
-        let mut site_rng = master.fork(u64::from(index));
+        Site::from_stream(config, index, master.fork(u64::from(index)))
+    }
+
+    /// Builds site `index` from its own stream, `master.fork(index)` of
+    /// the fleet master RNG. Forking is the only draw a site takes from
+    /// the master, so a fleet forks every stream in index order and then
+    /// builds the sites in any order, or in parallel.
+    pub(crate) fn from_stream(config: &FleetConfig, index: u32, mut site_rng: SimRng) -> Self {
         let params = SiteParams::draw(index, &mut site_rng);
         let storm_rng = site_rng.fork(1);
         let stations = config.stations_per_site as usize;
@@ -535,7 +563,7 @@ impl Site {
             index,
             params,
             storms,
-            wheel: EventWheel::new(),
+            wheel: SiteCalendar::new(start),
             st,
             ou_cache: OuStepCache::default(),
             climate: ClimateMemo::default(),

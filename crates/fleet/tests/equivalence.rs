@@ -43,6 +43,28 @@ fn leaping_is_bit_identical_under_ragged_horizons() {
     }
 }
 
+/// Equivalence holds at every tick horizon, storm-stream position
+/// included: the instant context a wake derives reaches the storm
+/// timeline two ticks ahead, and a tick-mode instant with no wake must
+/// reach only one, as the leap's flush does. A horizon that lands on the
+/// end of the drawn timeline sees any extra reach as an extra draw.
+#[test]
+fn leaping_is_bit_identical_at_every_tick_horizon() {
+    let config = FleetConfig::new(1, 4).seed(11).storms(0.5, 3.0);
+    let mut leap = Fleet::new(config.clone().leaping(true)).unwrap();
+    let mut tick = Fleet::new(config.leaping(false)).unwrap();
+    for _ in 0..3 * 288 {
+        leap.run_until(leap.now() + glacsweb_fleet::TICK);
+        tick.run_until(tick.now() + glacsweb_fleet::TICK);
+        assert_eq!(
+            leap.state_digest(),
+            tick.state_digest(),
+            "diverged at {:?}",
+            leap.now()
+        );
+    }
+}
+
 /// The leap kernel actually leaps: on a quiescent fleet the bulk of
 /// simulated ticks are covered by closed-form advances, not stepping.
 #[test]

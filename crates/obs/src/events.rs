@@ -28,7 +28,7 @@ use glacsweb_sim::SimTime;
 use crate::{Event, Origin, Value};
 
 /// A borrowed [`Value`]: what the arena decodes to without allocating.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ValueRef<'a> {
     U64(u64),
     I64(i64),
@@ -46,6 +46,21 @@ impl Value {
             Value::F64(v) => ValueRef::F64(*v),
             Value::Bool(v) => ValueRef::Bool(*v),
             Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+/// Floats compare by bit pattern, as the arena stores them, so equality
+/// is reflexive with a NaN field and agrees with the exported bytes.
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ValueRef::F64(a), ValueRef::F64(b)) => a.to_bits() == b.to_bits(),
+            (ValueRef::U64(a), ValueRef::U64(b)) => a == b,
+            (ValueRef::I64(a), ValueRef::I64(b)) => a == b,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
+            (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -576,8 +591,11 @@ mod tests {
         acc.1.merge_ref(&chunk.1);
         agree(&acc.0, &acc.1)?;
 
+        prop_assert!(acc.0 == acc.0.clone());
+
         let bytes = glacsweb_snapshot::to_bytes(&acc.0);
         let restored: MemoryRecorder = glacsweb_snapshot::from_bytes(&bytes).expect("round trip");
+        prop_assert!(restored == acc.0);
         prop_assert_eq!(restored.to_json(), acc.0.to_json());
         prop_assert_eq!(glacsweb_snapshot::to_bytes(&restored), bytes);
         Ok(())

@@ -336,11 +336,18 @@ fn set_gauge(gauge: &mut Option<(SimTime, f64)>, at: SimTime, value: f64) {
 
 /// Equality is over content: the same records compare equal however
 /// the stores were assembled, whatever order their keys arrived in.
+/// Gauge values compare by bit pattern, so a NaN gauge equals itself.
 impl PartialEq for Store {
     fn eq(&self, other: &Self) -> bool {
+        let gauge_bits = |(origin, name, at, v): (Origin, &'static str, SimTime, f64)| {
+            (origin, name, at, v.to_bits())
+        };
         self.counters().eq(other.counters())
             && self.daily().eq(other.daily())
-            && self.gauges().eq(other.gauges())
+            && self
+                .gauges()
+                .map(gauge_bits)
+                .eq(other.gauges().map(gauge_bits))
             && self.histograms().eq(other.histograms())
     }
 }
@@ -1040,6 +1047,17 @@ mod tests {
         assert_eq!(r.gauge_value(orig(), "soc"), Some(0.8));
         r.gauge(at(2, 12), orig(), "soc", 0.7); // same instant: later write wins
         assert_eq!(r.gauge_value(orig(), "soc"), Some(0.7));
+    }
+
+    #[test]
+    fn equality_is_reflexive_with_nan_values() {
+        let mut r = MemoryRecorder::default();
+        r.gauge(at(1, 12), orig(), "soc", f64::NAN);
+        r.event(Event::new(at(1, 12), orig(), "e").with("v", f64::NAN));
+        assert!(r == r.clone());
+        let mut other = r.clone();
+        other.gauge(at(1, 13), orig(), "soc", -f64::NAN);
+        assert!(r != other, "a NaN of other bits is another value");
     }
 
     #[test]

@@ -61,9 +61,8 @@ pub struct EventWheel<E> {
 
 /// The most events an emptied bucket may have room for and still be
 /// kept for reuse. The deployment's instants hold one to a few events;
-/// a fleet site's coalesced wake instants hold hundreds of stations, and
-/// parking those would keep their storage alive, so they are freed as
-/// they empty.
+/// a larger bucket is freed as it empties rather than kept alive in the
+/// pool.
 const SPARE_CAPACITY: usize = 16;
 
 impl<E> EventWheel<E> {
