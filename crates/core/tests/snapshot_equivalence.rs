@@ -15,6 +15,7 @@ use glacsweb_env::EnvConfig;
 use glacsweb_link::GprsConfig;
 use glacsweb_sim::{SimDuration, SimTime};
 use glacsweb_station::StationConfig;
+use serde::{Serialize, Value};
 
 mod common;
 
@@ -212,4 +213,76 @@ fn snapshot_wire_bytes_are_pinned() {
         (1_705_601, 0x8cf6_6d6a_0c16_533b),
         "chaos plan, seed 2008, 40 days"
     );
+}
+
+/// The map entry `key` of a snapshot value tree.
+fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(fields) = v else {
+        panic!("expected a map holding `{key}`")
+    };
+    &mut fields
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == Some(key))
+        .expect("field present")
+        .1
+}
+
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    let Value::Seq(items) = v else {
+        panic!("expected a sequence")
+    };
+    items
+}
+
+/// The world queue's `[instant, tag, event]` entries.
+fn queue_entries(state: &mut Value) -> &mut Vec<Value> {
+    items(field(field(state, "queue"), "entries"))
+}
+
+/// Rewrites a snapshot value tree.
+type Craft = dyn Fn(&mut Value);
+
+/// Restores the chaos deployment's day-2 snapshot after `craft` rewrites
+/// its value tree. The bytes are sealed afresh, so the checksum passes
+/// and only the decoder and `Deployment::restore` can refuse the state.
+fn restore_crafted(craft: &Craft) -> Result<Deployment, SnapshotError> {
+    let mut d = chaos_deployment();
+    d.run_days(2);
+    let mut state = d.snapshot().to_value();
+    craft(&mut state);
+    Deployment::restore(glacsweb_snapshot::from_bytes(
+        &glacsweb_snapshot::to_bytes(&state),
+    )?)
+}
+
+#[test]
+fn restore_rejects_crafted_event_queues() {
+    assert!(restore_crafted(&|_| {}).is_ok(), "the clean tree restores");
+    // One entry's tag raised to the arrival counter.
+    let tag_at_seq = |state: &mut Value| {
+        let seq = field(field(state, "queue"), "seq").clone();
+        items(&mut queue_entries(state)[0])[1] = seq;
+    };
+    // The first two events of one instant (the stations' shared tick)
+    // swapped, so that instant's tags fall in file order.
+    let reorder = |state: &mut Value| {
+        let entries = queue_entries(state);
+        let at = |entry: &Value| entry.as_seq().expect("an entry")[0].clone();
+        let i = entries
+            .windows(2)
+            .position(|pair| at(&pair[0]) == at(&pair[1]))
+            .expect("an instant holding two events");
+        entries.swap(i, i + 1);
+    };
+    let cases: [(&Craft, &str); 2] = [
+        (&tag_at_seq, "not below arrival counter"),
+        (&reorder, "FIFO"),
+    ];
+    for (craft, want) in cases {
+        let err = restore_crafted(craft)
+            .err()
+            .expect("crafted queue restored");
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(want), "want {want:?}: {err}");
+    }
 }
