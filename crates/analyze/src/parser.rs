@@ -750,7 +750,7 @@ fn last_head_ident(toks: &[Tok], start: usize, end: usize) -> Option<String> {
 }
 
 /// First identifier at angle depth 0 — the self type's head
-/// (`EventWheel < E >` → `EventWheel`).
+/// (`EventQueue < E >` → `EventQueue`).
 fn first_head_ident(toks: &[Tok], start: usize, end: usize) -> Option<String> {
     let mut angle = 0i64;
     for t in toks.iter().take(end).skip(start) {
@@ -804,10 +804,10 @@ mod tests {
 
     #[test]
     fn impl_head_splits_trait_and_type() {
-        let items = parse("impl<E: Serialize> Serialize for EventWheel<E> { fn f(&self) {} }");
+        let items = parse("impl<E: Serialize> Serialize for EventQueue<E> { fn f(&self) {} }");
         assert_eq!(items[0].kind, ItemKind::Impl);
         assert_eq!(items[0].trait_name.as_deref(), Some("Serialize"));
-        assert_eq!(items[0].name, "EventWheel");
+        assert_eq!(items[0].name, "EventQueue");
         assert_eq!(items[0].children.len(), 1);
         assert_eq!(items[0].children[0].name, "f");
     }

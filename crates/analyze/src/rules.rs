@@ -221,7 +221,6 @@ fn perf_scope(rel: &str) -> bool {
     rel.starts_with("crates/env/src/")
         || rel.starts_with("crates/power/src/")
         || rel == "crates/sim/src/event.rs"
-        || rel == "crates/sim/src/wheel.rs"
         || rel == "crates/fleet/src/kernel.rs"
         || rel == "crates/probe/src/protocol.rs"
         || rel == "crates/probe/src/firmware.rs"

@@ -187,7 +187,6 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
         3
     );
     assert_eq!(fire("crates/sim/src/event.rs", src, RuleId::PerfHygiene), 3);
-    assert_eq!(fire("crates/sim/src/wheel.rs", src, RuleId::PerfHygiene), 3);
     // The station's daily window path, the update check's MD5, the
     // replay client and the telemetry store are in scope…
     for hot_file in [

@@ -6,13 +6,13 @@
 //!   at the deployment's half-hour tick grid.
 //! * `battery_step_day` — 48 half-hour substeps integrated one at a
 //!   time.
-//! * `event_wheel_day` — a day of two-station tick scheduling through the
-//!   indexed `EventWheel`.
+//! * `event_queue_day` — a day of two-station tick scheduling through the
+//!   deployment's `EventQueue`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use glacsweb_env::{EnvConfig, Environment};
 use glacsweb_power::LeadAcidBattery;
-use glacsweb_sim::{AmpHours, Amps, Celsius, EventWheel, SimDuration, SimTime};
+use glacsweb_sim::{AmpHours, Amps, Celsius, EventQueue, SimDuration, SimTime};
 
 const T0: SimTime = SimTime::from_unix(1_243_814_400); // 2009-06-01 00:00:00
 const TICK: SimDuration = SimDuration::from_mins(30);
@@ -51,17 +51,18 @@ fn bench_battery(c: &mut Criterion) {
 }
 
 fn bench_scheduling(c: &mut Criterion) {
-    c.bench_function("event_wheel_day", |b| {
-        let mut w = EventWheel::new();
+    c.bench_function("event_queue_day", |b| {
+        let mut q = EventQueue::new();
         b.iter(|| {
             let mut t = T0;
             for i in 0u32..TICKS_PER_DAY {
-                w.push_batch(t, [(i, 0u8), (i, 1u8)]);
-                let _ = w.pop();
-                let _ = w.pop();
+                q.push(t, (i, 0u8));
+                q.push(t, (i, 1u8));
+                let _ = q.pop();
+                let _ = q.pop();
                 t += TICK;
             }
-            assert!(w.is_empty());
+            assert!(q.is_empty());
         })
     });
 }

@@ -5,7 +5,7 @@ use glacsweb_faults::{Fault, FaultPlan, FaultTarget, WindowClass};
 use glacsweb_obs::{Event, MemoryRecorder, NullRecorder, Origin, Recorder};
 use glacsweb_probe::{MortalityModel, ProbeFirmware};
 use glacsweb_server::SouthamptonServer;
-use glacsweb_sim::{Bytes, EventWheel, SimDuration, SimRng, SimTime};
+use glacsweb_sim::{Bytes, EventQueue, SimDuration, SimRng, SimTime};
 use glacsweb_snapshot::SnapshotError;
 use glacsweb_station::{Station, StationConfig, StationId, StationState};
 use serde::{Deserialize, Serialize};
@@ -200,12 +200,10 @@ impl DeploymentBuilder {
         };
 
         // Kick-off events are filed per station, Tick then Window, base
-        // before reference — the exact push order of the historical
-        // heap-based loop. The order matters when the first tick and the
+        // before reference. The order matters when the first tick and the
         // midday window land on the same instant (a deployment starting
-        // at exactly 11:30): the FIFO tie-break the whole run inherits
-        // must match the old kernel's for trajectories to stay
-        // bit-identical.
+        // at exactly 11:30): the whole run inherits its FIFO tie-break,
+        // so this push order is part of the pinned trajectory.
         let stations: Vec<StationId> = [
             base.as_ref().map(|_| StationId::Base),
             reference.as_ref().map(|_| StationId::Reference),
@@ -213,7 +211,7 @@ impl DeploymentBuilder {
         .into_iter()
         .flatten()
         .collect();
-        let mut queue = EventWheel::new();
+        let mut queue = EventQueue::new();
         for &id in &stations {
             queue.push(
                 self.start + SimDuration::from_mins(30),
@@ -267,7 +265,7 @@ impl RawU64 for SimRng {
 /// The complete persisted state of a [`Deployment`] — everything the
 /// event loop needs to resume bit-identically: environment models and
 /// their RNG position, both stations down to retry counters and telemetry
-/// registries, the probe cohort and its mortality draws, the event wheel
+/// registries, the probe cohort and its mortality draws, the event queue
 /// with its FIFO arrival counter, metrics, and the fault plan with every
 /// in-flight activation.
 ///
@@ -289,7 +287,7 @@ pub struct DeploymentState {
     death_times: Vec<Option<SimTime>>,
     probe_rng: SimRng,
     probe_interval: SimDuration,
-    queue: EventWheel<WorldEvent>,
+    queue: EventQueue<WorldEvent>,
     start: SimTime,
     now: SimTime,
     metrics: Metrics,
@@ -308,7 +306,7 @@ pub struct Deployment {
     death_times: Vec<Option<SimTime>>,
     probe_rng: SimRng,
     probe_interval: SimDuration,
-    queue: EventWheel<WorldEvent>,
+    queue: EventQueue<WorldEvent>,
     start: SimTime,
     now: SimTime,
     metrics: Metrics,

@@ -27,7 +27,7 @@ pub struct Checkpoint {
     pub checkpoint_day: u64,
     /// Encoded snapshot size (envelope + payload), bytes.
     pub snapshot_bytes: u64,
-    /// Events pending in the wheel at the checkpoint instant.
+    /// Events pending in the world queue at the checkpoint instant.
     pub queued_events: usize,
     /// Snapshot schema version stamped on the envelope.
     pub schema_version: u32,

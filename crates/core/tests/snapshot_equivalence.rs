@@ -192,7 +192,7 @@ fn standard_deployment(seed: u64) -> Deployment {
 
 /// Pins the snapshot payload bytes (length and FNV) of two runs, so a
 /// change to any serialized type's representation — the card, the probe
-/// buffer, file names, window reports, the event wheel — shows up here
+/// buffer, file names, window reports, the event queue — shows up here
 /// even when it would still round-trip.
 #[test]
 fn snapshot_wire_bytes_are_pinned() {
@@ -285,4 +285,27 @@ fn restore_rejects_crafted_event_queues() {
         assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
         assert!(err.to_string().contains(want), "want {want:?}: {err}");
     }
+}
+
+/// A CRC-valid snapshot whose battery-voltage series has two sample times
+/// swapped used to restore, leaving a series that `value_at` bisects
+/// wrongly; a sample time moved past the clock made the next `push`
+/// panic with "samples must be time-ordered".
+#[test]
+fn restore_rejects_an_unordered_time_series() {
+    let swap_last_two_samples = |state: &mut Value| {
+        let Value::Map(by_station) = field(field(state, "metrics"), "voltage") else {
+            panic!("expected the voltage series keyed by station")
+        };
+        let points = items(field(&mut by_station[0].1, "points"));
+        let n = points.len();
+        let later = items(&mut points[n - 1])[0].clone();
+        let earlier = std::mem::replace(&mut items(&mut points[n - 2])[0], later);
+        items(&mut points[n - 1])[0] = earlier;
+    };
+    let err = restore_crafted(&swap_last_two_samples)
+        .err()
+        .expect("an unordered series restored");
+    assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+    assert!(err.to_string().contains("time-ordered"), "{err}");
 }

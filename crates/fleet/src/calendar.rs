@@ -15,12 +15,13 @@
 //! which the next newly opened instants reuse. Slot storage is therefore
 //! the live events plus that bounded pool.
 //!
-//! On the wire the calendar is exactly the
-//! [`EventWheel`](glacsweb_sim::EventWheel) form it replaced:
+//! On the wire the calendar is the pending-event form of
+//! [`glacsweb_sim::encode_pending`], the one the deployment's
+//! [`EventQueue`](glacsweb_sim::EventQueue) writes too:
 //! `{seq, entries: [[instant, tag, event], …]}` in firing order, with
 //! `seq` the monotone arrival counter the tags are drawn from.
 
-use glacsweb_sim::SimTime;
+use glacsweb_sim::{decode_pending, encode_pending, SimTime};
 use serde::{de, Deserialize, Serialize, Value};
 
 use crate::site::{SiteEvent, Tier, TICK};
@@ -73,7 +74,7 @@ fn instant(tick: u64) -> SimTime {
 /// A site's pending events on a tick-indexed ring.
 ///
 /// Events leave in non-decreasing instant order with FIFO tie-breaking,
-/// exactly as from an [`EventWheel`](glacsweb_sim::EventWheel) fed the
+/// exactly as from an [`EventQueue`](glacsweb_sim::EventQueue) fed the
 /// same pushes, provided every push lands inside the horizon: on the
 /// tick grid, no earlier than the next instant still to be taken, and
 /// less than `RING` = 512 ticks past it. The kernel's schedule keeps that
@@ -165,11 +166,7 @@ impl SiteCalendar {
 
     /// Visits every pending `(instant, tag, event)` in firing order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u64, SiteEvent)> + '_ {
-        (self.cursor..self.cursor + RING as u64).flat_map(move |tick| {
-            self.slots[(tick & MASK) as usize]
-                .iter()
-                .map(move |&(tag, event)| (instant(tick), tag, event))
-        })
+        pending(&self.slots, self.cursor)
     }
 
     /// Re-bases a decoded calendar on the site clock `now`: every
@@ -195,80 +192,68 @@ impl SiteCalendar {
     }
 }
 
+/// Every pending `(instant, tag, event)` of the ring `slots` whose
+/// earliest instant is tick `cursor`, in firing order.
+fn pending(
+    slots: &[Vec<Entry>],
+    cursor: u64,
+) -> impl Iterator<Item = (SimTime, u64, SiteEvent)> + '_ {
+    (cursor..cursor + RING as u64).flat_map(move |tick| {
+        slots[(tick & MASK) as usize]
+            .iter()
+            .map(move |&(tag, event)| (instant(tick), tag, event))
+    })
+}
+
 impl Serialize for SiteCalendar {
     fn to_value(&self) -> Value {
-        let mut entries = Vec::with_capacity(self.len);
-        for tick in self.cursor..self.cursor + RING as u64 {
-            for &(tag, event) in &self.slots[(tick & MASK) as usize] {
-                entries.push(Value::Seq(vec![
-                    instant(tick).to_value(),
-                    tag.to_value(),
-                    event.to_value(),
-                ]));
-            }
-        }
-        Value::Map(vec![
-            (Value::Str("seq".to_string()), self.seq.to_value()),
-            (Value::Str("entries".to_string()), Value::Seq(entries)),
-        ])
+        encode_pending(self.seq, self.len, pending(&self.slots, self.cursor))
     }
 }
 
 impl Deserialize for SiteCalendar {
-    /// Decodes the `{seq, entries}` form, rejecting what no calendar
-    /// holds: an instant off the tick grid, entries spread over more
-    /// instants than the ring indexes, a tag at or above `seq`, or one
-    /// instant's tags out of arrival order. The decoded calendar starts
-    /// at its earliest entry; `SiteCalendar::rebase` then checks the
-    /// window against the site clock.
+    /// Decodes the pending-event form (see [`decode_pending`] for the
+    /// checks every pending set gets), rejecting what no calendar holds:
+    /// an instant off the tick grid, an instant whose entries the file
+    /// splits with tags falling, or entries spread over more instants
+    /// than the ring indexes. The decoded calendar starts at its earliest
+    /// entry; `SiteCalendar::rebase` then checks the window against the
+    /// site clock.
     fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let seq: u64 = de::field(v, "seq")?;
-        let entries = v
-            .get("entries")
-            .and_then(Value::as_seq)
-            .ok_or_else(|| de::Error::custom("site calendar: missing `entries` sequence"))?;
-        let mut decoded = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let Some([t, tag, event]) = entry.as_seq() else {
-                return Err(de::Error::custom(
-                    "site calendar entry must be [time, tag, event]",
-                ));
-            };
-            let t = SimTime::from_value(t)?;
-            let tag = u64::from_value(tag)?;
+        let mut slots = vec![Vec::new(); RING].into_boxed_slice();
+        let mut span: Option<(u64, u64)> = None;
+        let mut len = 0;
+        let seq = decode_pending(v, |t, tag, event| {
             if !t.unix().is_multiple_of(TICK.as_secs()) {
                 return Err(de::Error::custom(format!(
                     "site calendar entry at {t:?} is off the tick grid"
                 )));
             }
-            if tag >= seq {
-                return Err(de::Error::custom(format!(
-                    "site calendar entry tag {tag} not below arrival counter {seq}"
-                )));
-            }
-            decoded.push((tick_of(t), tag, SiteEvent::from_value(event)?));
-        }
-        let cursor = decoded.iter().map(|e| e.0).min().unwrap_or(0);
-        let mut slots = vec![Vec::new(); RING].into_boxed_slice();
-        for &(tick, tag, event) in &decoded {
-            if tick - cursor >= RING as u64 {
-                return Err(de::Error::custom(format!(
-                    "site calendar entries span more than {RING} ticks"
-                )));
-            }
-            let slot: &mut Vec<Entry> = &mut slots[(tick & MASK) as usize];
+            let tick = tick_of(t);
+            span = Some(span.map_or((tick, tick), |(lo, hi)| (lo.min(tick), hi.max(tick))));
+            // A slot pops in file order, so an instant the file splits
+            // around another must still list its tags rising.
+            let slot = &mut slots[(tick & MASK) as usize];
             if slot.last().is_some_and(|&(last, _)| last >= tag) {
                 return Err(de::Error::custom(
                     "site calendar arrival tags out of FIFO order",
                 ));
             }
             slot.push((tag, event));
+            len += 1;
+            Ok(())
+        })?;
+        let (cursor, last) = span.unwrap_or_default();
+        if last - cursor >= RING as u64 {
+            return Err(de::Error::custom(format!(
+                "site calendar entries span more than {RING} ticks"
+            )));
         }
         Ok(SiteCalendar {
             slots,
             cursor,
             seq,
-            len: decoded.len(),
+            len,
             spare: Vec::new(),
         })
     }
@@ -277,7 +262,7 @@ impl Deserialize for SiteCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glacsweb_sim::EventWheel;
+    use glacsweb_sim::EventQueue;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -290,36 +275,36 @@ mod tests {
         proptest::collection::vec((any::<bool>(), 0..=MAX_AHEAD_TICKS, any::<bool>()), 1..400)
     }
 
-    /// Drives a calendar and an [`EventWheel`] with the same pushes — on
+    /// Drives a calendar and an [`EventQueue`] with the same pushes — on
     /// the tick grid, inside the horizon — interleaved with pops of one
     /// whole instant. Both must give the same `(instant, tag, event)`
     /// sequence, and carry the same wire bytes throughout.
-    fn calendar_matches_the_wheel(ops: &[(bool, u64, bool)]) -> Result<(), TestCaseError> {
+    fn calendar_matches_the_queue(ops: &[(bool, u64, bool)]) -> Result<(), TestCaseError> {
         let mut calendar = SiteCalendar::new(origin());
-        let mut wheel = EventWheel::new();
+        let mut queue = EventQueue::new();
         let mut pushed = 0u32;
         let pop_instant = |calendar: &mut SiteCalendar,
-                           wheel: &mut EventWheel<SiteEvent>|
+                           queue: &mut EventQueue<SiteEvent>|
          -> Result<bool, TestCaseError> {
             let far = instant(calendar.cursor + RING as u64);
             let Some((t, batch)) = calendar.take_before(far) else {
-                prop_assert_eq!(wheel.pop(), None);
+                prop_assert_eq!(queue.pop(), None);
                 return Ok(false);
             };
             for &(tag, event) in &batch {
                 // Each push's event carries its push index, which is the
-                // wheel's arrival tag for it.
+                // queue's arrival tag for it.
                 let (SiteEvent::Tick(i) | SiteEvent::Wake(i)) = event;
                 prop_assert_eq!(tag, u64::from(i));
-                prop_assert_eq!(wheel.pop(), Some((t, event)));
+                prop_assert_eq!(queue.pop(), Some((t, event)));
             }
-            prop_assert_ne!(wheel.peek_time(), Some(t));
+            prop_assert_ne!(queue.peek_time(), Some(t));
             calendar.recycle(batch);
             Ok(true)
         };
         for &(is_pop, ahead, is_tick) in ops {
             if is_pop {
-                pop_instant(&mut calendar, &mut wheel)?;
+                pop_instant(&mut calendar, &mut queue)?;
             } else {
                 let t = instant(calendar.cursor + ahead);
                 let event = if is_tick {
@@ -328,13 +313,13 @@ mod tests {
                     SiteEvent::Wake(pushed)
                 };
                 calendar.push(t, event);
-                wheel.push(t, event);
+                queue.push(t, event);
                 pushed += 1;
             }
-            prop_assert_eq!(calendar.len, wheel.len());
+            prop_assert_eq!(calendar.len, queue.len());
             prop_assert_eq!(
                 glacsweb_snapshot::to_bytes(&calendar),
-                glacsweb_snapshot::to_bytes(&wheel)
+                glacsweb_snapshot::to_bytes(&queue)
             );
         }
         let bytes = glacsweb_snapshot::to_bytes(&calendar);
@@ -344,8 +329,8 @@ mod tests {
             .rebase(instant(calendar.cursor))
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(glacsweb_snapshot::to_bytes(&decoded), bytes);
-        while pop_instant(&mut calendar, &mut wheel)? {}
-        prop_assert!(calendar.len == 0 && wheel.is_empty());
+        while pop_instant(&mut calendar, &mut queue)? {}
+        prop_assert!(calendar.len == 0 && queue.is_empty());
         Ok(())
     }
 
@@ -353,22 +338,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn pops_in_event_wheel_order(ops in ops()) {
-            calendar_matches_the_wheel(&ops)?;
+        fn pops_in_event_queue_order(ops in ops()) {
+            calendar_matches_the_queue(&ops)?;
         }
     }
 
-    /// Opt-in stress variant of `pops_in_event_wheel_order`: 20,000
+    /// Opt-in stress variant of `pops_in_event_queue_order`: 20,000
     /// randomized cases. Run with
     /// `cargo test -p glacsweb-fleet --release -- --ignored`.
     #[test]
     #[ignore = "stress: 20k randomized cases, run explicitly"]
-    fn pops_in_event_wheel_order_stress() {
+    fn pops_in_event_queue_order_stress() {
         use proptest::test_runner::{Config, TestRunner};
         let mut runner = TestRunner::new(Config::with_cases(20_000));
         runner
-            .run(&ops(), |ops| calendar_matches_the_wheel(&ops))
-            .expect("the calendar must pop in event wheel order");
+            .run(&ops(), |ops| calendar_matches_the_queue(&ops))
+            .expect("the calendar must pop in event queue order");
     }
 
     #[test]
@@ -417,6 +402,11 @@ mod tests {
             ),
             (vec![entry(t, 1)], 1, "not below arrival counter"),
             (vec![entry(t, 1), entry(t, 0)], 2, "FIFO"),
+            (
+                vec![entry(t, 1), entry(t + TICK, 2), entry(t, 0)],
+                3,
+                "FIFO",
+            ),
             (
                 vec![entry(t, 0), entry(t + TICK * RING as u64, 1)],
                 2,

@@ -496,78 +496,6 @@ impl FleetSummary {
             self.windows_healthy as f64 / total as f64
         }
     }
-
-    /// Deterministic JSON export of the fleet-wide row plus every
-    /// per-site row, with floats printed bit-exactly (hex bit pattern
-    /// alongside a human-readable rounding) so byte equality of two
-    /// exports implies bit equality of the states.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.per_site.len() * 256);
-        out.push_str("{\n  \"schema\": \"glacsweb-fleet/1\",\n");
-        out.push_str(&format!("  \"sites\": {},\n", self.sites));
-        out.push_str(&format!("  \"stations\": {},\n", self.stations));
-        out.push_str(&format!("  \"days\": {},\n", fmt_f64(self.days)));
-        out.push_str(&format!(
-            "  \"windows_healthy\": {},\n",
-            self.windows_healthy
-        ));
-        out.push_str(&format!(
-            "  \"windows_degraded\": {},\n",
-            self.windows_degraded
-        ));
-        out.push_str(&format!("  \"windows_lost\": {},\n", self.windows_lost));
-        out.push_str(&format!("  \"deaths\": {},\n", self.deaths));
-        out.push_str(&format!("  \"restarts\": {},\n", self.restarts));
-        out.push_str(&format!("  \"overrides\": {},\n", self.overrides));
-        out.push_str(&format!("  \"storm_wakes\": {},\n", self.storm_wakes));
-        out.push_str(&format!("  \"sample_wakes\": {},\n", self.sample_wakes));
-        out.push_str(&format!("  \"alive\": {},\n", self.alive));
-        out.push_str(&format!("  \"mean_soc\": {},\n", fmt_f64(self.mean_soc)));
-        out.push_str(&format!(
-            "  \"energy_charged_wh\": {},\n",
-            fmt_f64(self.energy_charged_wh)
-        ));
-        out.push_str(&format!(
-            "  \"energy_discharged_wh\": {},\n",
-            fmt_f64(self.energy_discharged_wh)
-        ));
-        out.push_str("  \"per_site\": [\n");
-        for (i, s) in self.per_site.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"site\": {}, \"stations\": {}, \"healthy\": {}, \"degraded\": {}, \
-                 \"lost\": {}, \"deaths\": {}, \"restarts\": {}, \"overrides\": {}, \
-                 \"storm_wakes\": {}, \"alive\": {}, \"soc_sum\": {}}}{}\n",
-                s.site,
-                s.stations,
-                s.windows_healthy,
-                s.windows_degraded,
-                s.windows_lost,
-                s.deaths,
-                s.restarts,
-                s.overrides,
-                s.storm_wakes,
-                s.alive,
-                fmt_f64(s.soc_sum),
-                if i + 1 == self.per_site.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Formats an f64 so that byte equality implies bit equality: the exact
-/// bit pattern, tagged with a readable rounding.
-fn fmt_f64(v: f64) -> String {
-    format!(
-        "{{\"bits\": \"{:016x}\", \"approx\": {:.6}}}",
-        v.to_bits(),
-        v
-    )
 }
 
 /// FNV-1a 64-bit, used for the canonical state digest.

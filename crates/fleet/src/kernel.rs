@@ -167,14 +167,13 @@ impl Site {
     /// `t + 2·TICK`, is the one every wake's first sleeping slot needs.
     fn instant_ctx(&mut self, t: SimTime) -> InstantCtx {
         self.storms.ensure(t + TICK * 2);
-        let (temp_c, wake_harvest, sleep_harvest) = self.climate.at(&self.params, t);
         InstantCtx {
             t,
             storm: self.storms.active_at(t),
             storm_next: self.storms.active_at(t + TICK),
-            temp_c,
-            wake_harvest,
-            sleep_harvest,
+            temp_c: self.params.temp_c(t),
+            wake_harvest: self.params.wake_harvest_amps(t),
+            sleep_harvest: self.params.sleep_harvest_amps(t),
             grid: self.wake_grid(t),
         }
     }

@@ -7,7 +7,7 @@
 use glacsweb_env::OuStepCache;
 use glacsweb_power::{LeadAcidBattery, SleepGlide};
 use glacsweb_sim::{AmpHours, Amps, Celsius, SimDuration, SimRng, SimTime};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::calendar::SiteCalendar;
 use crate::config::FleetConfig;
@@ -157,7 +157,7 @@ impl SiteParams {
     }
 
     /// Clear-sky panel current over a wake slot at `t`, amps.
-    fn wake_harvest_amps(&self, t: SimTime) -> f64 {
+    pub(crate) fn wake_harvest_amps(&self, t: SimTime) -> f64 {
         let hour = t.hour_of_day_f64();
         let elevation = ((hour - 13.0) / 12.0 * std::f64::consts::PI).cos().max(0.0);
         self.panel_amps * self.season_factor(t) * elevation
@@ -166,56 +166,8 @@ impl SiteParams {
     /// Mean clear-sky panel current frozen over a sleep span starting
     /// near `t`, amps — the diurnal-average credit a sleeping charger
     /// banks per tick.
-    fn sleep_harvest_amps(&self, t: SimTime) -> f64 {
+    pub(crate) fn sleep_harvest_amps(&self, t: SimTime) -> f64 {
         self.panel_amps * self.season_factor(t) * 0.18
-    }
-}
-
-/// One-slot memo of the site climate at a single instant.
-///
-/// [`SiteParams::temp_c`] and friends cost several trig calls and
-/// civil-date conversions, and a site's stations wake in tight clusters
-/// at the same grid instants — so the wake handler funnels every
-/// climate read through this memo instead of re-deriving per station.
-/// The memo is *derived state*: a pure function of `(params, t)` used
-/// identically by both kernel modes, excluded from equality, and
-/// serialised as `Null` (restores rebuild it on first use with the
-/// exact same bits).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClimateMemo {
-    at_unix: u64,
-    valid: bool,
-    temp_c: f64,
-    wake_harvest: f64,
-    sleep_harvest: f64,
-}
-
-impl Serialize for ClimateMemo {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for ClimateMemo {
-    fn from_value(_: &Value) -> Result<Self, de::Error> {
-        Ok(ClimateMemo::default())
-    }
-}
-
-impl ClimateMemo {
-    /// `(temp_c, wake_harvest_amps, sleep_harvest_amps)` at `t`,
-    /// recomputed only when `t` differs from the memoised instant. Each
-    /// value is produced by exactly the corresponding [`SiteParams`]
-    /// formula, so a hit and a recompute are bit-identical.
-    pub fn at(&mut self, params: &SiteParams, t: SimTime) -> (f64, f64, f64) {
-        if !self.valid || self.at_unix != t.unix() {
-            self.at_unix = t.unix();
-            self.temp_c = params.temp_c(t);
-            self.wake_harvest = params.wake_harvest_amps(t);
-            self.sleep_harvest = params.sleep_harvest_amps(t);
-            self.valid = true;
-        }
-        (self.temp_c, self.wake_harvest, self.sleep_harvest)
     }
 }
 
@@ -477,15 +429,16 @@ pub struct Site {
     pub params: SiteParams,
     /// Storm timeline.
     pub storms: StormTimeline,
-    /// Pending events (named `wheel` on the wire, which keeps the form
-    /// of the event wheel this calendar replaced).
+    /// Pending events. The field keeps its wire name `wheel`, so
+    /// snapshots keep their bytes.
     pub wheel: SiteCalendar,
     /// Station state columns.
     pub st: StationArrays,
     /// Memoised OU step coefficients (derived state; serialises null).
     pub ou_cache: OuStepCache,
-    /// Memoised climate at the last-touched instant (derived state).
-    pub climate: ClimateMemo,
+    /// Always `null`: the wire slot of a climate memo the kernel no
+    /// longer keeps, held so snapshots keep their bytes.
+    pub climate: (),
     /// Aggregate service counters.
     pub counters: SiteCounters,
     /// Kernel cost counters (mode-dependent; never in telemetry).
@@ -566,7 +519,7 @@ impl Site {
             wheel: SiteCalendar::new(start),
             st,
             ou_cache: OuStepCache::default(),
-            climate: ClimateMemo::default(),
+            climate: (),
             counters: SiteCounters::default(),
             exec: ExecCounters::default(),
             start,

@@ -6,8 +6,9 @@
 //! * [`SimTime`] / [`SimDuration`] — a simulated wall clock with a civil
 //!   calendar (the deployment logic cares about *midday UTC*, day-of-year for
 //!   solar elevation, and seasons).
-//! * [`EventWheel`] — a deterministic, FIFO-tie-broken calendar of timed
-//!   events.
+//! * [`EventQueue`] — a deterministic, FIFO-tie-broken queue of timed
+//!   events, and [`encode_pending`]/[`decode_pending`], the wire form of
+//!   pending events it shares with the fleet's site calendar.
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256++) with the
 //!   distributions the environment and link models need.
 //! * [`TimeSeries`] — a recorder used to regenerate the paper's figures.
@@ -19,10 +20,10 @@
 //! # Example
 //!
 //! ```
-//! use glacsweb_sim::{EventWheel, SimDuration, SimTime};
+//! use glacsweb_sim::{EventQueue, SimDuration, SimTime};
 //!
 //! let start = SimTime::from_ymd_hms(2009, 9, 22, 0, 0, 0);
-//! let mut queue = EventWheel::new();
+//! let mut queue = EventQueue::new();
 //! queue.push(start + SimDuration::from_hours(12), "midday window");
 //! queue.push(start + SimDuration::from_mins(30), "battery sample");
 //!
@@ -35,18 +36,16 @@
 #![warn(missing_docs)]
 
 mod config_error;
-#[cfg(test)]
 mod event;
 pub mod plot;
 mod rng;
 mod series;
 mod time;
 pub mod units;
-mod wheel;
 
 pub use config_error::ConfigError;
+pub use event::{decode_pending, encode_pending, EventQueue};
 pub use rng::SimRng;
 pub use series::{SeriesStats, TimeSeries};
 pub use time::{CivilDate, SimDuration, SimTime};
 pub use units::{AmpHours, Amps, BitsPerSecond, Bytes, Celsius, Volts, WattHours, Watts};
-pub use wheel::EventWheel;

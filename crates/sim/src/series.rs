@@ -1,6 +1,6 @@
 //! Time-series recording, used to regenerate the paper's figures.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 use crate::time::SimTime;
 
@@ -17,10 +17,33 @@ use crate::time::SimTime;
 /// assert_eq!(v.len(), 2);
 /// assert!((v.stats().mean - 12.55).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(SimTime, f64)>,
+}
+
+impl Deserialize for TimeSeries {
+    /// Decodes a series, rejecting samples out of time order: the next
+    /// [`push`](TimeSeries::push) would panic on them, and
+    /// [`value_at`](TimeSeries::value_at) would bisect an unsorted list.
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        let series = TimeSeries {
+            name: de::field(v, "name")?,
+            points: de::field(v, "points")?,
+        };
+        let ordered = series
+            .points
+            .windows(2)
+            .all(|pair| matches!(pair, [(a, _), (b, _)] if a <= b));
+        if !ordered {
+            return Err(de::Error::custom(format!(
+                "time series `{}`: samples must be time-ordered",
+                series.name
+            )));
+        }
+        Ok(series)
+    }
 }
 
 /// Summary statistics of a [`TimeSeries`].
@@ -212,6 +235,17 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_unix(secs)
+    }
+
+    #[test]
+    fn decode_rejects_unordered_samples() {
+        let mut s = TimeSeries::new("v");
+        s.push(t(0), 12.0);
+        s.push(t(1800), 12.5);
+        assert_eq!(TimeSeries::from_value(&s.to_value()).unwrap(), s);
+        s.points.swap(0, 1);
+        let err = TimeSeries::from_value(&s.to_value()).unwrap_err();
+        assert!(err.to_string().contains("time-ordered"), "{err}");
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn sim_time_serialises_compactly() {
 mod snapshot_fidelity {
     use glacsweb::Deployment;
     use glacsweb_env::{EnvConfig, Environment};
-    use glacsweb_sim::{EventWheel, SimDuration, SimRng, SimTime};
+    use glacsweb_sim::{EventQueue, SimDuration, SimRng, SimTime};
     use proptest::prelude::*;
 
     /// One trip through the snapshot wire format.
@@ -182,28 +182,28 @@ mod snapshot_fidelity {
             assert_bytes_stable(&rng);
         }
 
-        /// The event wheel keeps its FIFO sequence counter across the
+        /// The event queue keeps its FIFO sequence counter across the
         /// wire: same-time events pop in arrival order after a restore,
-        /// even when the wheel was half-drained before the snapshot.
+        /// even when the queue was half-drained before the snapshot.
         #[test]
-        fn event_wheel_round_trips_seq_and_order(
+        fn event_queue_round_trips_seq_and_order(
             offsets in proptest::collection::vec(0u64..600, 1..40),
             drain in 0usize..10,
         ) {
             let start = SimTime::from_ymd_hms(2009, 6, 1, 0, 0, 0);
-            let mut wheel: EventWheel<u64> = EventWheel::new();
+            let mut queue: EventQueue<u64> = EventQueue::new();
             for (i, off) in offsets.iter().enumerate() {
-                // Coarse buckets (minute granularity) force plenty of
+                // Coarse instants (minute granularity) force plenty of
                 // same-time collisions so the FIFO tag does real work.
-                wheel.push(start + SimDuration::from_mins(*off / 60), i as u64);
+                queue.push(start + SimDuration::from_mins(*off / 60), i as u64);
             }
-            for _ in 0..drain.min(wheel.len().saturating_sub(1)) {
-                let _ = wheel.pop();
+            for _ in 0..drain.min(queue.len().saturating_sub(1)) {
+                let _ = queue.pop();
             }
-            assert_bytes_stable(&wheel);
-            let mut thawed = snap_round_trip(&wheel);
-            prop_assert_eq!(thawed.len(), wheel.len());
-            while let Some(expect) = wheel.pop() {
+            assert_bytes_stable(&queue);
+            let mut thawed = snap_round_trip(&queue);
+            prop_assert_eq!(thawed.len(), queue.len());
+            while let Some(expect) = queue.pop() {
                 prop_assert_eq!(thawed.pop(), Some(expect), "pop order must survive");
             }
             prop_assert_eq!(thawed.pop(), None);
