@@ -190,10 +190,11 @@ fn standard_deployment(seed: u64) -> Deployment {
         .build()
 }
 
-/// Pins the snapshot payload bytes (length and FNV) of two runs, so a
+/// Pins the snapshot payload bytes (length and FNV) of three runs, so a
 /// change to any serialized type's representation — the card, the probe
 /// buffer, file names, window reports, the event queue — shows up here
-/// even when it would still round-trip.
+/// even when it would still round-trip. The third run's base station
+/// uplinks over the radio-modem relay, so both WAN variants are pinned.
 #[test]
 fn snapshot_wire_bytes_are_pinned() {
     let mut year = standard_deployment(2010 * 1000);
@@ -212,6 +213,15 @@ fn snapshot_wire_bytes_are_pinned() {
         (bytes.len(), fnv(&bytes)),
         (1_705_601, 0x8cf6_6d6a_0c16_533b),
         "chaos plan, seed 2008, 40 days"
+    );
+
+    let mut relay = Scenario::iceland_relay_architecture().build();
+    relay.run_days(10);
+    let bytes = glacsweb_snapshot::to_bytes(&relay.snapshot());
+    assert_eq!(
+        (bytes.len(), fnv(&bytes)),
+        (496_277, 0x1ac3_bb2f_7c7f_e2a4),
+        "relay architecture, seed 2008, 10 days"
     );
 }
 
