@@ -55,6 +55,9 @@ pub struct FieldDef {
     pub ty_idents: Vec<String>,
     /// Set when a `derived-state` annotation covers this field.
     pub annotated_derived: bool,
+    /// Set when the field carries `#[serde(skip)]`: a derived serde impl
+    /// leaves it off the wire.
+    pub serde_skip: bool,
 }
 
 /// One entry of the item table.
@@ -563,9 +566,16 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize) -> Vec<FieldDef> {
     let mut fields = Vec::new();
     let mut j = start;
     while j < end {
-        // Skip field attributes and visibility.
+        // Skip field attributes, noting `#[serde(skip)]`, and visibility.
+        let mut serde_skip = false;
         while j < end && toks[j].is_punct("#") && toks.get(j + 1).is_some_and(|n| n.is_punct("[")) {
-            j = skip_group(toks, j + 1, end, "[", "]");
+            let close = skip_group(toks, j + 1, end, "[", "]");
+            serde_skip |= close == j + 7
+                && toks[j + 2..j + 6]
+                    .iter()
+                    .map(|t| t.text.as_str())
+                    .eq(["serde", "(", "skip", ")"]);
+            j = close;
         }
         if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
             j += 1;
@@ -612,6 +622,7 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize) -> Vec<FieldDef> {
                     .map(|t| t.text.clone())
                     .collect(),
                 annotated_derived: false,
+                serde_skip,
             });
         }
         j = k + 1;

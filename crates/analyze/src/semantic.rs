@@ -10,15 +10,17 @@
 //!   must mention every non-derived field in both its `Serialize` and
 //!   `Deserialize` impls (and in `PartialEq` where hand-written), so a
 //!   field added without threading it through snapshot/resume is a CI
-//!   failure rather than a silent resume corruption.
+//!   failure rather than a silent resume corruption. For the same reason
+//!   only a derived field may carry `#[serde(skip)]`.
 //! * **rng-draw-budget** — a fn annotated `glacsweb: draw-budget(N)`
 //!   must retire exactly N raw draws on every execution path, counting
 //!   through branches, matches, and `self.` method calls; an unbalanced
 //!   branch desynchronizes the naive and sleep-leaping streams.
 //! * **derived-state** — memo/cache fields (annotated, `*Memo`/`*Cache`
 //!   typed, or `*_buf`/`*_cache`/`*_memo`/`*_scratch` named) must be
-//!   invisible to equality and serialize as null, enforcing the
-//!   derived-state convention mechanically.
+//!   invisible to equality and either serialize as null or, under a
+//!   derived `Serialize`, stay off the wire with `#[serde(skip)]`,
+//!   enforcing the derived-state convention mechanically.
 //! * **dead-pub** — a bare `pub fn` of a crate's library code that no
 //!   other scanned file names as an identifier (test files count as
 //!   users) is public API without a caller: delete it or drop the
@@ -102,6 +104,8 @@ pub struct FieldFact {
     pub ty: Vec<String>,
     /// `derived-state` annotation present.
     pub annotated: bool,
+    /// `#[serde(skip)]` present: off the wire of a derived serde impl.
+    pub serde_skip: bool,
 }
 
 /// One struct definition.
@@ -202,6 +206,7 @@ fn walk(toks: &[Tok], items: &[Item], impl_ty: Option<&str>, facts: &mut FileFac
                         line: f.line,
                         ty: f.ty_idents.clone(),
                         annotated: f.annotated_derived,
+                        serde_skip: f.serde_skip,
                     })
                     .collect(),
             }),
@@ -650,6 +655,23 @@ fn check_serde_packs(table: &Table<'_>, out: &mut Vec<Finding>) {
 
         // Pack: snapshot-coverage.
         if participates {
+            for f in s
+                .fields
+                .iter()
+                .filter(|f| f.serde_skip && !is_derived_field(f))
+            {
+                push(
+                    out,
+                    RuleId::SnapshotCoverage,
+                    file,
+                    f.line,
+                    format!(
+                        "`#[serde(skip)]` keeps field `{}` of `{name}` off the wire, but it \
+                         is not derived state; the field is dropped from every snapshot",
+                        f.name
+                    ),
+                );
+            }
             if let Some(im) = ser {
                 for f in s.fields.iter().filter(|f| !is_derived_field(f)) {
                     if !im.idents.contains(f.name.as_str()) {
@@ -754,7 +776,7 @@ fn check_serde_packs(table: &Table<'_>, out: &mut Vec<Finding>) {
                     );
                 }
             }
-            if ser.is_none() && derives("Serialize") {
+            if ser.is_none() && derives("Serialize") && !f.serde_skip {
                 let null_serde = f.ty.iter().any(|t| {
                     table.marks.contains(t.as_str())
                         || table

@@ -81,13 +81,13 @@ fn live_baseline_is_clean_and_all_packs_are_active() {
 #[test]
 fn deleting_a_field_from_a_serialize_path_fires_snapshot_coverage_once() {
     let added = mutate(
-        "crates/power/src/rail.rs",
-        "self.harvested.to_value()",
+        "crates/hw/src/msp430.rs",
+        "self.power_losses.to_value()",
         "Value::Null",
     );
-    let finding = only_new(added, RuleId::SnapshotCoverage, "crates/power/src/rail.rs");
+    let finding = only_new(added, RuleId::SnapshotCoverage, "crates/hw/src/msp430.rs");
     assert!(
-        finding.message.contains("`harvested`"),
+        finding.message.contains("`power_losses`"),
         "{}",
         finding.message
     );

@@ -510,3 +510,32 @@ fn unused_suppression_is_flagged_and_doc_examples_are_not_entries() {
         0
     );
 }
+
+// ------------------------------------------------------------- serde(skip)
+
+#[test]
+fn derived_state_accepts_a_memo_field_under_serde_skip() {
+    let src = |attr: &str| {
+        format!(
+            "#[derive(Serialize)]\nstruct Rail {{\n    charge: f64,\n    {attr}\n    taper: TaperMemo,\n}}\n"
+        )
+    };
+    let skipped = src("#[serde(skip)]");
+    assert_eq!(
+        fire("crates/power/src/fake.rs", &skipped, RuleId::DerivedState),
+        0
+    );
+    assert_eq!(
+        fire("crates/power/src/fake.rs", &src(""), RuleId::DerivedState),
+        1
+    );
+}
+
+#[test]
+fn serde_skip_on_a_state_field_fires_snapshot_coverage() {
+    let src = "#[derive(Serialize, Deserialize)]\nstruct Rail {\n    #[serde(skip)]\n    charge: f64,\n}\n";
+    assert_eq!(
+        fire("crates/power/src/fake.rs", src, RuleId::SnapshotCoverage),
+        1
+    );
+}

@@ -2,12 +2,12 @@
 
 use glacsweb_env::{EnvConfig, Environment};
 use glacsweb_faults::{Fault, FaultPlan, FaultTarget, WindowClass};
-use glacsweb_obs::{Event, MemoryRecorder, NullRecorder, Origin, Recorder};
+use glacsweb_obs::{Event, MemoryRecorder, Origin, Recorder};
 use glacsweb_probe::{MortalityModel, ProbeFirmware};
 use glacsweb_server::SouthamptonServer;
 use glacsweb_sim::{Bytes, EventQueue, SimDuration, SimRng, SimTime};
 use glacsweb_snapshot::SnapshotError;
-use glacsweb_station::{Station, StationConfig, StationId, StationState};
+use glacsweb_station::{Station, StationConfig, StationId};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{DeploymentSummary, Metrics};
@@ -190,13 +190,13 @@ impl DeploymentBuilder {
         let mut reference = self
             .reference
             .map(|c| build_station(c, master.fork(0x5EF).next_u64_raw()));
-        let world_obs: Box<dyn Recorder> = if self.observe {
+        let world_obs = if self.observe {
             for station in [base.as_mut(), reference.as_mut()].into_iter().flatten() {
-                station.set_recorder(Box::new(MemoryRecorder::default()));
+                station.record_telemetry();
             }
-            Box::new(MemoryRecorder::default())
+            Some(MemoryRecorder::default())
         } else {
-            Box::new(NullRecorder)
+            None
         };
 
         // Kick-off events are filed per station, Tick then Window, base
@@ -270,9 +270,9 @@ impl RawU64 for SimRng {
 /// in-flight activation.
 ///
 /// Derived caches (environment step-caches, the power rail's taper memo)
-/// are deliberately *not* captured; they serialize as null and rebuild on
-/// first use, which cannot perturb the trajectory because they memoize
-/// pure functions of captured state.
+/// are deliberately *not* captured; they serialize as null or stay off
+/// the wire, and rebuild on first use, which cannot perturb the
+/// trajectory because they memoize pure functions of captured state.
 ///
 /// Obtain one with [`Deployment::snapshot`]; turn it back into a live
 /// world with [`Deployment::restore`]. The struct is opaque by design —
@@ -281,8 +281,8 @@ impl RawU64 for SimRng {
 pub struct DeploymentState {
     env: Environment,
     server: SouthamptonServer,
-    base: Option<StationState>,
-    reference: Option<StationState>,
+    base: Option<Station>,
+    reference: Option<Station>,
     probes: Vec<ProbeFirmware>,
     death_times: Vec<Option<SimTime>>,
     probe_rng: SimRng,
@@ -312,7 +312,7 @@ pub struct Deployment {
     metrics: Metrics,
     fault_plan: FaultPlan,
     /// World-level telemetry (fault activations, window classes).
-    world_obs: Box<dyn Recorder>,
+    world_obs: Option<MemoryRecorder>,
     leaping: bool,
 }
 
@@ -483,7 +483,7 @@ impl Deployment {
     /// order (so the merge is deterministic). Returns `None` unless the
     /// deployment was built with [`DeploymentBuilder::observe`].
     pub fn telemetry(&mut self) -> Option<MemoryRecorder> {
-        let mut merged = self.world_obs.take_memory()?;
+        let mut merged = self.world_obs.as_mut().map(std::mem::take)?;
         for station in [self.base.as_mut(), self.reference.as_mut()]
             .into_iter()
             .flatten()
@@ -506,8 +506,8 @@ impl Deployment {
         DeploymentState {
             env: self.env.clone(),
             server: self.server.clone(),
-            base: self.base.as_ref().map(Station::snapshot),
-            reference: self.reference.as_ref().map(Station::snapshot),
+            base: self.base.clone(),
+            reference: self.reference.clone(),
             probes: self.probes.clone(),
             death_times: self.death_times.clone(),
             probe_rng: self.probe_rng.clone(),
@@ -517,7 +517,7 @@ impl Deployment {
             now: self.now,
             metrics: self.metrics.clone(),
             fault_plan: self.fault_plan.clone(),
-            world_obs: self.world_obs.memory().cloned(),
+            world_obs: self.world_obs.clone(),
             leaping: self.leaping,
         }
     }
@@ -528,8 +528,9 @@ impl Deployment {
     /// here, so a corrupted or hand-crafted snapshot yields a typed
     /// [`SnapshotError::Invalid`] instead of a world that panics later:
     /// the fault plan must validate, mortality draws must align with the
-    /// probe cohort, the clock may not precede the start, and no queued
-    /// event may reference a station or fault spec that was not captured.
+    /// probe cohort, the clock may not precede the start, no queued
+    /// event may reference a station or fault spec that was not captured,
+    /// and every station must pass [`Station::validate`].
     pub fn restore(state: DeploymentState) -> Result<Deployment, SnapshotError> {
         if state.now < state.start {
             return Err(SnapshotError::invalid(format!(
@@ -585,25 +586,18 @@ impl Deployment {
                 }
             }
         }
-        let base = state
-            .base
-            .map(Station::from_state)
-            .transpose()
-            .map_err(|e| SnapshotError::invalid(format!("base station: {e}")))?;
-        let reference = state
-            .reference
-            .map(Station::from_state)
-            .transpose()
-            .map_err(|e| SnapshotError::invalid(format!("reference station: {e}")))?;
-        let world_obs: Box<dyn Recorder> = match state.world_obs {
-            Some(memory) => Box::new(memory),
-            None => Box::new(NullRecorder),
-        };
+        for (role, station) in [("base", &state.base), ("reference", &state.reference)] {
+            if let Some(station) = station {
+                station
+                    .validate()
+                    .map_err(|e| SnapshotError::invalid(format!("{role} station: {e}")))?;
+            }
+        }
         Ok(Deployment {
             env: state.env,
             server: state.server,
-            base,
-            reference,
+            base: state.base,
+            reference: state.reference,
             probes: state.probes,
             death_times: state.death_times,
             probe_rng: state.probe_rng,
@@ -613,7 +607,7 @@ impl Deployment {
             now: state.now,
             metrics: state.metrics,
             fault_plan: state.fault_plan,
-            world_obs,
+            world_obs: state.world_obs,
             leaping: state.leaping,
         })
     }

@@ -252,17 +252,22 @@ fn queue_entries(state: &mut Value) -> &mut Vec<Value> {
 /// Rewrites a snapshot value tree.
 type Craft = dyn Fn(&mut Value);
 
-/// Restores the chaos deployment's day-2 snapshot after `craft` rewrites
-/// its value tree. The bytes are sealed afresh, so the checksum passes
-/// and only the decoder and `Deployment::restore` can refuse the state.
-fn restore_crafted(craft: &Craft) -> Result<Deployment, SnapshotError> {
-    let mut d = chaos_deployment();
-    d.run_days(2);
+/// Restores `d`'s snapshot after `craft` rewrites its value tree. The
+/// bytes are sealed afresh, so the checksum passes and only the decoder
+/// and `Deployment::restore` can refuse the state.
+fn restore_crafted_from(d: &Deployment, craft: &Craft) -> Result<Deployment, SnapshotError> {
     let mut state = d.snapshot().to_value();
     craft(&mut state);
     Deployment::restore(glacsweb_snapshot::from_bytes(
         &glacsweb_snapshot::to_bytes(&state),
     )?)
+}
+
+/// [`restore_crafted_from`] the chaos deployment's day-2 snapshot.
+fn restore_crafted(craft: &Craft) -> Result<Deployment, SnapshotError> {
+    let mut d = chaos_deployment();
+    d.run_days(2);
+    restore_crafted_from(&d, craft)
 }
 
 #[test]
@@ -284,9 +289,16 @@ fn restore_rejects_crafted_event_queues() {
             .expect("an instant holding two events");
         entries.swap(i, i + 1);
     };
-    let cases: [(&Craft, &str); 2] = [
+    // The first entry again at the end: one `(instant, tag)` twice, split
+    // around later instants.
+    let duplicate = |state: &mut Value| {
+        let entries = queue_entries(state);
+        entries.push(entries[0].clone());
+    };
+    let cases: [(&Craft, &str); 3] = [
         (&tag_at_seq, "not below arrival counter"),
         (&reorder, "FIFO"),
+        (&duplicate, "firing order"),
     ];
     for (craft, want) in cases {
         let err = restore_crafted(craft)
@@ -318,4 +330,31 @@ fn restore_rejects_an_unordered_time_series() {
         .expect("an unordered series restored");
     assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
     assert!(err.to_string().contains("time-ordered"), "{err}");
+}
+
+/// A CRC-valid snapshot whose rail had lost one of the loads the station
+/// switches used to restore, and the next window then panicked with
+/// "unknown load".
+#[test]
+fn restore_rejects_a_rail_without_a_station_load() {
+    let mut d = Scenario::lab_bringup().seed(7).build();
+    d.run_days(2);
+    for name in ["probe_radio", "radio_modem"] {
+        let rename = move |state: &mut Value| {
+            let loads = field(field(field(field(state, "base"), "rail"), "loads"), "loads");
+            let Value::Map(loads) = loads else {
+                panic!("expected the loads keyed by name")
+            };
+            let (key, _) = loads
+                .iter_mut()
+                .find(|(k, _)| k.as_str() == Some(name))
+                .expect("the load is wired");
+            *key = Value::Str(format!("{name}_renamed"));
+        };
+        let err = restore_crafted_from(&d, &rename)
+            .err()
+            .expect("a rail without a station load restored");
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(name), "{name}: {err}");
+    }
 }

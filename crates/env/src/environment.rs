@@ -59,7 +59,11 @@ impl SolarSpan<'_> {
 ///
 /// Call [`Environment::advance_to`] from the simulation's main loop before
 /// querying; queries are cheap and side-effect free.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every memo is derived state: `solar_day` and `cos_hour` write the
+/// `null` their memo types serialise as, and the minute table and the
+/// mains memo stay off the wire altogether.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Environment {
     config: EnvConfig,
     solar: SolarModel,
@@ -80,36 +84,13 @@ pub struct Environment {
     cos_hour: SodTable,
     /// Memo of the clear-sky solar fraction at whole sim-minutes, shared
     /// by every station's rail.
+    #[serde(skip)]
     // glacsweb: derived-state
     clear_sky: MinuteTable,
     /// Memo of the café-mains season for the current civil day.
+    #[serde(skip)]
     // glacsweb: derived-state
     mains: DayCell<bool>,
-}
-
-// Serialization is hand-written to keep the snapshot bytes fixed. Every
-// memo is derived state: `solar_day` and `cos_hour` keep the `Null`
-// entries the derived form always wrote for them, and the minute table
-// and the mains memo stay off the wire altogether.
-impl Serialize for Environment {
-    fn to_value(&self) -> Value {
-        let entry = |key: &str, value: Value| (Value::Str(String::from(key)), value);
-        Value::Map(vec![
-            entry("config", self.config.to_value()),
-            entry("solar", self.solar.to_value()),
-            entry("temperature", self.temperature.to_value()),
-            entry("wind", self.wind.to_value()),
-            entry("snow", self.snow.to_value()),
-            entry("hydrology", self.hydrology.to_value()),
-            entry("motion", self.motion.to_value()),
-            entry("cloud_factor", self.cloud_factor.to_value()),
-            entry("rng", self.rng.to_value()),
-            entry("now", self.now.to_value()),
-            entry("started", self.started.to_value()),
-            entry("solar_day", Value::Null),
-            entry("cos_hour", Value::Null),
-        ])
-    }
 }
 
 // Deserialization is hand-written so a snapshot cannot smuggle in a

@@ -213,12 +213,11 @@ impl Serialize for SiteCalendar {
 
 impl Deserialize for SiteCalendar {
     /// Decodes the pending-event form (see [`decode_pending`] for the
-    /// checks every pending set gets), rejecting what no calendar holds:
-    /// an instant off the tick grid, an instant whose entries the file
-    /// splits with tags falling, or entries spread over more instants
-    /// than the ring indexes. The decoded calendar starts at its earliest
-    /// entry; `SiteCalendar::rebase` then checks the window against the
-    /// site clock.
+    /// checks every pending set gets, firing order among them), rejecting
+    /// what no calendar holds: an instant off the tick grid, or entries
+    /// spread over more instants than the ring indexes. The decoded
+    /// calendar starts at its first entry; `SiteCalendar::rebase` then
+    /// checks the window against the site clock.
     fn from_value(v: &Value) -> Result<Self, de::Error> {
         let mut slots = vec![Vec::new(); RING].into_boxed_slice();
         let mut span: Option<(u64, u64)> = None;
@@ -230,16 +229,8 @@ impl Deserialize for SiteCalendar {
                 )));
             }
             let tick = tick_of(t);
-            span = Some(span.map_or((tick, tick), |(lo, hi)| (lo.min(tick), hi.max(tick))));
-            // A slot pops in file order, so an instant the file splits
-            // around another must still list its tags rising.
-            let slot = &mut slots[(tick & MASK) as usize];
-            if slot.last().is_some_and(|&(last, _)| last >= tag) {
-                return Err(de::Error::custom(
-                    "site calendar arrival tags out of FIFO order",
-                ));
-            }
-            slot.push((tag, event));
+            span = Some((span.map_or(tick, |(first, _)| first), tick));
+            slots[(tick & MASK) as usize].push((tag, event));
             len += 1;
             Ok(())
         })?;

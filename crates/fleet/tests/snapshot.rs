@@ -245,10 +245,13 @@ fn restore_crafted(craft: impl Fn(&mut Vec<Value>, u64)) -> Result<Fleet, Snapsh
 fn restore_rejects_crafted_calendars() {
     let tick = glacsweb_fleet::TICK.as_secs() as i64;
     let past_horizon = (glacsweb_fleet::MAX_AHEAD_TICKS as i64 + 1) * tick;
-    // Moves the first entry to `offset` seconds from the site clock.
-    let at = |offset: i64| {
+    // Moves the first entry, or with `last` the last one, to `offset`
+    // seconds from the site clock. An entry moved past the others must
+    // be the last, or the decoder refuses it for its firing order first.
+    let at = |last: bool, offset: i64| {
         move |entries: &mut Vec<Value>, now: u64| {
-            seq(&mut entries[0])[0] = now.saturating_add_signed(offset).to_value();
+            let i = if last { entries.len() - 1 } else { 0 };
+            seq(&mut entries[i])[0] = now.saturating_add_signed(offset).to_value();
         }
     };
     assert!(
@@ -256,9 +259,9 @@ fn restore_rejects_crafted_calendars() {
         "the clean tree restores"
     );
     let cases: [(&Craft, &str); 5] = [
-        (&at(tick / 2), "off the tick grid"),
-        (&at(-tick), "precedes the site clock"),
-        (&at(past_horizon), "ticks past the site clock"),
+        (&at(false, tick / 2), "off the tick grid"),
+        (&at(false, -tick), "precedes the site clock"),
+        (&at(true, past_horizon), "ticks past the site clock"),
         (
             &|entries: &mut Vec<Value>, _| seq(&mut entries[0])[1] = u64::MAX.to_value(),
             "not below arrival counter",

@@ -32,4 +32,4 @@ pub use gprs::{GprsConfig, GprsLink, TransferOutcome};
 pub use loss::LossModel;
 pub use ppp::{DisconnectReason, PppRadioLink};
 pub use probe_radio::{BatchResult, ProbeRadioLink, PROBE_RX_POWER};
-pub use wan::{RelayWanLink, WanLink, WanState};
+pub use wan::{RelayWanLink, Wan};

@@ -1,13 +1,12 @@
-//! The station's wide-area uplink abstraction.
+//! The station's wide-area uplink.
 //!
 //! The paper's §II weighs two architectures: independent per-station GPRS
 //! (deployed) versus the Norway-style relay, where the base station
 //! reaches the internet through a 466 MHz PPP link to the reference
-//! station. [`WanLink`] abstracts over both so the station controller is
-//! identical either way — which is precisely the property that made the
-//! architecture swap a deployment decision rather than a rewrite.
-
-use std::fmt;
+//! station. [`Wan`] is the closed choice between the two, fixed at
+//! deployment, so the station controller is identical either way — which
+//! is precisely the property that made the architecture swap a deployment
+//! decision rather than a rewrite.
 
 use glacsweb_obs::{Event, Origin, Recorder};
 use glacsweb_sim::{BitsPerSecond, Bytes, SimDuration, SimRng, SimTime};
@@ -16,57 +15,104 @@ use serde::{Deserialize, Serialize};
 use crate::gprs::{GprsLink, TransferOutcome};
 use crate::ppp::{DisconnectReason, PppRadioLink};
 
-/// A wide-area uplink a station can move its daily data over.
-///
-/// `Send` so a [`Station`](../glacsweb_station) — and hence a whole
-/// deployment — can move to a sweep-engine worker thread.
-pub trait WanLink: fmt::Debug + Send {
-    /// Short name for logs and load accounting (`"gprs"` or
-    /// `"radio_modem"`).
-    fn label(&self) -> &'static str;
+/// A wide-area uplink a station can move its daily data over: one of the
+/// paper's two §II architectures.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Wan {
+    /// Independent per-station GPRS (the deployed architecture).
+    Gprs(GprsLink),
+    /// The Norway-style PPP relay through the reference station.
+    Relay(RelayWanLink),
+}
+
+impl Wan {
+    /// Short name for logs, and the power-rail load the modem draws from
+    /// (`"gprs"` or `"radio_modem"`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            Wan::Gprs(_) => "gprs",
+            Wan::Relay(_) => "radio_modem",
+        }
+    }
 
     /// Useful throughput once connected.
-    fn rate(&self) -> BitsPerSecond;
+    pub fn rate(&self) -> BitsPerSecond {
+        match self {
+            Wan::Gprs(link) => link.config().rate,
+            Wan::Relay(link) => link.ppp.rate(),
+        }
+    }
 
     /// `true` while a session is up.
-    fn is_connected(&self) -> bool;
+    pub fn is_connected(&self) -> bool {
+        match self {
+            Wan::Gprs(link) => link.is_connected(),
+            Wan::Relay(link) => link.connected,
+        }
+    }
 
     /// Attach attempt with a weather multiplier; `Ok(setup time)` or
     /// `Err(time wasted)`.
     #[allow(clippy::result_large_err)]
-    fn connect_weathered(
+    pub fn connect_weathered(
         &mut self,
         weather_multiplier: f64,
         rng: &mut SimRng,
-    ) -> Result<SimDuration, SimDuration>;
+    ) -> Result<SimDuration, SimDuration> {
+        match self {
+            Wan::Gprs(link) => link.connect_weathered(weather_multiplier, rng),
+            Wan::Relay(link) => link.connect_weathered(weather_multiplier, rng),
+        }
+    }
 
     /// Transfers up to `size` within `budget`; may drop mid-transfer.
-    fn transfer(&mut self, size: Bytes, budget: SimDuration, rng: &mut SimRng) -> TransferOutcome;
+    pub fn transfer(
+        &mut self,
+        size: Bytes,
+        budget: SimDuration,
+        rng: &mut SimRng,
+    ) -> TransferOutcome {
+        match self {
+            Wan::Gprs(link) => link.transfer(size, budget, rng),
+            Wan::Relay(link) => link.transfer(size, budget, rng),
+        }
+    }
 
     /// Cleanly closes the session.
-    fn disconnect(&mut self);
+    pub fn disconnect(&mut self) {
+        match self {
+            Wan::Gprs(link) => link.disconnect(),
+            Wan::Relay(link) => link.connected = false,
+        }
+    }
 
-    /// Informs time-of-day-sensitive links of the wall clock (PPP
-    /// interference follows local activity; GPRS ignores this).
-    fn advance_clock(&mut self, _t: SimTime) {}
+    /// Informs the link of the wall clock: PPP interference follows local
+    /// activity; GPRS ignores it.
+    pub fn advance_clock(&mut self, t: SimTime) {
+        if let Wan::Relay(link) = self {
+            link.now = link.now.max(t);
+        }
+    }
 
-    /// Informs relay links whether the partner station is up (the §II
+    /// Informs the link whether the partner station is up (the §II
     /// failure-coupling: "if the reference station failed in any way then
-    /// all communication with the base station would also cease").
-    fn set_partner_up(&mut self, _up: bool) {}
-
-    /// The link's full state as a serializable [`WanState`], from which
-    /// [`WanState::into_link`] rebuilds an identically-behaving link.
-    /// Required (not defaulted) so a new `WanLink` implementation cannot
-    /// silently opt out of snapshotting.
-    fn snapshot_state(&self) -> WanState;
+    /// all communication with the base station would also cease"). GPRS
+    /// ignores it.
+    pub fn set_partner_up(&mut self, up: bool) {
+        if let Wan::Relay(link) = self {
+            link.partner_up = up;
+            if !up {
+                link.connected = false;
+            }
+        }
+    }
 
     /// [`connect_weathered`](Self::connect_weathered) plus telemetry:
     /// attach counters, a setup-time histogram, and a `wan_attach` event
     /// carrying the outcome. Identical link behaviour — the recorder
     /// only watches.
     #[allow(clippy::result_large_err)]
-    fn connect_observed(
+    pub fn connect_observed(
         &mut self,
         weather_multiplier: f64,
         rng: &mut SimRng,
@@ -94,93 +140,6 @@ pub trait WanLink: fmt::Debug + Send {
         }
         result
     }
-
-    /// [`transfer`](Self::transfer) plus telemetry: bytes-sent and
-    /// session-drop counters under `origin`.
-    fn transfer_observed(
-        &mut self,
-        size: Bytes,
-        budget: SimDuration,
-        rng: &mut SimRng,
-        at: SimTime,
-        origin: Origin,
-        obs: &mut dyn Recorder,
-    ) -> TransferOutcome {
-        let out = self.transfer(size, budget, rng);
-        if obs.enabled() {
-            obs.counter(at, origin, "wan_bytes_sent", out.sent.value());
-            if out.dropped {
-                obs.counter(at, origin, "wan_session_drops", 1);
-            }
-        }
-        out
-    }
-}
-
-/// The serializable closed world of [`WanLink`] implementations.
-///
-/// `Box<dyn WanLink>` cannot be (de)serialized directly, so snapshots
-/// store this enum instead: [`WanLink::snapshot_state`] captures a live
-/// link and [`WanState::into_link`] reconstitutes it. The two variants
-/// are the paper's two §II architectures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WanState {
-    /// Independent per-station GPRS (the deployed architecture).
-    Gprs(GprsLink),
-    /// The Norway-style PPP relay through the reference station.
-    Relay(RelayWanLink),
-}
-
-impl WanState {
-    /// Rebuilds the live link this state was captured from.
-    pub fn into_link(self) -> Box<dyn WanLink> {
-        match self {
-            WanState::Gprs(link) => Box::new(link),
-            WanState::Relay(link) => Box::new(link),
-        }
-    }
-
-    /// The [`WanLink::label`] the reconstituted link will report.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WanState::Gprs(_) => "gprs",
-            WanState::Relay(_) => "radio_modem",
-        }
-    }
-}
-
-impl WanLink for GprsLink {
-    fn label(&self) -> &'static str {
-        "gprs"
-    }
-
-    fn rate(&self) -> BitsPerSecond {
-        self.config().rate
-    }
-
-    fn is_connected(&self) -> bool {
-        GprsLink::is_connected(self)
-    }
-
-    fn connect_weathered(
-        &mut self,
-        weather_multiplier: f64,
-        rng: &mut SimRng,
-    ) -> Result<SimDuration, SimDuration> {
-        GprsLink::connect_weathered(self, weather_multiplier, rng)
-    }
-
-    fn transfer(&mut self, size: Bytes, budget: SimDuration, rng: &mut SimRng) -> TransferOutcome {
-        GprsLink::transfer(self, size, budget, rng)
-    }
-
-    fn disconnect(&mut self) {
-        GprsLink::disconnect(self);
-    }
-
-    fn snapshot_state(&self) -> WanState {
-        WanState::Gprs(self.clone())
-    }
 }
 
 /// The Norway-style relay uplink: PPP over the long-range radio modem to
@@ -189,10 +148,10 @@ impl WanLink for GprsLink {
 /// # Example
 ///
 /// ```
-/// use glacsweb_link::{RelayWanLink, WanLink};
+/// use glacsweb_link::{RelayWanLink, Wan};
 /// use glacsweb_sim::{Bytes, SimDuration, SimRng, SimTime};
 ///
-/// let mut wan = RelayWanLink::new();
+/// let mut wan = Wan::Relay(RelayWanLink::new());
 /// wan.advance_clock(SimTime::from_ymd_hms(2008, 5, 1, 12, 0, 0));
 /// wan.set_partner_up(true);
 /// let mut rng = SimRng::seed_from(1);
@@ -232,27 +191,9 @@ impl RelayWanLink {
     pub fn stats(&self) -> (u64, u64) {
         (self.sessions, self.failed_dials)
     }
-}
 
-impl Default for RelayWanLink {
-    fn default() -> Self {
-        RelayWanLink::new()
-    }
-}
-
-impl WanLink for RelayWanLink {
-    fn label(&self) -> &'static str {
-        "radio_modem"
-    }
-
-    fn rate(&self) -> BitsPerSecond {
-        self.ppp.rate()
-    }
-
-    fn is_connected(&self) -> bool {
-        self.connected
-    }
-
+    /// Dials the reference station.
+    #[allow(clippy::result_large_err)]
     fn connect_weathered(
         &mut self,
         weather_multiplier: f64,
@@ -274,6 +215,7 @@ impl WanLink for RelayWanLink {
         Ok(self.dial_time)
     }
 
+    /// Moves data over the PPP hop while the partner is up.
     fn transfer(&mut self, size: Bytes, budget: SimDuration, rng: &mut SimRng) -> TransferOutcome {
         assert!(self.connected, "transfer on a down link");
         if !self.partner_up {
@@ -296,26 +238,11 @@ impl WanLink for RelayWanLink {
             dropped,
         }
     }
+}
 
-    fn disconnect(&mut self) {
-        self.connected = false;
-    }
-
-    fn advance_clock(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    fn set_partner_up(&mut self, up: bool) {
-        self.partner_up = up;
-        if !up {
-            self.connected = false;
-        }
-    }
-
-    fn snapshot_state(&self) -> WanState {
-        WanState::Relay(self.clone())
+impl Default for RelayWanLink {
+    fn default() -> Self {
+        RelayWanLink::new()
     }
 }
 
@@ -329,8 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn gprs_satisfies_the_trait() {
-        let mut wan: Box<dyn WanLink> = Box::new(GprsLink::try_new(GprsConfig::ideal()).unwrap());
+    fn gprs_dispatches_through_the_enum() {
+        let mut wan = Wan::Gprs(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         assert_eq!(wan.label(), "gprs");
         assert_eq!(wan.rate().value(), 5000);
         let mut rng = SimRng::seed_from(1);
@@ -344,7 +271,7 @@ mod tests {
 
     #[test]
     fn relay_moves_data_while_the_partner_is_up() {
-        let mut wan = RelayWanLink::new();
+        let mut wan = Wan::Relay(RelayWanLink::new());
         wan.advance_clock(noon());
         wan.set_partner_up(true);
         let mut rng = SimRng::seed_from(2);
@@ -369,7 +296,7 @@ mod tests {
 
     #[test]
     fn dead_partner_kills_the_relay_entirely() {
-        let mut wan = RelayWanLink::new();
+        let mut wan = Wan::Relay(RelayWanLink::new());
         wan.advance_clock(noon());
         wan.set_partner_up(false);
         let mut rng = SimRng::seed_from(3);
@@ -379,13 +306,16 @@ mod tests {
                 "no dial succeeds"
             );
         }
-        let (sessions, failed) = wan.stats();
+        let Wan::Relay(link) = &wan else {
+            unreachable!("built as a relay")
+        };
+        let (sessions, failed) = link.stats();
         assert_eq!(sessions, failed);
     }
 
     #[test]
     fn partner_death_mid_session_drops_it() {
-        let mut wan = RelayWanLink::new();
+        let mut wan = Wan::Relay(RelayWanLink::new());
         wan.advance_clock(noon());
         wan.set_partner_up(true);
         let mut rng = SimRng::seed_from(4);
@@ -401,7 +331,7 @@ mod tests {
         let cfg = GprsConfig::field();
         let origin = Origin::new("gprs", "base");
         let mut plain = GprsLink::try_new(cfg.clone()).unwrap();
-        let mut observed = GprsLink::try_new(cfg).unwrap();
+        let mut observed = Wan::Gprs(GprsLink::try_new(cfg).unwrap());
         let mut rng_a = SimRng::seed_from(12);
         let mut rng_b = SimRng::seed_from(12);
         let mut obs = MemoryRecorder::default();
@@ -426,7 +356,7 @@ mod tests {
 
     #[test]
     fn relay_is_slower_than_gprs() {
-        let wan = RelayWanLink::new();
+        let wan = Wan::Relay(RelayWanLink::new());
         assert_eq!(wan.rate().value(), 2000);
         assert_eq!(wan.label(), "radio_modem");
     }

@@ -348,9 +348,10 @@ impl serde::Deserialize for Event {
 /// A sink for telemetry records.
 ///
 /// Implementations must be deterministic: same record sequence in, same
-/// state out. The two shipped sinks are [`NullRecorder`] (drops
-/// everything, `enabled() == false`) and [`MemoryRecorder`] (accumulates
-/// everything and exports `TELEMETRY.json`).
+/// state out. The shipped sinks are [`NullRecorder`] (drops everything,
+/// `enabled() == false`), [`MemoryRecorder`] (accumulates everything and
+/// exports `TELEMETRY.json`) and `Option<MemoryRecorder>`, the one a
+/// station or deployment holds (`None` drops everything).
 ///
 /// Call-site pattern for anything that allocates to describe itself:
 ///
@@ -383,19 +384,6 @@ pub trait Recorder: fmt::Debug + Send {
     /// Records `value` into the fixed-bucket histogram `name` under
     /// `origin` (bucket bounds: [`BUCKET_BOUNDS`]).
     fn observe(&mut self, origin: Origin, name: &'static str, value: u64);
-
-    /// Takes the accumulated in-memory telemetry out of the recorder,
-    /// leaving it empty. `None` for sinks that keep nothing.
-    fn take_memory(&mut self) -> Option<MemoryRecorder> {
-        None
-    }
-
-    /// Borrows the accumulated in-memory telemetry without draining it —
-    /// what snapshotting uses to capture a running recorder through
-    /// `&self`. `None` for sinks that keep nothing.
-    fn memory(&self) -> Option<&MemoryRecorder> {
-        None
-    }
 }
 
 /// A recorder handle pre-scoped with the instant and origin every record
@@ -516,6 +504,5 @@ mod tests {
         n.counter(t0(), Origin::new("a", "b"), "c", 5);
         n.gauge(t0(), Origin::new("a", "b"), "g", 1.5);
         n.observe(Origin::new("a", "b"), "h", 10);
-        assert!(n.take_memory().is_none());
     }
 }

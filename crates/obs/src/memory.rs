@@ -607,13 +607,38 @@ impl Recorder for MemoryRecorder {
     fn observe(&mut self, origin: Origin, name: &'static str, value: u64) {
         self.store.observe(origin, name, value);
     }
+}
 
-    fn take_memory(&mut self) -> Option<MemoryRecorder> {
-        Some(std::mem::take(self))
+/// An optional [`MemoryRecorder`]: `None` drops every record like a
+/// [`NullRecorder`](crate::NullRecorder), `Some` keeps them. This is the
+/// sink a station or deployment holds, and already its snapshot form.
+impl Recorder for Option<MemoryRecorder> {
+    fn enabled(&self) -> bool {
+        self.is_some()
     }
 
-    fn memory(&self) -> Option<&MemoryRecorder> {
-        Some(self)
+    fn event(&mut self, event: Event) {
+        if let Some(r) = self {
+            r.event(event);
+        }
+    }
+
+    fn counter(&mut self, at: SimTime, origin: Origin, name: &'static str, delta: u64) {
+        if let Some(r) = self {
+            r.counter(at, origin, name, delta);
+        }
+    }
+
+    fn gauge(&mut self, at: SimTime, origin: Origin, name: &'static str, value: f64) {
+        if let Some(r) = self {
+            r.gauge(at, origin, name, value);
+        }
+    }
+
+    fn observe(&mut self, origin: Origin, name: &'static str, value: u64) {
+        if let Some(r) = self {
+            r.observe(origin, name, value);
+        }
     }
 }
 
@@ -1133,12 +1158,18 @@ mod tests {
     }
 
     #[test]
-    fn take_memory_drains_the_recorder() {
-        let mut r = MemoryRecorder::default();
-        r.counter(at(1, 12), orig(), "c", 4);
-        let taken = r.take_memory().unwrap_or_default();
-        assert_eq!(taken.counter_value(orig(), "c"), 4);
-        assert!(r.is_empty(), "recorder left empty");
+    fn an_optional_recorder_keeps_records_only_when_present() {
+        let mut none: Option<MemoryRecorder> = None;
+        assert!(!none.enabled());
+        none.counter(at(1, 12), orig(), "c", 4);
+        assert!(none.is_none(), "a missing recorder stays missing");
+        let mut some = Some(MemoryRecorder::default());
+        assert!(some.enabled());
+        some.counter(at(1, 12), orig(), "c", 4);
+        some.event(Event::new(at(1, 12), orig(), "e"));
+        let r = some.unwrap_or_default();
+        assert_eq!(r.counter_value(orig(), "c"), 4);
+        assert_eq!(r.events().len(), 1);
     }
 
     fn first(parsed: &serde::Value, section: &str) -> serde::Value {

@@ -53,11 +53,10 @@ pub struct LoadSet {
     total: TotalCache,
 }
 
-// Hand-written (de)serialization: the total-power memo is derived state
-// and must not appear on the wire, and the vendored serde derive has no
-// `#[serde(skip)]`. The wire form is a map with the single `loads` field,
-// itself a name → load map in name order — the shape of a
-// `BTreeMap<String, Load>`.
+// Hand-written (de)serialization: the loads live in a name-sorted `Vec`
+// but travel as a map with the single `loads` field, itself a name → load
+// map in name order — the shape of a `BTreeMap<String, Load>`. The
+// total-power memo is derived state and stays off the wire.
 impl Serialize for LoadSet {
     fn to_value(&self) -> serde::Value {
         let loads = self

@@ -49,7 +49,7 @@ impl PartialEq for TaperMemo {
 /// [`PowerRail::advance`]; the MSP430 model samples
 /// [`PowerRail::measured_voltage`] every thirty minutes — the exact signal
 /// the paper's Table II policy consumes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PowerRail {
     battery: LeadAcidBattery,
     chargers: Vec<Charger>,
@@ -60,7 +60,9 @@ pub struct PowerRail {
     harvested: WattHours,
     /// Seconds of brown-out (load demanded but battery empty).
     brownout_secs: u64,
-    /// Single-entry memo of the last taper solve (see [`TaperMemo`]).
+    /// Single-entry memo of the last taper solve (see [`TaperMemo`]);
+    /// derived state, off the wire.
+    #[serde(skip)]
     taper: TaperMemo,
 }
 
@@ -79,40 +81,8 @@ impl PartialEq for PowerRail {
     }
 }
 
-// Hand-written (de)serialization, following the `LoadSet` precedent: the
-// taper memo is derived state and must not appear on the wire. Restore
-// re-checks the `chargers`/`harvest_by` alignment invariant that
-// `add_charger` maintains.
-impl Serialize for PowerRail {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("battery".to_string()), self.battery.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("chargers".to_string()), self.chargers.to_value()),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("harvest_by".to_string()),
-                self.harvest_by.to_value(),
-            ),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("loads".to_string()), self.loads.to_value()),
-            // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-            (Value::Str("now".to_string()), self.now.to_value()),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("harvested".to_string()),
-                self.harvested.to_value(),
-            ),
-            (
-                // glacsweb: allow(perf-hygiene, reason = "snapshot-export keys; runs once per checkpoint save, never per substep")
-                Value::Str("brownout_secs".to_string()),
-                self.brownout_secs.to_value(),
-            ),
-        ])
-    }
-}
-
+// Deserialization is hand-written to re-check the `chargers`/`harvest_by`
+// alignment invariant that `add_charger` maintains.
 impl Deserialize for PowerRail {
     fn from_value(v: &Value) -> Result<Self, de::Error> {
         let chargers: Vec<Charger> = de::field(v, "chargers")?;

@@ -16,7 +16,7 @@
 use glacsweb_link::{LossModel, ProbeRadioLink};
 use glacsweb_obs::{NullRecorder, Scope};
 use glacsweb_sim::{ConfigError, SimDuration, SimRng};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::firmware::{ProbeFirmware, ProbeId};
 use crate::reading::ProbeReading;
@@ -130,7 +130,7 @@ pub struct FetchOutcome {
 /// Persists across days: an incomplete fetch resumes tomorrow, which is
 /// how the paper's 400 missing readings "were obtained in subsequent
 /// days".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FetchSession {
     probe_id: ProbeId,
     config: ProtocolConfig,
@@ -141,40 +141,11 @@ pub struct FetchSession {
     /// The want-list of the session in progress, kept between sessions
     /// so a daily fetch reuses its buffer. Derived state: empty between
     /// sessions, never on the wire and invisible to equality.
+    #[serde(skip)]
     want_scratch: Vec<u64>,
 }
 
-// Hand-written (de)serialization and equality: they cover every field
-// but the want-list scratch, so the wire form is the six-field map the
-// derive wrote before the scratch existed.
-impl Serialize for FetchSession {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, value: Value| (Value::Str(name.into()), value);
-        Value::Map(vec![
-            field("probe_id", self.probe_id.to_value()),
-            field("config", self.config.to_value()),
-            field("received_seqs", self.received_seqs.to_value()),
-            field("delivered", self.delivered.to_value()),
-            field("sessions_run", self.sessions_run.to_value()),
-            field("total_packets", self.total_packets.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FetchSession {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        Ok(FetchSession {
-            probe_id: de::field(v, "probe_id")?,
-            config: de::field(v, "config")?,
-            received_seqs: de::field(v, "received_seqs")?,
-            delivered: de::field(v, "delivered")?,
-            sessions_run: de::field(v, "sessions_run")?,
-            total_packets: de::field(v, "total_packets")?,
-            want_scratch: Vec::new(),
-        })
-    }
-}
-
+// Equality is hand-written to leave out the want-list scratch.
 impl PartialEq for FetchSession {
     fn eq(&self, other: &Self) -> bool {
         self.probe_id == other.probe_id

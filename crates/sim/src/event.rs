@@ -215,10 +215,11 @@ pub fn encode_pending<T: Serialize>(
 ///
 /// Rejects what no pending set holds: an entry that is not `[instant,
 /// tag, event]`, a tag at or above `seq` (a later push would reuse it),
-/// or a tag that does not rise above that of the entry just before it
-/// when both share an instant (the instant's events would replay in an
-/// order the saved run never took; encoders write an instant's entries
-/// together). `file` adds the container's own checks.
+/// or an entry that does not come strictly after the one before it by
+/// `(instant, tag)`. Encoders write firing order, so the last check
+/// leaves no two entries with one `(instant, tag)` and no instant whose
+/// events would replay in an order the saved run never took. `file`
+/// adds the container's own checks.
 pub fn decode_pending<E: Deserialize>(
     v: &Value,
     mut file: impl FnMut(SimTime, u64, E) -> Result<(), de::Error>,
@@ -243,10 +244,10 @@ pub fn decode_pending<E: Deserialize>(
                 "pending event tag {tag} not below arrival counter {seq}"
             )));
         }
-        if last.is_some_and(|(lt, ltag)| lt == t && ltag >= tag) {
+        if last.is_some_and(|last| last >= (t, tag)) {
             // glacsweb: allow(perf-hygiene, reason = "restore-time error path; runs once per snapshot load, never per substep")
             return Err(de::Error::custom(format!(
-                "pending event tags at {t:?} out of FIFO order"
+                "pending event at {t:?} (tag {tag}) out of firing order: instants rise, tags FIFO"
             )));
         }
         last = Some((t, tag));
@@ -342,6 +343,9 @@ mod tests {
             (wire(&[(5, 1)], 1), "not below arrival counter"),
             (wire(&[(5, 1), (5, 0)], 2), "FIFO"),
             (wire(&[(5, 0), (5, 0)], 2), "FIFO"),
+            // One `(instant, tag)` twice, split around another instant.
+            (wire(&[(5, 0), (9, 1), (5, 0)], 2), "FIFO"),
+            (wire(&[(9, 0), (5, 1), (5, 2)], 3), "firing order"),
             (
                 Value::Map(vec![
                     (Value::Str("seq".to_string()), 1u64.to_value()),
@@ -357,9 +361,8 @@ mod tests {
             let err = EventQueue::<u32>::from_value(&v).unwrap_err();
             assert!(err.to_string().contains(want), "want {want:?}: {err}");
         }
-        // Instants need not appear in firing order; tags only rise within
-        // one instant.
-        let q = EventQueue::<u32>::from_value(&wire(&[(9, 0), (5, 1), (5, 2)], 3)).unwrap();
+        // Tags rise only within one instant.
+        let q = EventQueue::<u32>::from_value(&wire(&[(5, 1), (5, 2), (9, 0)], 3)).unwrap();
         assert_eq!(q.peek_time(), Some(SimTime::from_unix(5)));
     }
 

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 pub use glacsweb_hw::FileKind;
 use glacsweb_hw::FileName;
-use glacsweb_link::{DataCostMeter, WanLink};
+use glacsweb_link::{DataCostMeter, Wan};
 use glacsweb_sim::{Bytes, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -128,7 +128,7 @@ impl DataStore {
         self.recently_completed.drain(..)
     }
 
-    /// Pushes queued files through an established GPRS session until the
+    /// Pushes queued files through an established WAN session until the
     /// budget, the queue, or the session is exhausted.
     ///
     /// Completed files are handed to `uplink`; a partially transferred
@@ -136,7 +136,7 @@ impl DataStore {
     pub fn upload(
         &mut self,
         from: StationId,
-        link: &mut dyn WanLink,
+        link: &mut Wan,
         uplink: &mut dyn Uplink,
         cost: &mut DataCostMeter,
         budget: SimDuration,
@@ -238,14 +238,14 @@ mod tests {
             let (n, s, p) = sensor_file(i, 40);
             store.queue(n, s, p, noon());
         }
-        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
+        let mut link = Wan::Gprs(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         let mut rng = SimRng::seed_from(1);
-        link.connect(&mut rng).expect("attach");
+        link.connect_weathered(1.0, &mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
         let mut cost = DataCostMeter::per_megabyte(4.0);
         let report = store.upload(
             StationId::Base,
-            &mut link as &mut dyn WanLink,
+            &mut link,
             &mut uplink,
             &mut cost,
             SimDuration::from_hours(2),
@@ -264,14 +264,14 @@ mod tests {
         let mut store = DataStore::new();
         let (n, s, p) = sensor_file(1, 400); // 400 KiB ≈ 655 s at 625 B/s
         store.queue(n, s, p, noon());
-        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
+        let mut link = Wan::Gprs(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         let mut rng = SimRng::seed_from(2);
-        link.connect(&mut rng).expect("attach");
+        link.connect_weathered(1.0, &mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
         let mut cost = DataCostMeter::per_megabyte(4.0);
         let report = store.upload(
             StationId::Base,
-            &mut link as &mut dyn WanLink,
+            &mut link,
             &mut uplink,
             &mut cost,
             SimDuration::from_mins(5),
@@ -283,7 +283,7 @@ mod tests {
         // Tomorrow finishes it.
         let report2 = store.upload(
             StationId::Base,
-            &mut link as &mut dyn WanLink,
+            &mut link,
             &mut uplink,
             &mut cost,
             SimDuration::from_hours(1),
@@ -306,14 +306,14 @@ mod tests {
             let (n, s, p) = sensor_file(i, 200);
             store.queue(n, s, p, noon());
         }
-        let mut link = GprsLink::try_new(config).unwrap();
+        let mut link = Wan::Gprs(GprsLink::try_new(config).unwrap());
         let mut rng = SimRng::seed_from(3);
-        link.connect(&mut rng).expect("attach");
+        link.connect_weathered(1.0, &mut rng).expect("attach");
         let mut uplink = FakeUplink::default();
         let mut cost = DataCostMeter::per_megabyte(4.0);
         let report = store.upload(
             StationId::Base,
-            &mut link as &mut dyn WanLink,
+            &mut link,
             &mut uplink,
             &mut cost,
             SimDuration::from_hours(2),
@@ -335,18 +335,18 @@ mod tests {
         }
         // 12 × 165 KiB ≈ 1.93 MiB needs ≈ 54 min on an ideal link; give
         // 20-minute windows so several days are needed.
-        let mut link = GprsLink::try_new(GprsConfig::ideal()).unwrap();
+        let mut link = Wan::Gprs(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         let mut rng = SimRng::seed_from(4);
         let mut uplink = FakeUplink::default();
         let mut cost = DataCostMeter::per_megabyte(4.0);
         let mut days = 0;
         while store.backlog_files() > 0 && days < 10 {
             if !link.is_connected() {
-                link.connect(&mut rng).expect("attach");
+                link.connect_weathered(1.0, &mut rng).expect("attach");
             }
             store.upload(
                 StationId::Base,
-                &mut link as &mut dyn WanLink,
+                &mut link,
                 &mut uplink,
                 &mut cost,
                 SimDuration::from_mins(20),

@@ -43,5 +43,5 @@ pub use controller::{ControllerConfig, TraceLevel, WindowReport, WindowStep, Win
 pub use data::{DataStore, FileKind, FilePayload, PendingFile};
 pub use power_state::{PolicyTable, PowerState};
 pub use schedule::Schedule;
-pub use station::{CommsPath, Station, StationConfig, StationRole, StationState, StationStatus};
+pub use station::{CommsPath, Station, StationConfig, StationRole, StationStatus};
 pub use uplink::{CodeUpdate, SpecialCommand, SpecialResult, StationId, Uplink, UploadItem};

@@ -4,8 +4,8 @@ use std::collections::BTreeMap;
 
 use glacsweb_env::Environment;
 use glacsweb_hw::{BaseSensors, CfCard, DGps, FileName, GpsFile, Gumstix, Msp430, Watchdog};
-use glacsweb_link::{DataCostMeter, GprsConfig, GprsLink, RelayWanLink, WanLink, WanState};
-use glacsweb_obs::{MemoryRecorder, NullRecorder, Origin, Recorder, Scope};
+use glacsweb_link::{DataCostMeter, GprsConfig, GprsLink, RelayWanLink, Wan};
+use glacsweb_obs::{MemoryRecorder, Origin, Recorder, Scope};
 use glacsweb_power::{Charger, LeadAcidBattery, MainsCharger, PowerRail, SolarPanel, WindTurbine};
 use glacsweb_probe::{FetchSession, ProbeFirmware, ProbeId};
 use glacsweb_sim::{AmpHours, Bytes, ConfigError, SimDuration, SimRng, SimTime, Volts, Watts};
@@ -187,6 +187,9 @@ mod loads {
     pub const GPRS: &str = "gprs";
     pub const RADIO_MODEM: &str = "radio_modem";
     pub const PROBE_RADIO: &str = "probe_radio";
+    /// Every load the station switches: a rail without one of them
+    /// cannot run the station.
+    pub const ALL: [&str; 6] = [MSP430, GUMSTIX, GPS, GPRS, RADIO_MODEM, PROBE_RADIO];
 }
 
 /// Time modelled for one small control exchange (state upload, override
@@ -213,16 +216,20 @@ const RTC_DRIFT_SECS_PER_DAY: f64 = 4.0;
 /// * [`Station::on_gps_slot`] — an MSP430-triggered dGPS recording;
 /// * [`Station::on_window`] — the daily midday communications window
 ///   (Fig 4).
-#[derive(Debug)]
+///
+/// A station is its own snapshot: it serialises whole, bar the window's
+/// scratch buffers. Deserialising does not check the state; a deployment
+/// restore runs [`Station::validate`] before it runs a restored station.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Station {
     config: StationConfig,
     rail: PowerRail,
     msp: Msp430<Schedule>,
     gumstix: Gumstix,
     dgps: DGps,
-    wan: Box<dyn WanLink>,
-    /// Which load-rail the WAN modem draws from.
-    wan_load: &'static str,
+    /// The uplink; its [`Wan::label`] names the load-rail the modem
+    /// draws from.
+    wan: Wan,
     cost: DataCostMeter,
     sensors: BaseSensors,
     store: DataStore,
@@ -259,68 +266,28 @@ pub struct Station {
     drift_sign: f64,
     last_drift_update: SimTime,
     powered: bool,
-    /// Telemetry sink — the zero-cost [`NullRecorder`] unless a
+    /// Telemetry sink — `None`, which drops every record, unless a
     /// deployment installs a [`MemoryRecorder`]. Recording never draws
     /// from `rng`, so installing one cannot change behaviour.
-    obs: Box<dyn Recorder>,
+    obs: Option<MemoryRecorder>,
     windows_run: u64,
     windows_cut: u64,
     recoveries: u64,
     file_seq: u64,
     /// The window's reused buffers; they grow on first use and are never
     /// part of the station's state.
+    #[serde(skip)]
+    // glacsweb: derived-state
     scratch: WindowScratch,
 }
 
 /// Buffers the daily window reuses instead of allocating: the framed
 /// voltage log crossing the inter-processor bus and the dGPS files
 /// moving over RS-232.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct WindowScratch {
     bus_frame: Vec<u8>,
     gps_files: Vec<GpsFile>,
-}
-
-/// The complete serializable state of one [`Station`], produced by
-/// [`Station::snapshot`] and consumed by [`Station::from_state`].
-///
-/// Two of the live station's fields are deliberately *not* stored:
-/// `wan_load` (a `&'static str` fully determined by the WAN variant) and
-/// the trait objects, which travel as their closed-world state types
-/// ([`WanState`]; `Option<MemoryRecorder>` for the telemetry sink — a
-/// `NullRecorder` round-trips as `None`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StationState {
-    config: StationConfig,
-    rail: PowerRail,
-    msp: Msp430<Schedule>,
-    gumstix: Gumstix,
-    dgps: DGps,
-    wan: WanState,
-    cost: DataCostMeter,
-    sensors: BaseSensors,
-    store: DataStore,
-    card: CfCard,
-    log: LogMeter,
-    rng: SimRng,
-    last_run: Option<SimTime>,
-    fetch_sessions: BTreeMap<ProbeId, FetchSession>,
-    pending_special_results: Vec<SpecialResult>,
-    sensor_batch: u64,
-    priority_event: bool,
-    conductivity_baselines: BTreeMap<ProbeId, f64>,
-    wired_probe_ok: bool,
-    gprs_degradation: f64,
-    stuck_transfer: bool,
-    clock_error_secs: f64,
-    drift_sign: f64,
-    last_drift_update: SimTime,
-    powered: bool,
-    obs: Option<MemoryRecorder>,
-    windows_run: u64,
-    windows_cut: u64,
-    recoveries: u64,
-    file_seq: u64,
 }
 
 impl Station {
@@ -358,12 +325,9 @@ impl Station {
         let mut msp = Msp430::new(start);
         msp.write_schedule(Schedule::standard(config.initial_state));
         let log = LogMeter::new(config.controller.log_min_level);
-        let (wan, wan_load): (Box<dyn WanLink>, &'static str) = match config.comms {
-            CommsPath::DualGprs => (
-                Box::new(GprsLink::try_new(config.gprs.clone())?),
-                loads::GPRS,
-            ),
-            CommsPath::RelayViaReference => (Box::new(RelayWanLink::new()), loads::RADIO_MODEM),
+        let wan = match config.comms {
+            CommsPath::DualGprs => Wan::Gprs(GprsLink::try_new(config.gprs.clone())?),
+            CommsPath::RelayViaReference => Wan::Relay(RelayWanLink::new()),
         };
         let cost = DataCostMeter::per_megabyte(config.tariff_per_mib);
         let is_base = config.id == StationId::Base;
@@ -375,7 +339,6 @@ impl Station {
             gumstix,
             dgps: DGps::new(),
             wan,
-            wan_load,
             cost,
             sensors: BaseSensors::new(),
             store: DataStore::new(),
@@ -394,7 +357,7 @@ impl Station {
             clock_error_secs: 0.0,
             drift_sign: if is_base { 1.0 } else { -0.7 },
             powered: true,
-            obs: Box::new(NullRecorder),
+            obs: None,
             windows_run: 0,
             windows_cut: 0,
             recoveries: 0,
@@ -403,110 +366,40 @@ impl Station {
         })
     }
 
-    /// Captures the complete station state for a deployment snapshot.
-    ///
-    /// Everything that influences future behaviour is included: the power
-    /// rail, the MSP430 (RTC offsets, RAM schedule, voltage log), the WAN
-    /// link mid-session, partially-acked probe fetch sessions, retry and
-    /// clock-drift progress, and the accumulated telemetry (if a memory
-    /// recorder is installed). [`Station::from_state`] rebuilds a station
-    /// that continues bit-identically.
-    pub fn snapshot(&self) -> StationState {
-        StationState {
-            config: self.config.clone(),
-            rail: self.rail.clone(),
-            msp: self.msp.clone(),
-            gumstix: self.gumstix.clone(),
-            dgps: self.dgps.clone(),
-            wan: self.wan.snapshot_state(),
-            cost: self.cost,
-            sensors: self.sensors.clone(),
-            store: self.store.clone(),
-            card: self.card.clone(),
-            log: self.log.clone(),
-            rng: self.rng.clone(),
-            last_run: self.last_run,
-            fetch_sessions: self.fetch_sessions.clone(),
-            pending_special_results: self.pending_special_results.clone(),
-            sensor_batch: self.sensor_batch,
-            priority_event: self.priority_event,
-            conductivity_baselines: self.conductivity_baselines.clone(),
-            wired_probe_ok: self.wired_probe_ok,
-            gprs_degradation: self.gprs_degradation,
-            stuck_transfer: self.stuck_transfer,
-            clock_error_secs: self.clock_error_secs,
-            drift_sign: self.drift_sign,
-            last_drift_update: self.last_drift_update,
-            powered: self.powered,
-            obs: self.obs.memory().cloned(),
-            windows_run: self.windows_run,
-            windows_cut: self.windows_cut,
-            recoveries: self.recoveries,
-            file_seq: self.file_seq,
-        }
-    }
-
-    /// Rebuilds a station from a captured [`StationState`].
+    /// Checks a deserialised station before it runs: the configuration
+    /// passes [`StationConfig::validate`], the WAN link is the one its
+    /// [`CommsPath`] names, and the power rail carries every load the
+    /// station switches.
     ///
     /// # Errors
     ///
-    /// Returns an error if the embedded configuration fails
-    /// [`StationConfig::validate`] or the WAN link state does not match
-    /// the configured [`CommsPath`].
-    pub fn from_state(state: StationState) -> Result<Self, ConfigError> {
-        state.config.validate()?;
-        let wan_load = match (&state.config.comms, &state.wan) {
-            (CommsPath::DualGprs, WanState::Gprs(_)) => loads::GPRS,
-            (CommsPath::RelayViaReference, WanState::Relay(_)) => loads::RADIO_MODEM,
-            (comms, wan) => {
+    /// Returns a description of the first check that fails.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.config.validate()?;
+        let comms = self.config.comms;
+        if !matches!(
+            (comms, &self.wan),
+            (CommsPath::DualGprs, Wan::Gprs(_)) | (CommsPath::RelayViaReference, Wan::Relay(_))
+        ) {
+            return Err(ConfigError::new(
+                "station",
+                "comms",
+                format!(
+                    "comms path {comms:?} does not match WAN state {}",
+                    self.wan.label()
+                ),
+            ));
+        }
+        for name in loads::ALL {
+            if self.rail.loads().energy(name).is_none() {
                 return Err(ConfigError::new(
                     "station",
-                    "comms",
-                    format!(
-                        "comms path {comms:?} does not match WAN state {}",
-                        wan.label()
-                    ),
-                ))
+                    "rail",
+                    format!("the power rail has no load `{name}`"),
+                ));
             }
-        };
-        let obs: Box<dyn Recorder> = match state.obs {
-            Some(memory) => Box::new(memory),
-            None => Box::new(NullRecorder),
-        };
-        Ok(Station {
-            config: state.config,
-            rail: state.rail,
-            msp: state.msp,
-            gumstix: state.gumstix,
-            dgps: state.dgps,
-            wan: state.wan.into_link(),
-            wan_load,
-            cost: state.cost,
-            sensors: state.sensors,
-            store: state.store,
-            card: state.card,
-            log: state.log,
-            rng: state.rng,
-            last_run: state.last_run,
-            fetch_sessions: state.fetch_sessions,
-            pending_special_results: state.pending_special_results,
-            sensor_batch: state.sensor_batch,
-            priority_event: state.priority_event,
-            conductivity_baselines: state.conductivity_baselines,
-            wired_probe_ok: state.wired_probe_ok,
-            gprs_degradation: state.gprs_degradation,
-            stuck_transfer: state.stuck_transfer,
-            clock_error_secs: state.clock_error_secs,
-            drift_sign: state.drift_sign,
-            last_drift_update: state.last_drift_update,
-            powered: state.powered,
-            obs,
-            windows_run: state.windows_run,
-            windows_cut: state.windows_cut,
-            recoveries: state.recoveries,
-            file_seq: state.file_seq,
-            scratch: WindowScratch::default(),
-        })
+        }
+        Ok(())
     }
 
     /// The station configuration.
@@ -549,18 +442,17 @@ impl Station {
         self.msp.power_losses()
     }
 
-    /// Installs a telemetry recorder. The default is the zero-cost
-    /// [`NullRecorder`]; recording never consumes simulation randomness,
-    /// so swapping recorders cannot change what the station does.
-    pub fn set_recorder(&mut self, obs: Box<dyn Recorder>) {
-        self.obs = obs;
+    /// Installs an in-memory telemetry recorder. By default the station
+    /// records nothing; recording never consumes simulation randomness,
+    /// so installing a recorder cannot change what the station does.
+    pub fn record_telemetry(&mut self) {
+        self.obs = Some(MemoryRecorder::default());
     }
 
-    /// Takes the accumulated in-memory telemetry (if the installed
-    /// recorder keeps any), leaving an empty recorder of the same kind
-    /// behind.
+    /// Takes the accumulated in-memory telemetry (if a recorder is
+    /// installed), leaving an empty recorder behind.
     pub fn take_telemetry(&mut self) -> Option<MemoryRecorder> {
-        self.obs.take_memory()
+        self.obs.as_mut().map(std::mem::take)
     }
 
     /// Telemetry station label for [`Origin`] scoping.
@@ -642,7 +534,7 @@ impl Station {
                 self.wan.disconnect();
             }
             self.powered = false;
-            let mut scope = Scope::new(to, self.origin(), self.obs.as_mut());
+            let mut scope = Scope::new(to, self.origin(), &mut self.obs);
             scope.counter("power_losses", 1);
             if scope.enabled() {
                 let event = scope.make("power_loss");
@@ -653,7 +545,7 @@ impl Station {
             self.msp.power_restored(to);
             self.rail.loads_mut().set_on(loads::MSP430, true);
             self.powered = true;
-            let mut scope = Scope::new(to, self.origin(), self.obs.as_mut());
+            let mut scope = Scope::new(to, self.origin(), &mut self.obs);
             scope.counter("power_restores", 1);
             if scope.enabled() {
                 let event = scope.make("power_restored");
@@ -939,7 +831,7 @@ impl Station {
                     self.advance(env, now + CONTROL_EXCHANGE);
                     now += CONTROL_EXCHANGE;
                     let server_origin = Origin::new("server", self.station_label());
-                    let mut scope = Scope::new(now, server_origin, self.obs.as_mut());
+                    let mut scope = Scope::new(now, server_origin, &mut self.obs);
                     report.override_state =
                         uplink.fetch_override_observed(self.config.id, &mut scope);
                 }
@@ -1123,10 +1015,10 @@ impl Station {
         if rc.ntp_fallback {
             // NTP over GPRS (the paper's proposed extension).
             if self.wan.connect_weathered(1.0, &mut self.rng).is_ok() {
-                self.rail.loads_mut().set_on(self.wan_load, true);
+                self.rail.loads_mut().set_on(self.wan.label(), true);
                 self.advance(env, *now + CONTROL_EXCHANGE);
                 *now += CONTROL_EXCHANGE;
-                self.rail.loads_mut().set_on(self.wan_load, false);
+                self.rail.loads_mut().set_on(self.wan.label(), false);
                 self.wan.disconnect();
                 if self.rng.bernoulli(rc.ntp_success_p) {
                     self.msp.set_rtc(*now, *now);
@@ -1142,7 +1034,7 @@ impl Station {
         }
         self.log
             .record(TraceLevel::Error, "recovery", "no time fix; sleeping a day");
-        let mut scope = Scope::new(*now, self.origin(), self.obs.as_mut());
+        let mut scope = Scope::new(*now, self.origin(), &mut self.obs);
         scope.counter("recovery_failures", 1);
         if scope.enabled() {
             let event = scope.make("recovery_failed");
@@ -1153,7 +1045,7 @@ impl Station {
 
     /// Records a successful §IV RTC-reset recovery through the telemetry.
     fn record_recovery(&mut self, at: SimTime, via: &'static str) {
-        let mut scope = Scope::new(at, self.origin(), self.obs.as_mut());
+        let mut scope = Scope::new(at, self.origin(), &mut self.obs);
         scope.counter("recoveries", 1);
         if scope.enabled() {
             let event = scope.make("recovery").with("via", via);
@@ -1193,7 +1085,7 @@ impl Station {
                 .entry(probe.id())
                 .or_insert_with(|| FetchSession::new(probe.id(), protocol));
             self.rail.loads_mut().set_on(loads::PROBE_RADIO, true);
-            let mut scope = Scope::new(*now, protocol_origin, self.obs.as_mut());
+            let mut scope = Scope::new(*now, protocol_origin, &mut self.obs);
             let out = session.run_observed(probe, &link, loss, budget, &mut self.rng, &mut scope);
             let delivered = session.drain_delivered();
             self.advance(env, *now + out.elapsed);
@@ -1344,7 +1236,7 @@ impl Station {
                     *now,
                     retry_origin,
                     "gprs_attach",
-                    self.obs.as_mut(),
+                    &mut self.obs,
                 );
                 let wait = wd.cap(*now, chosen);
                 if wait > SimDuration::ZERO {
@@ -1355,14 +1247,11 @@ impl Station {
             if wd.expired(*now) {
                 return false;
             }
-            self.rail.loads_mut().set_on(self.wan_load, true);
-            match self.wan.connect_observed(
-                weather,
-                &mut self.rng,
-                *now,
-                wan_origin,
-                self.obs.as_mut(),
-            ) {
+            self.rail.loads_mut().set_on(self.wan.label(), true);
+            match self
+                .wan
+                .connect_observed(weather, &mut self.rng, *now, wan_origin, &mut self.obs)
+            {
                 Ok(setup) => {
                     self.advance(env, *now + setup);
                     *now += setup;
@@ -1371,7 +1260,7 @@ impl Station {
                 Err(wasted) => {
                     self.advance(env, *now + wasted);
                     *now += wasted;
-                    self.rail.loads_mut().set_on(self.wan_load, false);
+                    self.rail.loads_mut().set_on(self.wan.label(), false);
                     self.log
                         .record(TraceLevel::Warn, self.wan.label(), "attach failed");
                 }
@@ -1414,7 +1303,7 @@ impl Station {
                     *now,
                     retry_origin,
                     "server_fetch",
-                    self.obs.as_mut(),
+                    &mut self.obs,
                 );
                 let wait = wd.cap(*now, chosen);
                 if wait > SimDuration::ZERO {
@@ -1468,7 +1357,7 @@ impl Station {
             let budget = wd.remaining(*now);
             let r = self.store.upload(
                 self.config.id,
-                self.wan.as_mut(),
+                &mut self.wan,
                 uplink,
                 &mut self.cost,
                 budget,
@@ -1477,7 +1366,7 @@ impl Station {
             self.advance(env, *now + r.elapsed);
             *now += r.elapsed;
             let wan_origin = Origin::new("gprs", self.station_label());
-            let mut scope = Scope::new(*now, wan_origin, self.obs.as_mut());
+            let mut scope = Scope::new(*now, wan_origin, &mut self.obs);
             scope.counter("upload_files", r.files_completed as u64);
             scope.counter("upload_bytes", r.bytes_sent.value());
             scope.counter("upload_session_drops", u64::from(r.session_drops));
@@ -1605,7 +1494,7 @@ impl Station {
     fn write_schedule(&mut self, state: PowerState, now: SimTime) {
         let prev = self.current_state();
         self.msp.write_schedule(Schedule::standard(state));
-        let mut scope = Scope::new(now, self.origin(), self.obs.as_mut());
+        let mut scope = Scope::new(now, self.origin(), &mut self.obs);
         scope.counter("schedule_writes", 1);
         if scope.enabled() && prev != state {
             let event = scope
@@ -1631,7 +1520,7 @@ impl Station {
         report.cut_by_watchdog = cut;
         if cut {
             self.windows_cut += 1;
-            let mut scope = Scope::new(now, self.origin(), self.obs.as_mut());
+            let mut scope = Scope::new(now, self.origin(), &mut self.obs);
             scope.counter("watchdog_cuts", 1);
             if scope.enabled() {
                 let event = scope.make("watchdog_cut");
@@ -1764,7 +1653,7 @@ mod tests {
         let mut probe_obs = probe_plain.clone();
         let (mut env_plain, mut plain) = lab_station(start);
         let (mut env_obs, mut observed) = lab_station(start);
-        observed.set_recorder(Box::new(glacsweb_obs::MemoryRecorder::default()));
+        observed.record_telemetry();
         let mut t = start;
         for _ in 0..200 {
             t += SimDuration::from_hours(1);
@@ -2452,7 +2341,7 @@ mod tests {
         station.set_wired_probe_ok(true);
         server.unreachable = false;
         // Every GPRS attach fails for a week: files pile up on the card.
-        station.wan = Box::new(
+        station.wan = Wan::Gprs(
             GprsLink::try_new(GprsConfig {
                 setup_failure_p: 1.0,
                 ..GprsConfig::ideal()
@@ -2463,7 +2352,7 @@ mod tests {
             let no_attach = next(&mut station, &mut [], &mut server);
             assert!(!no_attach.gprs_connected);
         }
-        station.wan = Box::new(GprsLink::try_new(GprsConfig::ideal()).unwrap());
+        station.wan = Wan::Gprs(GprsLink::try_new(GprsConfig::ideal()).unwrap());
         // The card is corrupted (recovered, some files lost) and the
         // transfer hangs until the watchdog cuts the window.
         station.inject_card_corruption();

@@ -182,3 +182,50 @@ fn garbage_and_foreign_files_are_rejected_politely() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// CRC-32 (IEEE), to re-seal a payload after editing it.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(u32::MAX, |crc, &b| {
+        (0..8).fold(crc ^ u32::from(b), |c, _| {
+            if c & 1 == 0 {
+                c >> 1
+            } else {
+                (c >> 1) ^ 0xEDB8_8320
+            }
+        })
+    })
+}
+
+/// A day-2 lab snapshot's bytes, built once for every case.
+fn lab_day_two() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut d = Scenario::lab_bringup().seed(7).build();
+        d.run_days(2);
+        glacsweb_snapshot::to_bytes(&d.snapshot())
+    })
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    /// A payload byte changed under a re-sealed checksum reaches the
+    /// decoder and `Deployment::restore`, which must refuse it with a
+    /// typed error or restore it, never panic.
+    #[test]
+    fn a_resealed_payload_byte_flip_restores_or_is_a_typed_error(
+        offset in 0usize..usize::MAX,
+        mask in 1u8..=255,
+    ) {
+        let mut bytes = lab_day_two().to_vec();
+        let pos = HEADER_LEN + offset % (bytes.len() - HEADER_LEN);
+        bytes[pos] ^= mask;
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        match glacsweb_snapshot::from_bytes(&bytes).and_then(Deployment::restore) {
+            Ok(_)
+            | Err(SnapshotError::Malformed(_) | SnapshotError::Invalid(_)) => {}
+            Err(other) => proptest::prop_assert!(false, "byte {pos}: {other}"),
+        }
+    }
+}
