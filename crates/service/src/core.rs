@@ -554,7 +554,6 @@ fn apply_check_in(shard: &mut Shard, station: u64, at: SimTime, soc: u32) {
 }
 
 /// The staged update's file name for a station (pure function).
-// glacsweb: allow(dead-pub, reason = "the glacbench service workload stages and checks updates through this; glacbench is a separate workspace the analyzer does not scan")
 pub fn update_name(station: u64) -> String {
     // glacsweb: allow(perf-hygiene, reason = "staging runs once at startup, never per request")
     format!("control-{station}.py")
@@ -568,7 +567,6 @@ pub fn update_payload(station: u64) -> Vec<u8> {
 }
 
 /// Hex digest of a staged payload — what a correct station reports back.
-// glacsweb: allow(dead-pub, reason = "the glacbench service workload verifies fetched updates with this; glacbench is a separate workspace the analyzer does not scan")
 pub fn update_md5_hex(payload: &[u8]) -> String {
     to_hex(&md5(payload))
 }
