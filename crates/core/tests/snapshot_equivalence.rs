@@ -358,3 +358,98 @@ fn restore_rejects_a_rail_without_a_station_load() {
         assert!(err.to_string().contains(name), "{name}: {err}");
     }
 }
+
+/// The value at `path` (map keys, outermost first) of a snapshot tree.
+fn at_path<'a>(mut v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    for key in path {
+        v = field(v, key);
+    }
+    v
+}
+
+/// Model parameters a snapshot carries outside any config used to
+/// restore unchecked: a boot or attach of ~1e12 s then stalled the next
+/// run (the station integrates its rail across it), and an infinite
+/// storm depth or slip size, or an unusable weather factor, reached the
+/// `exponential rate must be positive` and `weather multiplier must be
+/// positive` asserts.
+#[test]
+fn restore_rejects_crafted_model_parameters() {
+    let mut d = Scenario::lab_bringup().seed(7).build();
+    d.run_days(2);
+    assert!(
+        restore_crafted_from(&d, &|_| {}).is_ok(),
+        "the clean tree restores"
+    );
+    let cases: [(&[&str], Value, &str); 7] = [
+        (
+            &["reference", "gumstix", "boot_time"],
+            Value::U64(1_000_000_000_000),
+            "boot_time",
+        ),
+        (
+            &["reference", "wan", "Gprs", "config", "setup_time"],
+            Value::U64(1_000_000_000_000),
+            "setup_time",
+        ),
+        (
+            &["base", "gprs_degradation"],
+            Value::F64(f64::NAN),
+            "gprs_degradation",
+        ),
+        (
+            &["base", "gprs_degradation"],
+            Value::F64(1e-300),
+            "gprs_degradation",
+        ),
+        (
+            &["env", "snow", "snow_per_storm_m"],
+            Value::F64(f64::INFINITY),
+            "snow_per_storm_m",
+        ),
+        (
+            &["env", "motion", "slip_event_m"],
+            Value::F64(f64::INFINITY),
+            "slip_event_m",
+        ),
+        (
+            &["env", "hydrology", "melt_index"],
+            Value::F64(f64::NAN),
+            "melt_index",
+        ),
+    ];
+    for (path, value, want) in cases {
+        let crafted = value.clone();
+        let craft = move |state: &mut Value| *at_path(state, path) = crafted.clone();
+        let err = restore_crafted_from(&d, &craft)
+            .err()
+            .unwrap_or_else(|| panic!("{path:?} crafted to {value:?} restored"));
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(want), "want {want:?}: {err}");
+    }
+}
+
+/// A metrics series whose last sample was moved later (still in time
+/// order, so it decodes) used to restore, and the station's next tick
+/// then panicked in `push` with "samples must be time-ordered".
+#[test]
+fn restore_rejects_a_series_sample_past_the_next_tick() {
+    let mut d = Scenario::lab_bringup().seed(7).build();
+    d.run_days(2);
+    for series in ["voltage", "state"] {
+        let push_last_sample_later = move |state: &mut Value| {
+            let Value::Map(by_station) = field(field(state, "metrics"), series) else {
+                panic!("expected the {series} series keyed by station")
+            };
+            let points = items(field(&mut by_station[0].1, "points"));
+            let sample = items(points.last_mut().expect("a sample"));
+            let later = sample[0].as_u64().expect("a sample time") + 86_400;
+            sample[0] = Value::U64(later);
+        };
+        let err = restore_crafted_from(&d, &push_last_sample_later)
+            .err()
+            .unwrap_or_else(|| panic!("a {series} sample past the next tick restored"));
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("next tick"), "{series}: {err}");
+    }
+}

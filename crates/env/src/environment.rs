@@ -107,14 +107,21 @@ impl Deserialize for Environment {
                 "snapshot carries invalid environment config: {e}"
             )));
         }
+        let snow: SnowPack = de::field(v, "snow")?;
+        let hydrology: Hydrology = de::field(v, "hydrology")?;
+        let motion: GlacierMotion = de::field(v, "motion")?;
+        // The states carry their own copies of the rates they draw with.
+        for check in [snow.validate(), hydrology.validate(), motion.validate()] {
+            check.map_err(de::Error::custom)?;
+        }
         Ok(Environment {
             config,
             solar: de::field(v, "solar")?,
             temperature: de::field(v, "temperature")?,
             wind: de::field(v, "wind")?,
-            snow: de::field(v, "snow")?,
-            hydrology: de::field(v, "hydrology")?,
-            motion: de::field(v, "motion")?,
+            snow,
+            hydrology,
+            motion,
             cloud_factor: de::field(v, "cloud_factor")?,
             rng: de::field(v, "rng")?,
             now: de::field(v, "now")?,

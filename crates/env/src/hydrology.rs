@@ -1,7 +1,7 @@
 //! Subglacial hydrology: melt-water index, water pressure and the
 //! conductivity signal of Fig 6.
 
-use glacsweb_sim::SimTime;
+use glacsweb_sim::{ConfigError, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::daycache::AlphaStepCache;
@@ -53,6 +53,19 @@ impl Hydrology {
     /// Current melt-water index in `[0, 1]`.
     pub fn melt_index(&self) -> f64 {
         self.melt_index
+    }
+
+    /// Checks the melt index a snapshot could carry: it scales the GPRS
+    /// weather multiplier, which must stay positive and finite.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if !(0.0..=1.0).contains(&self.melt_index) {
+            return Err(ConfigError::new(
+                "hydrology",
+                "melt_index",
+                "melt index must lie in [0, 1]",
+            ));
+        }
+        Ok(())
     }
 
     /// Advances the filter over `dt_days` at surface temperature `temp_c`.

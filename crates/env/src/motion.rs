@@ -7,7 +7,7 @@
 //! produces a down-flow displacement with exactly that structure, so the
 //! dGPS data products regenerated by the experiments contain a real signal.
 
-use glacsweb_sim::{SimRng, SimTime};
+use glacsweb_sim::{ConfigError, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Down-flow displacement of the base-station site (metres from the season
@@ -43,6 +43,19 @@ impl GlacierMotion {
             displacement_m: 0.0,
             slip_count: 0,
         }
+    }
+
+    /// Checks the slip size a snapshot could carry: a slip is drawn with
+    /// rate `1 / slip_event_m`, which must stay positive.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.slip_event_m.is_finite() && self.slip_event_m >= 0.0) {
+            return Err(ConfigError::new(
+                "motion",
+                "slip_event_m",
+                "slip size must be finite and non-negative",
+            ));
+        }
+        Ok(())
     }
 
     /// Total down-flow displacement so far, metres.

@@ -1,6 +1,6 @@
 //! Snow pack: storm accumulation and degree-day melt.
 
-use glacsweb_sim::{SimRng, SimTime};
+use glacsweb_sim::{ConfigError, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Snow depth dynamics at the station site.
@@ -40,6 +40,19 @@ impl SnowPack {
             melt_m_per_degree_day,
             depth_m: 0.0,
         }
+    }
+
+    /// Checks the storm depth a snapshot could carry: a storm's depth is
+    /// drawn with rate `1 / snow_per_storm_m`, which must stay positive.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.snow_per_storm_m.is_finite() && self.snow_per_storm_m >= 0.0) {
+            return Err(ConfigError::new(
+                "snow",
+                "snow_per_storm_m",
+                "storm depth must be finite and non-negative",
+            ));
+        }
+        Ok(())
     }
 
     /// Current snow depth in metres.

@@ -1,6 +1,6 @@
 //! The Gumstix ARM Linux computer.
 
-use glacsweb_sim::{SimDuration, SimTime, Watts};
+use glacsweb_sim::{ConfigError, SimDuration, SimTime, Watts};
 use serde::{Deserialize, Serialize};
 
 use crate::table1;
@@ -63,6 +63,24 @@ impl Gumstix {
             total_on: SimDuration::ZERO,
             power_cycles: 0,
         }
+    }
+
+    /// Checks the boot time a snapshot could carry: at most an hour.
+    /// The rail stays on across the boot, so an unbounded one would
+    /// stall the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns the boot time when it is out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.boot_time > SimDuration::from_secs(3600) {
+            return Err(ConfigError::new(
+                "gumstix",
+                "boot_time",
+                format!("boot time {} s exceeds an hour", self.boot_time.as_secs()),
+            ));
+        }
+        Ok(())
     }
 
     /// Current state.

@@ -3,6 +3,11 @@
 use glacsweb_sim::{BitsPerSecond, Bytes, ConfigError, SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
+/// The longest attach (or relay dial) a link may take: an hour, far
+/// beyond any window. The station runs its rail across the whole attach,
+/// so an unbounded one would stall the run.
+pub const MAX_ATTACH_TIME: SimDuration = SimDuration::from_secs(3600);
+
 /// GPRS behaviour parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GprsConfig {
@@ -49,6 +54,13 @@ impl GprsConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.rate.value() == 0 {
             return Err(ConfigError::new("gprs", "rate", "rate must be non-zero"));
+        }
+        if self.setup_time > MAX_ATTACH_TIME {
+            return Err(ConfigError::new(
+                "gprs",
+                "setup_time",
+                format!("setup time {} s exceeds an hour", self.setup_time.as_secs()),
+            ));
         }
         if !(0.0..=1.0).contains(&self.setup_failure_p) {
             return Err(ConfigError::new(

@@ -9,10 +9,10 @@
 //! decision rather than a rewrite.
 
 use glacsweb_obs::{Event, Origin, Recorder};
-use glacsweb_sim::{BitsPerSecond, Bytes, SimDuration, SimRng, SimTime};
+use glacsweb_sim::{BitsPerSecond, Bytes, ConfigError, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::gprs::{GprsLink, TransferOutcome};
+use crate::gprs::{GprsLink, TransferOutcome, MAX_ATTACH_TIME};
 use crate::ppp::{DisconnectReason, PppRadioLink};
 
 /// A wide-area uplink a station can move its daily data over: one of the
@@ -26,6 +26,19 @@ pub enum Wan {
 }
 
 impl Wan {
+    /// Checks the link's model parameters (a restored station's link
+    /// carries its own copy): the GPRS config, or the relay's dial.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invalid parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self {
+            Wan::Gprs(link) => link.config().validate(),
+            Wan::Relay(link) => link.validate(),
+        }
+    }
+
     /// Short name for logs, and the power-rail load the modem draws from
     /// (`"gprs"` or `"radio_modem"`).
     pub fn label(&self) -> &'static str {
@@ -192,6 +205,25 @@ impl RelayWanLink {
         (self.sessions, self.failed_dials)
     }
 
+    /// Checks the dial parameters a snapshot could carry.
+    fn validate(&self) -> Result<(), ConfigError> {
+        if self.dial_time > MAX_ATTACH_TIME {
+            return Err(ConfigError::new(
+                "relay",
+                "dial_time",
+                format!("dial time {} s exceeds an hour", self.dial_time.as_secs()),
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.dial_failure_p) {
+            return Err(ConfigError::new(
+                "relay",
+                "dial_failure_p",
+                format!("dial failure {} not a probability", self.dial_failure_p),
+            ));
+        }
+        Ok(())
+    }
+
     /// Dials the reference station.
     #[allow(clippy::result_large_err)]
     fn connect_weathered(
@@ -253,6 +285,29 @@ mod tests {
 
     fn noon() -> SimTime {
         SimTime::from_ymd_hms(2008, 5, 1, 12, 0, 0)
+    }
+
+    #[test]
+    fn attach_and_dial_times_are_bounded() {
+        let mut slow = GprsConfig::ideal();
+        slow.setup_time = MAX_ATTACH_TIME;
+        let at_bound = Wan::Gprs(GprsLink::try_new(slow.clone()).unwrap());
+        assert!(at_bound.validate().is_ok());
+        slow.setup_time = MAX_ATTACH_TIME + SimDuration::from_secs(1);
+        assert!(slow.validate().is_err(), "an attach past an hour");
+        let mut relay = RelayWanLink::new();
+        assert!(Wan::Relay(relay.clone()).validate().is_ok());
+        relay.dial_time = MAX_ATTACH_TIME + SimDuration::from_secs(1);
+        assert!(
+            Wan::Relay(relay.clone()).validate().is_err(),
+            "a dial past an hour"
+        );
+        relay.dial_time = SimDuration::from_secs(30);
+        relay.dial_failure_p = f64::NAN;
+        assert!(
+            Wan::Relay(relay).validate().is_err(),
+            "a dial failure that is no probability"
+        );
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl CommandDesk {
     /// Whether a receipt reporting `md5_hex` for `file` matches what was
     /// staged: the verdict [`CommandDesk::receive_checksum`] records,
     /// without recording anything.
-    pub fn verify_checksum(&self, file: &str, md5_hex: &str) -> bool {
+    fn verify_checksum(&self, file: &str, md5_hex: &str) -> bool {
         self.staged_md5
             .get(file)
             .is_some_and(|expected| expected == md5_hex)

@@ -41,9 +41,9 @@ use glacsweb_obs::{MemoryRecorder, Origin, Recorder};
 use glacsweb_server::SouthamptonServer;
 use glacsweb_sim::SimTime;
 use glacsweb_station::md5::{md5, to_hex};
-use glacsweb_station::{PowerState, StationId, Uplink};
+use glacsweb_station::{CodeUpdate, PowerState, StationId, Uplink};
 
-use crate::http::push_u64;
+use crate::http::{push_u64, HEX_DIGITS};
 
 /// Telemetry origin for every record the service makes.
 const ORIGIN: Origin = Origin::new("service", "fleet");
@@ -96,6 +96,12 @@ struct Shard {
     /// Maintained battery histogram over this shard's latest check-ins;
     /// updated on every check-in, summed across shards on read.
     soc: SocHistogram,
+    /// Code updates staged and not yet fetched, per station of this
+    /// shard (index `slot * 2 + role`, see [`FleetCore::locate`]).
+    pending_updates: Vec<u32>,
+    /// MD5 of each station's staged update (same index); `None` until
+    /// the first staging.
+    update_md5: Vec<Option<[u8; 16]>>,
 }
 
 /// Station-count aggregate per power state — the read side the farm
@@ -282,6 +288,8 @@ impl FleetCore {
                     unreported: owned * 2,
                 },
                 soc: SocHistogram::default(),
+                pending_updates: vec![0; usize::try_from(owned * 2).unwrap_or(0)],
+                update_md5: vec![None; usize::try_from(owned * 2).unwrap_or(0)],
             }));
         }
         Ok(FleetCore {
@@ -307,7 +315,9 @@ impl FleetCore {
     }
 
     /// Maps a global station id to its shard, the pair's slot within the
-    /// shard, and the station's §III role within the pair.
+    /// shard, and the station's §III role within the pair. The station's
+    /// own index in the shard's per-station columns is `slot * 2` for
+    /// the base and `slot * 2 + 1` for the reference.
     fn locate(&self, station: u64) -> Result<(usize, usize, StationId), CoreError> {
         if station >= self.stations {
             return Err(CoreError::UnknownStation(station));
@@ -351,15 +361,40 @@ impl FleetCore {
 
     /// Stages one MD5-advertised code update per station, so the
     /// update-fetch / checksum-ack flow has something to serve. The
-    /// payload is a pure function of the station id.
+    /// payload is a pure function of the station id, so staging only
+    /// counts one more pending fetch and keeps the payload's MD5; the
+    /// update itself is rendered when it is fetched.
     pub fn stage_updates(&self) {
-        for station in 0..self.stations {
-            let name = update_name(station);
-            let payload = update_payload(station);
-            let _ = self.with_pair(station, |server, _, role| {
-                server.desk_mut().stage_update(role, &name, payload);
-            });
+        let shards = self.shards.len() as u64;
+        for index in 0..self.shards.len() {
+            let Some(mut guard) = self.lock(index) else {
+                continue;
+            };
+            let shard = &mut *guard;
+            let columns = shard
+                .pending_updates
+                .iter_mut()
+                .zip(shard.update_md5.iter_mut());
+            for (local, (pending, digest)) in (0u64..).zip(columns) {
+                // Slot `local / 2` holds pair `slot * shards + index`.
+                let pair = local / 2 * shards + index as u64;
+                *pending = pending.saturating_add(1);
+                *digest = Some(md5(&update_payload(pair * 2 + local % 2)));
+            }
         }
+    }
+
+    /// Runs `f` on the shard holding `station`, with the station's index
+    /// in the shard's per-station columns.
+    fn with_station<T>(
+        &self,
+        station: u64,
+        f: impl FnOnce(&mut Shard, usize) -> T,
+    ) -> Result<T, CoreError> {
+        let (shard, slot, role) = self.locate(station)?;
+        let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
+        let local = slot * 2 + usize::from(role == StationId::Reference);
+        Ok(f(&mut guard, local))
     }
 
     /// A station's periodic power-state check-in: records its battery
@@ -450,28 +485,38 @@ impl FleetCore {
         })
     }
 
-    /// The next staged code update for a station, if any (§VI download).
-    pub fn update_for(
-        &self,
-        station: u64,
-        at: SimTime,
-    ) -> Result<Option<glacsweb_station::CodeUpdate>, CoreError> {
-        self.with_pair(station, |server, recorder, role| {
-            let update = server.fetch_update(role);
-            recorder.counter(at, ORIGIN, "update_fetches", 1);
+    /// The next staged code update for a station, if any (§VI download):
+    /// one per staging, rendered from [`update_name`] and
+    /// [`update_payload`] as it is served.
+    pub fn update_for(&self, station: u64, at: SimTime) -> Result<Option<CodeUpdate>, CoreError> {
+        self.with_station(station, |shard, local| {
+            let pending = shard.pending_updates.get_mut(local).filter(|n| **n > 0);
+            let digest = shard.update_md5.get(local).copied().flatten();
+            let update = match (pending, digest) {
+                (Some(pending), Some(expected_md5)) => {
+                    *pending -= 1;
+                    Some(CodeUpdate {
+                        name: update_name(station),
+                        payload: update_payload(station),
+                        expected_md5,
+                    })
+                }
+                _ => None,
+            };
+            shard.recorder.counter(at, ORIGIN, "update_fetches", 1);
             if update.is_some() {
-                recorder.counter(at, ORIGIN, "update_served", 1);
+                shard.recorder.counter(at, ORIGIN, "update_served", 1);
             }
             update
         })
     }
 
     /// A station's MD5 receipt for an applied update (§VI: the tiny HTTP
-    /// GET the deployed `wget` could manage). Returns whether the
-    /// reported digest matches what was staged. The verdict is computed,
-    /// not recorded: no route reads a pair's receipt list, so keeping
-    /// every receipt would only grow it without bound. An unreachable
-    /// pair server receives no receipt, so verifies nothing.
+    /// GET the deployed `wget` could manage). Returns whether `file` is
+    /// the name of an update staged for the station's pair (either
+    /// station of it) and `md5_hex` that update's digest in lower-case
+    /// hex. The verdict is computed, not recorded: no route reads the
+    /// receipts, so keeping them would only grow without bound.
     pub fn ack_update(
         &self,
         station: u64,
@@ -479,11 +524,18 @@ impl FleetCore {
         file: &str,
         md5_hex: &str,
     ) -> Result<bool, CoreError> {
-        self.with_pair(station, |server, recorder, _| {
-            let verified = server.is_reachable() && server.desk().verify_checksum(file, md5_hex);
-            recorder.counter(at, ORIGIN, "update_acks", 1);
+        self.with_station(station, |shard, local| {
+            let base = local - local % 2;
+            let verified = (0..2).any(|role| {
+                let digest = shard.update_md5.get(base + role).copied().flatten();
+                let mate = station - station % 2 + role as u64;
+                digest.is_some_and(|d| is_update_name(file, mate) && is_hex_of(md5_hex, &d))
+            });
+            shard.recorder.counter(at, ORIGIN, "update_acks", 1);
             if verified {
-                recorder.counter(at, ORIGIN, "update_acks_verified", 1);
+                shard
+                    .recorder
+                    .counter(at, ORIGIN, "update_acks_verified", 1);
             }
             verified
         })
@@ -551,6 +603,29 @@ fn apply_check_in(shard: &mut Shard, station: u64, at: SimTime, soc: u32) {
     shard
         .recorder
         .observe(ORIGIN, "checkin_soc_permille", u64::from(soc));
+}
+
+/// Whether `file` is exactly [`update_name`]`(station)`, compared
+/// without rendering the name.
+fn is_update_name(file: &str, station: u64) -> bool {
+    let digits = file
+        .strip_prefix("control-")
+        .and_then(|rest| rest.strip_suffix(".py"))
+        .unwrap_or_default();
+    let canonical = digits == "0" || !digits.starts_with('0');
+    canonical && digits.bytes().all(|b| b.is_ascii_digit()) && digits.parse() == Ok(station)
+}
+
+/// Whether `hex` is exactly the lower-case hex of `digest`, as
+/// [`update_md5_hex`] writes it.
+fn is_hex_of(hex: &str, digest: &[u8; 16]) -> bool {
+    let digit = |nibble: u8| HEX_DIGITS.get(usize::from(nibble));
+    hex.len() == 32
+        && hex
+            .as_bytes()
+            .chunks_exact(2)
+            .zip(digest)
+            .all(|(pair, &b)| pair.first() == digit(b >> 4) && pair.get(1) == digit(b & 0xf))
 }
 
 /// The staged update's file name for a station (pure function).

@@ -873,7 +873,7 @@ pub fn push_u64(out: &mut String, mut v: u64) {
 }
 
 /// Lower-case hex digits for [`push_hex`].
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Appends lower-case hex of `bytes` to `out` — the `format!`-free hex
 /// writer (payloads cross the wire as text).

@@ -54,6 +54,5 @@ pub use crate::http::{
     ResponseWriter, ServerConfig,
 };
 pub use crate::load::{
-    percentile_us, replay, script_from_trace, Action, LatencyStats, ReplayConfig, ReplayOutcome,
-    Script, Step,
+    replay, script_from_trace, Action, LatencyStats, ReplayConfig, ReplayOutcome, Script, Step,
 };

@@ -16,8 +16,8 @@
 //! replayed by client `p % clients`, and each client issues its steps
 //! in script order. A pair's request subsequence is therefore identical
 //! no matter how many clients run, so every response is too. Each step
-//! carries its canonical script index; transcript lines are merged in
-//! index order as they are hashed, which removes the only remaining source
+//! carries its canonical script index; transcript lines are folded into
+//! the digest in index order, which removes the only remaining source
 //! of nondeterminism (cross-client interleaving). Wall-clock latency
 //! and requests/sec are measured but deliberately excluded from the
 //! transcript.
@@ -38,22 +38,35 @@
 //!   next response is. The carry compacts only before a blocking read —
 //!   the server's `pre_read` invariant — so it holds at most one window
 //!   of responses plus a read chunk.
-//! * **Transcript lines** are appended to one arena per client, with an
-//!   `(index, end)` mark per line. [`replay`] merges the clients' marks
-//!   in index order — each client's already ascend, so nothing is
-//!   sorted — and streams FNV-1a over the line slices; the concatenated
-//!   transcript is built only when [`ReplayConfig::keep_transcript`]
-//!   asks for it.
+//! * **Transcript lines** are appended to a `Chunk`, with a mark per
+//!   line (its index, end and latency). A full chunk goes to the
+//!   calling thread over a bounded channel and comes back empty once
+//!   folded. A client's chunks are the queued ones (`CHUNK_DEPTH` at
+//!   most), the spares (`SPARE_CHUNKS` at most), the one it fills and
+//!   the one being read, however long the script is.
+//!
+//! # The fold
+//!
+//! The calling thread walks the script in index order. Pair affinity
+//! names the client that owns each step, so the fold always reads that
+//! client's next line: the line is hashed into the FNV-1a digest (and
+//! appended to the transcript only when
+//! [`ReplayConfig::keep_transcript`] asks for it), and its latency is
+//! counted in a histogram. A step inside a coalesced check-in batch
+//! has no line of its own and is passed over. Memory is bounded by
+//! those chunks per client plus one histogram entry per distinct
+//! latency; a client that runs ahead waits on its channel.
 //!
 //! The §VI update check costs one MD5 per fetched update; the decoded
 //! payload lands in a reused buffer and the receipt is kept as the raw
-//! digest, hex-written into the ack's target. Filing a station's first
-//! receipt (its file name and map entry) is the one allocation left,
-//! once per station rather than per request.
+//! digest, hex-written into the ack's target. The ack frees the
+//! receipt's slot for the next fetch.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::iter::Peekable;
 use std::net::TcpStream;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 use glacsweb_fleet::{WakeTrace, KIND_COMMS, KIND_OVERRIDE, KIND_SAMPLE};
@@ -180,7 +193,9 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 pub struct ReplayConfig {
     /// Concurrent keep-alive connections. Pair `p` is always served by
     /// client `p % clients` — the affinity behind byte-identical
-    /// transcripts at any client count.
+    /// transcripts at any client count. The server needs a worker per
+    /// client: the fold reads every client's lines in script order, so
+    /// one connection left waiting for a worker stalls them all.
     pub clients: usize,
     /// Requests each client keeps in flight on its connection
     /// (HTTP/1.1 pipelining window; `1` = strict request/response
@@ -223,26 +238,29 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Nearest-rank percentiles over an ascending-sorted sample.
-    fn from_sorted(sorted: &[u64]) -> LatencyStats {
+    /// Nearest-rank percentiles over a sample held as a histogram:
+    /// microseconds to the number of requests that took them.
+    fn from_histogram(histogram: &BTreeMap<u64, u64>) -> LatencyStats {
+        let n: u64 = histogram.values().sum();
+        let percentile = |permille: u64| {
+            // Nearest rank: the smallest value with at least
+            // `ceil(n * permille / 1000)` samples at or below it.
+            let rank = (n * permille).div_ceil(1000).max(1);
+            let mut seen = 0;
+            histogram
+                .iter()
+                .find(|&(_, &count)| {
+                    seen += count;
+                    seen >= rank
+                })
+                .map_or(0, |(&us, _)| us)
+        };
         LatencyStats {
-            p50_us: percentile_us(sorted, 500),
-            p99_us: percentile_us(sorted, 990),
-            p999_us: percentile_us(sorted, 999),
+            p50_us: percentile(500),
+            p99_us: percentile(990),
+            p999_us: percentile(999),
         }
     }
-}
-
-/// Nearest-rank percentile (`permille` of 1000) over an
-/// ascending-sorted sample; 0 for an empty sample.
-pub fn percentile_us(sorted: &[u64], permille: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * permille).div_ceil(1000).max(1);
-    let at = usize::try_from(rank - 1).unwrap_or(0).min(sorted.len() - 1);
-    sorted.get(at).copied().unwrap_or(0)
 }
 
 /// What one replay measured.
@@ -265,105 +283,171 @@ pub struct ReplayOutcome {
     pub transcript: Option<Vec<u8>>,
 }
 
-/// One client's collection: every transcript line appended to one
-/// arena, an `(index, end)` mark per line (the line runs from the
-/// previous mark's end), plus raw latencies. Indices ascend, because a
-/// client issues its steps in script order.
-struct ClientOut {
-    arena: String,
-    marks: Vec<(u64, usize)>,
-    latencies_us: Vec<u64>,
+/// Transcript lines a client collects before handing its chunk to the
+/// fold: few enough to keep a chunk small, enough that the hand-off
+/// costs nothing per request.
+const CHUNK_LINES: usize = 32;
+
+/// Full chunks a client may have waiting for the fold before it blocks.
+/// The slack lets a client run ahead through a scheduler time slice or
+/// two; with much less, clients stall each other on a busy host.
+const CHUNK_DEPTH: usize = 256;
+
+/// Emptied chunks waiting to go back to their client; the fold drops
+/// any beyond these.
+const SPARE_CHUNKS: usize = 2;
+
+/// Finished windows on their way from a client to the fold: transcript
+/// lines back to back in `text`, with a mark per line. The fold hands
+/// the emptied chunk back, so warm chunks are reused, not reallocated.
+#[derive(Default)]
+struct Chunk {
+    text: String,
+    marks: Vec<Mark>,
 }
 
-impl ClientOut {
-    /// Transcript line `at` of this client.
-    fn line(&self, at: usize) -> &[u8] {
-        let start = at
-            .checked_sub(1)
-            .and_then(|prev| self.marks.get(prev))
-            .map_or(0, |&(_, end)| end);
-        let end = self.marks.get(at).map_or(start, |&(_, end)| end);
-        self.arena.as_bytes().get(start..end).unwrap_or_default()
-    }
+/// One transcript line of a [`Chunk`]: it runs from the previous
+/// mark's end (or the chunk's start) to `end`.
+#[derive(Clone, Copy)]
+struct Mark {
+    /// Script index of the line's step (the first step of a batch).
+    index: u64,
+    end: usize,
+    latency_us: u64,
 }
 
-/// Feeds every client's transcript lines to `sink` in canonical index
-/// order: a merge of the per-client runs, each already ascending.
-fn merge_lines(outs: &[ClientOut], mut sink: impl FnMut(&[u8])) {
-    let mut next = vec![0usize; outs.len()];
-    loop {
-        let mut lowest: Option<(u64, usize)> = None;
-        for (client, (out, &at)) in outs.iter().zip(&next).enumerate() {
-            if let Some(&(index, _)) = out.marks.get(at) {
-                if lowest.is_none_or(|(low, _)| index < low) {
-                    lowest = Some((index, client));
+/// The client that owns a station: pair `p` rides client `p % clients`.
+fn owner(station: u64, clients: usize) -> usize {
+    usize::try_from(station / 2 % clients as u64).unwrap_or(0)
+}
+
+/// The fold's end of one client's channels, with the chunk being read.
+struct Feed {
+    full: Receiver<Chunk>,
+    empty: SyncSender<Chunk>,
+    chunk: Chunk,
+    /// The next mark to read, and where its line starts.
+    at: usize,
+    start: usize,
+    /// The client has sent its last chunk.
+    done: bool,
+}
+
+impl Feed {
+    /// The client's next line and its mark, fetching the client's next
+    /// chunk (and handing the read one back) when this one is read;
+    /// `None` once the client has sent everything.
+    fn peek(&mut self) -> Option<(Mark, &[u8])> {
+        while !self.done && self.at >= self.chunk.marks.len() {
+            let mut read = std::mem::take(&mut self.chunk);
+            read.text.clear();
+            read.marks.clear();
+            // The client may have finished and gone; its chunk is then
+            // simply dropped.
+            let _ = self.empty.try_send(read);
+            match self.full.recv() {
+                Ok(next) => {
+                    self.chunk = next;
+                    self.at = 0;
+                    self.start = 0;
                 }
+                Err(_) => self.done = true,
             }
         }
-        let Some((_, client)) = lowest else {
-            return;
-        };
-        if let (Some(out), Some(at)) = (outs.get(client), next.get_mut(client)) {
-            sink(out.line(*at));
-            *at += 1;
-        }
+        let mark = *self.chunk.marks.get(self.at)?;
+        let line = self.chunk.text.as_bytes().get(self.start..mark.end)?;
+        Some((mark, line))
     }
+
+    /// Moves past the line [`Feed::peek`] returned.
+    fn advance(&mut self, mark: Mark) {
+        self.at += 1;
+        self.start = mark.end;
+    }
+}
+
+/// What the fold makes of the clients' lines.
+struct Folded {
+    requests: u64,
+    transcript_fnv: u64,
+    transcript: Option<Vec<u8>>,
+    latencies: BTreeMap<u64, u64>,
+}
+
+/// Folds the clients' transcript lines in script order: each step's
+/// line comes from the client that owns the step, and a step with no
+/// line of its own (inside a check-in batch) is passed over.
+fn fold(script: &Script, feeds: &mut [Feed], keep_transcript: bool) -> Folded {
+    let mut out = Folded {
+        requests: 0,
+        transcript_fnv: FNV_OFFSET,
+        transcript: keep_transcript.then(Vec::new),
+        latencies: BTreeMap::new(),
+    };
+    for step in &script.steps {
+        let Some(feed) = feeds.get_mut(owner(step.station, feeds.len())) else {
+            continue;
+        };
+        let Some((mark, line)) = feed.peek() else {
+            continue;
+        };
+        if mark.index != step.index {
+            continue;
+        }
+        out.transcript_fnv = fnv1a(out.transcript_fnv, line);
+        if let Some(t) = out.transcript.as_mut() {
+            t.extend_from_slice(line);
+        }
+        *out.latencies.entry(mark.latency_us).or_default() += 1;
+        out.requests += 1;
+        feed.advance(mark);
+    }
+    out
 }
 
 /// Replays `script` against the server at `addr` and measures it.
 ///
-/// Steps are partitioned by pair affinity, each client drives one
-/// keep-alive connection, and the per-client transcripts are merged in
-/// canonical index order into the digest.
+/// Each client drives one keep-alive connection through the steps its
+/// pairs own, and the calling thread folds their transcript lines into
+/// the digest in canonical index order as they arrive.
 pub fn replay(
     addr: std::net::SocketAddr,
     script: &Script,
     config: &ReplayConfig,
 ) -> io::Result<ReplayOutcome> {
     let clients = config.clients.max(1);
-    let mut partitions: Vec<Vec<&Step>> = (0..clients).map(|_| Vec::new()).collect();
-    for step in &script.steps {
-        let pair = step.station / 2;
-        let slot = usize::try_from(pair % clients as u64).unwrap_or(0);
-        if let Some(p) = partitions.get_mut(slot) {
-            p.push(step);
-        }
-    }
-
     let started = Instant::now();
-    let outs = std::thread::scope(|s| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|steps| s.spawn(move || run_client(addr, steps, config)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| io::Error::other("replay client panicked"))?
-            })
-            .collect::<io::Result<Vec<ClientOut>>>()
+    let folded = std::thread::scope(|s| {
+        let mut feeds = Vec::with_capacity(clients);
+        let mut handles = Vec::with_capacity(clients);
+        for client in 0..clients {
+            let (full_tx, full) = sync_channel(CHUNK_DEPTH);
+            let (empty, empty_rx) = sync_channel(SPARE_CHUNKS);
+            handles.push(s.spawn(move || {
+                run_client(addr, script, client, clients, config, &full_tx, &empty_rx)
+            }));
+            feeds.push(Feed {
+                full,
+                empty,
+                chunk: Chunk::default(),
+                at: 0,
+                start: 0,
+                done: false,
+            });
+        }
+        let folded = fold(script, &mut feeds, config.keep_transcript);
+        // A client still sending now has lines no step claimed; closing
+        // its channel ends it instead of leaving it blocked.
+        drop(feeds);
+        for handle in handles {
+            handle
+                .join()
+                .map_err(|_| io::Error::other("replay client panicked"))??;
+        }
+        Ok::<_, io::Error>(folded)
     })?;
     let seconds = started.elapsed().as_secs_f64();
-
-    let requests: usize = outs.iter().map(|out| out.marks.len()).sum();
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests);
-    for out in &outs {
-        latencies.extend_from_slice(&out.latencies_us);
-    }
-    latencies.sort_unstable();
-
-    let mut transcript_fnv = FNV_OFFSET;
-    let mut transcript = config
-        .keep_transcript
-        .then(|| Vec::with_capacity(outs.iter().map(|out| out.arena.len()).sum()));
-    merge_lines(&outs, |line| {
-        transcript_fnv = fnv1a(transcript_fnv, line);
-        if let Some(t) = transcript.as_mut() {
-            t.extend_from_slice(line);
-        }
-    });
-    let requests = requests as u64;
+    let requests = folded.requests;
     Ok(ReplayOutcome {
         requests,
         seconds,
@@ -372,9 +456,9 @@ pub fn replay(
         } else {
             0.0
         },
-        latency: LatencyStats::from_sorted(&latencies),
-        transcript_fnv,
-        transcript,
+        latency: LatencyStats::from_histogram(&folded.latencies),
+        transcript_fnv: folded.transcript_fnv,
+        transcript: folded.transcript,
     })
 }
 
@@ -393,53 +477,55 @@ struct Pending {
     station: u64,
 }
 
-/// The update a station last fetched: the file name and the MD5 of the
-/// payload as received — the receipt a correct station reports back.
+/// An update a client fetched and has not yet acked: the station, the
+/// file name and the MD5 of the payload as received — the receipt a
+/// correct station reports back. The ack frees the slot (`station`
+/// becomes `None`) for the next fetch to reuse.
 #[derive(Default)]
-struct Staged {
+struct Receipt {
+    station: Option<u64>,
     file: String,
     md5: [u8; 16],
 }
 
-/// Partitions a client's step list into units: `(start, end)` ranges
-/// where `end - start >= 2` is a coalesced run of consecutive check-ins
-/// (batch mode only, capped at [`MAX_BATCH`]) and everything else is a
-/// singleton.
-fn units_of(steps: &[&Step], batch: bool) -> Vec<(usize, usize)> {
-    let mut units = Vec::new();
-    let mut i = 0;
-    let is_checkin = |at: usize| {
-        matches!(
-            steps.get(at).map(|s| s.action),
-            Some(Action::CheckIn { .. })
-        )
+/// Takes the next unit off a client's steps into `unit`: a run of
+/// consecutive check-ins (batch mode only, capped at [`MAX_BATCH`]),
+/// coalesced into one upload, or else a single step. `false` once the
+/// steps are spent.
+fn next_unit<'a>(
+    steps: &mut Peekable<impl Iterator<Item = &'a Step>>,
+    batch: bool,
+    unit: &mut Vec<&'a Step>,
+) -> bool {
+    unit.clear();
+    let is_checkin = |step: &&Step| matches!(step.action, Action::CheckIn { .. });
+    let Some(first) = steps.next() else {
+        return false;
     };
-    while i < steps.len() {
-        let mut end = i + 1;
-        if batch && is_checkin(i) {
-            while end < steps.len() && end - i < MAX_BATCH && is_checkin(end) {
-                end += 1;
-            }
+    unit.push(first);
+    if batch && is_checkin(&first) {
+        while unit.len() < MAX_BATCH {
+            let Some(step) = steps.next_if(is_checkin) else {
+                break;
+            };
+            unit.push(step);
         }
-        units.push((i, end));
-        i = end;
     }
-    units
+    true
 }
 
 /// Serialises one unit's request into `wbuf` and returns its pending
 /// record. Batched units carry an NDJSON body, built in `body`;
 /// singletons reproduce the exact request bytes of the sequential
-/// harness.
+/// harness. An ack frees its receipt.
 fn append_unit(
     wbuf: &mut String,
     body: &mut String,
-    steps: &[&Step],
-    (start, end): (usize, usize),
-    staged: &BTreeMap<u64, Staged>,
+    unit: &[&Step],
+    receipts: &mut [Receipt],
 ) -> io::Result<Pending> {
-    let first = steps
-        .get(start)
+    let first = unit
+        .first()
         .copied()
         .ok_or_else(|| io::Error::other("empty replay unit"))?;
     let pending = |method, target| Pending {
@@ -449,9 +535,9 @@ fn append_unit(
         is_fetch: matches!(first.action, Action::UpdateFetch),
         station: first.station,
     };
-    if end - start >= 2 {
+    if unit.len() >= 2 {
         body.clear();
-        for step in steps.get(start..end).unwrap_or_default() {
+        for step in unit {
             if let Action::CheckIn { soc } = step.action {
                 body.push_str("{\"station\":");
                 push_u64(body, step.station);
@@ -473,13 +559,18 @@ fn append_unit(
         return Ok(pending("POST", target));
     }
     let receipt = match first.action {
-        Action::UpdateAck => Some(staged.get(&first.station).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
-                format!("station {} acks before fetching", first.station),
-            )
-        })?),
+        Action::UpdateAck => Some(
+            receipts
+                .iter_mut()
+                .find(|r| r.station == Some(first.station))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
+                        format!("station {} acks before fetching", first.station),
+                    )
+                })?,
+        ),
         _ => None,
     };
     let (method, path) = match first.action {
@@ -513,6 +604,7 @@ fn append_unit(
         wbuf.push_str(&receipt.file);
         wbuf.push_str("&md5=");
         push_hex(wbuf, &receipt.md5);
+        receipt.station = None;
     }
     let target = (target_start, wbuf.len());
     wbuf.push_str(" HTTP/1.1\r\nHost: glacsweb\r\n");
@@ -523,8 +615,11 @@ fn append_unit(
     Ok(pending(method, target))
 }
 
-/// Drives one keep-alive connection through its steps in order,
-/// pipelining up to `config.pipeline` requests per write.
+/// Drives one keep-alive connection through the steps of the pairs
+/// client `client` owns, in script order, pipelining up to
+/// `config.pipeline` requests per write, and hands its transcript lines
+/// to the fold in chunks over `full` (emptied chunks come back on
+/// `empty`).
 ///
 /// A window's requests are serialised into one buffer and hit the wire
 /// in a single `write`; responses are then read back in order (HTTP/1.1
@@ -536,41 +631,44 @@ fn append_unit(
 /// (its target needs the staged digest).
 fn run_client(
     addr: std::net::SocketAddr,
-    steps: &[&Step],
+    script: &Script,
+    client: usize,
+    clients: usize,
     config: &ReplayConfig,
-) -> io::Result<ClientOut> {
-    let mut out = ClientOut {
-        arena: String::new(),
-        marks: Vec::with_capacity(steps.len()),
-        latencies_us: Vec::with_capacity(steps.len()),
-    };
-    if steps.is_empty() {
-        return Ok(out);
+    full: &SyncSender<Chunk>,
+    empty: &Receiver<Chunk>,
+) -> io::Result<()> {
+    let mut steps = script
+        .steps
+        .iter()
+        .filter(|step| owner(step.station, clients) == client)
+        .peekable();
+    if steps.peek().is_none() {
+        return Ok(());
     }
     let pipeline = config.pipeline.max(1);
-    let units = units_of(steps, config.batch_checkins);
     let mut conn = Conn::open(addr)?;
-    let mut staged: BTreeMap<u64, Staged> = BTreeMap::new();
+    let mut receipts: Vec<Receipt> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
     let mut wbuf = String::new();
     let mut body = String::new();
+    let mut unit: Vec<&Step> = Vec::new();
     let mut window: Vec<Pending> = Vec::new();
-    let mut u = 0;
-    while u < units.len() {
+    let mut chunk = Chunk::default();
+    loop {
         wbuf.clear();
         window.clear();
-        while let Some(&unit) = units.get(u) {
-            if window.len() >= pipeline {
+        while window.len() < pipeline {
+            let Some(next) = steps.peek() else {
+                break;
+            };
+            if matches!(next.action, Action::UpdateAck) && !window.is_empty() {
                 break;
             }
-            let first_action = steps.get(unit.0).map(|s| s.action);
-            if matches!(first_action, Some(Action::UpdateAck)) && !window.is_empty() {
-                break;
-            }
-            let pending = append_unit(&mut wbuf, &mut body, steps, unit, &staged)?;
+            next_unit(&mut steps, config.batch_checkins, &mut unit);
+            let pending = append_unit(&mut wbuf, &mut body, &unit, &mut receipts)?;
             let closes = pending.is_fetch;
             window.push(pending);
-            u += 1;
             if closes {
                 break;
             }
@@ -582,8 +680,7 @@ fn run_client(
         conn.stream.write_all(wbuf.as_bytes())?;
         for pending in &window {
             let (status, range) = conn.read_response()?;
-            let micros = u64::try_from(issued.elapsed().as_micros()).unwrap_or(u64::MAX);
-            out.latencies_us.push(micros);
+            let latency_us = u64::try_from(issued.elapsed().as_micros()).unwrap_or(u64::MAX);
             let response = conn.text(range)?;
             let target = wbuf
                 .get(pending.target.0..pending.target.1)
@@ -597,25 +694,56 @@ fn run_client(
             }
             if pending.is_fetch {
                 let (file, md5_digest) = parse_update(response, &mut payload)?;
-                let entry = staged.entry(pending.station).or_default();
-                entry.file.clear();
-                entry.file.push_str(file);
-                entry.md5 = md5_digest;
+                let slot = match receipts
+                    .iter()
+                    .position(|r| r.station.is_none_or(|s| s == pending.station))
+                {
+                    Some(at) => receipts.get_mut(at),
+                    None => {
+                        receipts.push(Receipt::default());
+                        receipts.last_mut()
+                    }
+                };
+                if let Some(receipt) = slot {
+                    receipt.station = Some(pending.station);
+                    receipt.file.clear();
+                    receipt.file.push_str(file);
+                    receipt.md5 = md5_digest;
+                }
             }
-            let arena = &mut out.arena;
-            push_u64(arena, pending.index);
-            arena.push(' ');
-            arena.push_str(pending.method);
-            arena.push(' ');
-            arena.push_str(target);
-            arena.push(' ');
-            push_u64(arena, u64::from(status));
-            arena.push('\n');
-            arena.push_str(response);
-            out.marks.push((pending.index, arena.len()));
+            let text = &mut chunk.text;
+            push_u64(text, pending.index);
+            text.push(' ');
+            text.push_str(pending.method);
+            text.push(' ');
+            text.push_str(target);
+            text.push(' ');
+            push_u64(text, u64::from(status));
+            text.push('\n');
+            text.push_str(response);
+            chunk.marks.push(Mark {
+                index: pending.index,
+                end: text.len(),
+                latency_us,
+            });
+        }
+        if chunk.marks.len() >= CHUNK_LINES {
+            let next = empty.try_recv().unwrap_or_default();
+            hand_over(full, std::mem::replace(&mut chunk, next))?;
         }
     }
-    Ok(out)
+    if chunk.marks.is_empty() {
+        Ok(())
+    } else {
+        hand_over(full, chunk)
+    }
+}
+
+/// Sends a full chunk to the fold, waiting while [`CHUNK_DEPTH`] others
+/// are queued.
+fn hand_over(full: &SyncSender<Chunk>, chunk: Chunk) -> io::Result<()> {
+    full.send(chunk)
+        .map_err(|_| io::Error::other("the transcript fold ended before this client's last line"))
 }
 
 /// Parses an `/api/update` body and computes the payload's MD5 locally,
@@ -818,14 +946,27 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let sample: Vec<u64> = (1..=1000).collect();
-        assert_eq!(percentile_us(&sample, 500), 500);
-        assert_eq!(percentile_us(&sample, 990), 990);
-        assert_eq!(percentile_us(&sample, 999), 999);
-        assert_eq!(percentile_us(&[], 500), 0);
-        assert_eq!(percentile_us(&[7], 999), 7);
-        let stats = LatencyStats::from_sorted(&sample);
-        assert_eq!((stats.p50_us, stats.p99_us, stats.p999_us), (500, 990, 999));
+        let stats = |sample: &[u64]| {
+            let mut histogram = BTreeMap::new();
+            for &us in sample {
+                *histogram.entry(us).or_insert(0u64) += 1;
+            }
+            let s = LatencyStats::from_histogram(&histogram);
+            (s.p50_us, s.p99_us, s.p999_us)
+        };
+        let sample: Vec<u64> = (1..=1000).rev().collect();
+        assert_eq!(stats(&sample), (500, 990, 999));
+        assert_eq!(stats(&[]), (0, 0, 0));
+        assert_eq!(stats(&[7]), (7, 7, 7));
+        // Repeated values: rank 2 of [3, 3, 9] (p50) is 3, rank 3 is 9.
+        assert_eq!(stats(&[9, 3, 3]), (3, 9, 9));
+        let mut tail = vec![10; 995];
+        tail.extend([50; 5]);
+        assert_eq!(
+            stats(&tail),
+            (10, 10, 50),
+            "rank 999 of 1000 lands in the tail"
+        );
     }
 
     #[test]
@@ -837,6 +978,15 @@ mod tests {
             at,
             action,
         };
+        let units = |steps: &[Step], batch: bool| {
+            let mut steps = steps.iter().peekable();
+            let (mut unit, mut out) = (Vec::new(), Vec::new());
+            while next_unit(&mut steps, batch, &mut unit) {
+                let first = unit[0].index;
+                out.push((first, first + unit.len() as u64));
+            }
+            out
+        };
         let steps = [
             step(0, Action::CheckIn { soc: 500 }),
             step(1, Action::CheckIn { soc: 501 }),
@@ -844,23 +994,21 @@ mod tests {
             step(3, Action::CheckIn { soc: 502 }),
             step(4, Action::OverrideQuery),
         ];
-        let refs: Vec<&Step> = steps.iter().collect();
         assert_eq!(
-            units_of(&refs, true),
+            units(&steps, true),
             vec![(0, 2), (2, 3), (3, 4), (4, 5)],
             "only runs of two or more check-ins coalesce"
         );
         assert_eq!(
-            units_of(&refs, false),
+            units(&steps, false),
             vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
             "batching off means all singletons"
         );
         let long: Vec<Step> = (0..150)
             .map(|i| step(i, Action::CheckIn { soc: 500 }))
             .collect();
-        let refs: Vec<&Step> = long.iter().collect();
         assert_eq!(
-            units_of(&refs, true),
+            units(&long, true),
             vec![(0, 64), (64, 128), (128, 150)],
             "runs split at MAX_BATCH"
         );

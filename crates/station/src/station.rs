@@ -376,6 +376,18 @@ impl Station {
     /// Returns a description of the first check that fails.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.config.validate()?;
+        self.wan.validate()?;
+        self.gumstix.validate()?;
+        if !self.gprs_degradation.is_finite() || self.gprs_degradation < 1.0 {
+            return Err(ConfigError::new(
+                "station",
+                "gprs_degradation",
+                format!(
+                    "degradation {} must be a finite multiplier >= 1",
+                    self.gprs_degradation
+                ),
+            ));
+        }
         let comms = self.config.comms;
         if !matches!(
             (comms, &self.wan),
