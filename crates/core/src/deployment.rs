@@ -569,23 +569,6 @@ impl Deployment {
                             "queued event {event:?} targets a station the snapshot does not carry"
                         )));
                     }
-                    // A tick appends to its station's series, which must
-                    // not run past it. (The clock is no bound: a
-                    // mid-dGPS dip sample lies after the tick that
-                    // records it.)
-                    let series = [
-                        state.metrics.voltage_series(id),
-                        state.metrics.state_series(id),
-                    ];
-                    let last = series.into_iter().flatten().filter_map(|s| s.last());
-                    if let (WorldEvent::Tick(_), Some(at)) = (event, last.map(|(at, _)| at).max()) {
-                        if at > t {
-                            return Err(SnapshotError::invalid(format!(
-                                "{id:?} series sample at {at:?} lies after the station's \
-                                 next tick at {t:?}"
-                            )));
-                        }
-                    }
                 }
                 WorldEvent::ProbeSample => {
                     if state.probes.is_empty() {
@@ -600,6 +583,21 @@ impl Deployment {
                             "queued fault event references spec {spec} but the plan has {specs}"
                         )));
                     }
+                }
+            }
+            // A tick appends to its station's series, which must not run
+            // past it. (The clock is no bound: a mid-dGPS dip sample
+            // lies after the tick that records it.)
+            if let WorldEvent::Tick(id) = *event {
+                let series = [
+                    state.metrics.voltage_series(id),
+                    state.metrics.state_series(id),
+                ];
+                let last = series.into_iter().flatten().filter_map(|s| s.last());
+                if let Some(at) = last.map(|(at, _)| at).max().filter(|&at| at > t) {
+                    return Err(SnapshotError::invalid(format!(
+                        "{id:?} series sample at {at:?} lies after the station's next tick at {t:?}"
+                    )));
                 }
             }
         }

@@ -630,14 +630,14 @@ fn is_hex_of(hex: &str, digest: &[u8; 16]) -> bool {
 
 /// The staged update's file name for a station (pure function).
 pub fn update_name(station: u64) -> String {
-    // glacsweb: allow(perf-hygiene, reason = "staging runs once at startup, never per request")
+    // glacsweb: allow(perf-hygiene, reason = "runs once per update fetch, never on other requests")
     format!("control-{station}.py")
 }
 
 /// The staged update's payload for a station (pure function); small,
 /// like the real project's Python control code.
 pub fn update_payload(station: u64) -> Vec<u8> {
-    // glacsweb: allow(perf-hygiene, reason = "staging runs once at startup, never per request")
+    // glacsweb: allow(perf-hygiene, reason = "runs once per station per staging and once per update fetch, never on other requests")
     format!("# glacsweb control build for station {station}\nSTATION = {station}\n").into_bytes()
 }
 

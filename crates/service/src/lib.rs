@@ -28,7 +28,7 @@
 //!   [`WakeTrace`](glacsweb_fleet::WakeTrace) derived from a fleet
 //!   config expands to a canonical request sequence (compressed time:
 //!   requests carry their *sim* timestamps and replay flat out), pairs
-//!   get connection affinity, and the transcript reassembles in
+//!   get connection affinity, and the transcript is folded in
 //!   canonical order — byte-identical across runs **and** connection
 //!   counts.
 //!

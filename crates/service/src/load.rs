@@ -101,7 +101,7 @@ pub enum Action {
 /// instant, and the action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
-    /// Position in the canonical script (transcript reassembly key).
+    /// Position in the canonical script (the order the transcript is folded in).
     pub index: u64,
     /// Fleet-global station id.
     pub station: u64,
@@ -210,7 +210,7 @@ pub struct ReplayConfig {
     /// stay byte-identical; the *transcript* necessarily differs from
     /// an unbatched run (fewer, different requests).
     pub batch_checkins: bool,
-    /// Keep the reassembled transcript bytes in the outcome (the FNV
+    /// Keep the transcript bytes in the outcome (the FNV
     /// digest is always computed).
     pub keep_transcript: bool,
 }
@@ -286,7 +286,7 @@ pub struct ReplayOutcome {
 /// Transcript lines a client collects before handing its chunk to the
 /// fold: few enough to keep a chunk small, enough that the hand-off
 /// costs nothing per request.
-const CHUNK_LINES: usize = 32;
+const CHUNK_LINES: usize = 64;
 
 /// Full chunks a client may have waiting for the fold before it blocks.
 /// The slack lets a client run ahead through a scheduler time slice or
