@@ -488,6 +488,20 @@ struct Receipt {
     md5: [u8; 16],
 }
 
+/// The slot for `station`'s next receipt: the one it already holds (a
+/// second fetch before the ack replaces the first), else a freed one,
+/// else a new one.
+fn receipt_slot(receipts: &mut Vec<Receipt>, station: u64) -> Option<&mut Receipt> {
+    let held = receipts.iter().position(|r| r.station == Some(station));
+    let at = held
+        .or_else(|| receipts.iter().position(|r| r.station.is_none()))
+        .unwrap_or_else(|| {
+            receipts.push(Receipt::default());
+            receipts.len() - 1
+        });
+    receipts.get_mut(at)
+}
+
 /// Takes the next unit off a client's steps into `unit`: a run of
 /// consecutive check-ins (batch mode only, capped at [`MAX_BATCH`]),
 /// coalesced into one upload, or else a single step. `false` once the
@@ -694,17 +708,7 @@ fn run_client(
             }
             if pending.is_fetch {
                 let (file, md5_digest) = parse_update(response, &mut payload)?;
-                let slot = match receipts
-                    .iter()
-                    .position(|r| r.station.is_none_or(|s| s == pending.station))
-                {
-                    Some(at) => receipts.get_mut(at),
-                    None => {
-                        receipts.push(Receipt::default());
-                        receipts.last_mut()
-                    }
-                };
-                if let Some(receipt) = slot {
+                if let Some(receipt) = receipt_slot(&mut receipts, pending.station) {
                     receipt.station = Some(pending.station);
                     receipt.file.clear();
                     receipt.file.push_str(file);
@@ -1012,6 +1016,24 @@ mod tests {
             vec![(0, 64), (64, 128), (128, 150)],
             "runs split at MAX_BATCH"
         );
+    }
+
+    #[test]
+    fn a_refetch_reuses_its_receipt_and_an_ack_frees_it() {
+        fn file(receipts: &mut Vec<Receipt>, station: u64) {
+            let slot = receipt_slot(receipts, station).expect("a slot");
+            slot.station = Some(station);
+        }
+        let mut receipts = Vec::new();
+        file(&mut receipts, 4);
+        file(&mut receipts, 6);
+        receipts[0].station = None; // station 4 acked
+        file(&mut receipts, 6); // a second fetch before the ack keeps its slot
+        assert_eq!(receipts.len(), 2);
+        assert_eq!(receipts[0].station, None);
+        file(&mut receipts, 8); // takes the freed slot
+        assert_eq!(receipts.len(), 2);
+        assert_eq!(receipts[0].station, Some(8));
     }
 
     #[test]
