@@ -87,10 +87,12 @@ const TAG_STR: u64 = 5;
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        out.push((v as u8) | 0x80);
+        let [low, ..] = v.to_le_bytes();
+        out.push(low | 0x80);
         v >>= 7;
     }
-    out.push(v as u8);
+    let [low, ..] = v.to_le_bytes();
+    out.push(low);
 }
 
 fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
