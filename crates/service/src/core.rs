@@ -86,8 +86,10 @@ impl std::error::Error for CoreError {}
 struct Shard {
     /// Pair decision cores, indexed by `pair / shard_count`.
     pairs: Vec<SouthamptonServer>,
-    /// Latest reported state of charge per *global* station id, permille.
-    last_soc: std::collections::BTreeMap<u64, u32>,
+    /// Latest reported state of charge per station of this shard,
+    /// permille (index `slot * 2 + role`, see [`FleetCore::locate`]);
+    /// `None` until the station's first check-in.
+    last_soc: Vec<Option<u32>>,
     /// Commutative-only telemetry (counters, rollups, observations).
     recorder: MemoryRecorder,
     /// Maintained per-state station counts for this shard's stations;
@@ -280,7 +282,7 @@ impl FleetCore {
             let owned = (pairs.saturating_sub(s)).div_ceil(shards as u64);
             out.push(Mutex::new(Shard {
                 pairs: (0..owned).map(|_| SouthamptonServer::new()).collect(),
-                last_soc: std::collections::BTreeMap::new(),
+                last_soc: vec![None; usize::try_from(owned * 2).unwrap_or(0)],
                 recorder: MemoryRecorder::default(),
                 counts: PowerCounts {
                     reported: [0; 4],
@@ -316,8 +318,8 @@ impl FleetCore {
 
     /// Maps a global station id to its shard, the pair's slot within the
     /// shard, and the station's §III role within the pair. The station's
-    /// own index in the shard's per-station columns is `slot * 2` for
-    /// the base and `slot * 2 + 1` for the reference.
+    /// own index in the shard's per-station columns is
+    /// [`column`]`(slot, role)`.
     fn locate(&self, station: u64) -> Result<(usize, usize, StationId), CoreError> {
         if station >= self.stations {
             return Err(CoreError::UnknownStation(station));
@@ -393,8 +395,7 @@ impl FleetCore {
     ) -> Result<T, CoreError> {
         let (shard, slot, role) = self.locate(station)?;
         let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
-        let local = slot * 2 + usize::from(role == StationId::Reference);
-        Ok(f(&mut guard, local))
+        Ok(f(&mut guard, column(slot, role)))
     }
 
     /// A station's periodic power-state check-in: records its battery
@@ -403,10 +404,9 @@ impl FleetCore {
         if soc > 1000 {
             return Err(CoreError::BadSoc(soc));
         }
-        let (shard, _, _) = self.locate(station)?;
-        let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
-        apply_check_in(&mut guard, station, at, soc);
-        Ok(())
+        self.with_station(station, |shard, local| {
+            apply_check_in(shard, local, at, soc)
+        })
     }
 
     /// A batch of check-ins applied in order — the `/api/checkin-batch`
@@ -431,7 +431,7 @@ impl FleetCore {
             if soc > 1000 {
                 return Err(CoreError::BadSoc(soc));
             }
-            let (shard, _, _) = self.locate(station)?;
+            let (shard, slot, role) = self.locate(station)?;
             let reuse = matches!(&held, Some((idx, _)) if *idx == shard);
             if !reuse {
                 // Drop the old guard before taking the new one: at most
@@ -444,7 +444,7 @@ impl FleetCore {
             let Some((_, guard)) = held.as_mut() else {
                 return Err(CoreError::UnknownStation(station));
             };
-            apply_check_in(guard, station, at, soc);
+            apply_check_in(guard, column(slot, role), at, soc);
             applied += 1;
         }
         Ok(applied)
@@ -591,13 +591,21 @@ impl FleetCore {
     }
 }
 
+/// A station's index in its shard's per-station columns: `slot * 2`
+/// for the pair's base, `slot * 2 + 1` for its reference.
+fn column(slot: usize, role: StationId) -> usize {
+    slot * 2 + usize::from(role == StationId::Reference)
+}
+
 /// The one write path for a check-in, shared by the single and batch
 /// endpoints so their per-entry effects — decision state, maintained
-/// histogram, telemetry — are identical by construction.
-fn apply_check_in(shard: &mut Shard, station: u64, at: SimTime, soc: u32) {
-    match shard.last_soc.insert(station, soc) {
-        Some(prev) => shard.soc.rebucket(prev, soc),
-        None => shard.soc.sample(soc),
+/// histogram, telemetry — are identical by construction. `local` is
+/// the station's [`column`] index.
+fn apply_check_in(shard: &mut Shard, local: usize, at: SimTime, soc: u32) {
+    match shard.last_soc.get_mut(local).map(|last| last.replace(soc)) {
+        Some(Some(prev)) => shard.soc.rebucket(prev, soc),
+        Some(None) => shard.soc.sample(soc),
+        None => {}
     }
     shard.recorder.counter(at, ORIGIN, "checkins", 1);
     shard

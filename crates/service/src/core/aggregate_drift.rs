@@ -48,7 +48,7 @@ impl FleetCore {
             let Some(guard) = self.lock(index) else {
                 continue;
             };
-            for &soc in guard.last_soc.values() {
+            for &soc in guard.last_soc.iter().flatten() {
                 if let Some(slot) = out.buckets.get_mut(SocHistogram::bucket(soc)) {
                     *slot += 1;
                 }
