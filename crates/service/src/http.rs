@@ -22,18 +22,30 @@
 //! Each worker owns one set of [`ConnBuffers`], reused across every
 //! connection it serves:
 //!
-//! * the **carry buffer** accumulates socket reads; a parsed
-//!   [`Request`] is nothing but borrowed slices over it (no `String`
-//!   per method/path/param). Consumed bytes advance a cursor; the
-//!   buffer compacts (`copy_within`) before every blocking read, so
-//!   under pipelining it never grows past one request plus one read
-//!   chunk — the carry-bound regression test pins that.
+//! * the **receive buffer** (`ReadBuf`) is one fixed buffer with two
+//!   cursors around its unread bytes. Socket reads land in place after
+//!   them — no stack chunk, no copy — and the buffer grows (the only
+//!   time it is zeroed) when less than a read's worth of room is free.
+//!   Consumed bytes advance the front cursor; the unread tail moves to
+//!   the front before every blocking read, so under pipelining the
+//!   buffer never grows past one request plus one read's room — the
+//!   carry-bound regression test pins that. A parsed [`Request`] is
+//!   nothing but borrowed slices over it (no `String` per
+//!   method/path/param), and each query is scanned once, into the
+//!   parameters its route needs.
+//! * **one head scanner** frames every message, here and in the replay
+//!   client's response parser: `ReadBuf::head_len` finds the blank
+//!   line ending a head by looking only at each `\n`, resuming where
+//!   its last search stopped (a head that arrives a byte per read is
+//!   still scanned once), and `Head` validates the head once and
+//!   walks its CRLF lines and `name: value` fields with byte scans.
 //! * the **[`ResponseWriter`]** serialises responses into a reusable
 //!   output buffer, formatting integers and hex with hand-rolled
-//!   writers ([`push_u64`], [`push_hex`]) instead of `format!`.
-//!   Responses are flushed lazily — always before the connection would
-//!   block reading — which both preserves request/response ordering
-//!   and coalesces pipelined responses into few `write` syscalls.
+//!   writers ([`push_u64`], [`push_hex`]) instead of `format!`; a 200
+//!   response's constant head prefix is one push. Responses are
+//!   flushed lazily — always before the connection would block
+//!   reading — which both preserves request/response ordering and
+//!   coalesces pipelined responses into few `write` syscalls.
 //!
 //! After the first few requests warm the buffers, serving a request
 //! allocates nothing (pinned by the counting-allocator harness in
@@ -186,47 +198,69 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// A parsed request: borrowed slices over the connection's carry
-/// buffer. Nothing is copied out of the buffer — the request is valid
-/// until the next read, which is after routing completes.
+/// A parsed request: borrowed slices over the connection's receive
+/// buffer, cut from a head already validated as UTF-8. Nothing is
+/// copied out of the buffer — the request is valid until the next read,
+/// which is after routing completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request<'a> {
     /// Request method, upper case as received (`GET`, `POST`, …).
-    pub method: &'a str,
+    pub method: &'a [u8],
     /// Path component of the target, without the query string.
-    pub path: &'a str,
+    pub path: &'a [u8],
     /// Raw query string (no percent-decoding — the fleet protocol never
     /// needs reserved characters); empty if the target had none.
-    pub query: &'a str,
+    pub query: &'a [u8],
     /// Request body (empty unless `Content-Length` said otherwise).
     pub body: &'a [u8],
 }
 
 impl<'a> Request<'a> {
-    /// First value of query parameter `name`, if present. Parses the
-    /// query lazily — no parameter vector is ever materialised.
-    pub fn param(&self, name: &str) -> Option<&'a str> {
-        for kv in self.query.split('&') {
-            if kv.is_empty() {
-                continue;
-            }
-            let (k, v) = match kv.split_once('=') {
-                Some((k, v)) => (k, v),
-                None => (kv, ""),
-            };
-            if k == name {
-                return Some(v);
-            }
-        }
-        None
+    /// First value of query parameter `name`, if present; a pair
+    /// without `=` has an empty value.
+    pub fn param(&self, name: &str) -> Option<&'a [u8]> {
+        let [value] = self.params([name.as_bytes()]);
+        value
     }
 
-    /// Required parameter parsed as `T`, with a typed failure.
-    fn need<T: std::str::FromStr>(&self, name: &'static str) -> Result<T, HttpError> {
-        self.param(name)
-            .and_then(|v| v.parse().ok())
-            .ok_or(HttpError::BadParam(name))
+    /// The first value of each of `names`, found in one pass over the
+    /// query's `&`-separated pairs; a pair without `=` has an empty
+    /// value. No parameter vector is ever materialised.
+    fn params<const N: usize>(&self, names: [&[u8]; N]) -> [Option<&'a [u8]>; N] {
+        let mut values = [None; N];
+        for pair in self.query.split(|&b| b == b'&') {
+            if pair.is_empty() {
+                continue;
+            }
+            let mut halves = pair.splitn(2, |&b| b == b'=');
+            let key = halves.next().unwrap_or_default();
+            let value = halves.next().unwrap_or_default();
+            if let Some(slot) = names
+                .iter()
+                .zip(values.iter_mut())
+                .find_map(|(name, slot)| (*name == key).then_some(slot))
+            {
+                slot.get_or_insert(value);
+            }
+        }
+        values
     }
+}
+
+/// A required query parameter parsed as `T`, with a typed failure: what
+/// `str::parse::<T>` accepts ([`parse_decimal`], in range for `T`).
+fn need<T: TryFrom<u64>>(value: Option<&[u8]>, name: &'static str) -> Result<T, HttpError> {
+    value
+        .and_then(parse_decimal)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or(HttpError::BadParam(name))
+}
+
+/// A required query parameter as text, with a typed failure.
+fn need_text<'a>(value: Option<&'a [u8]>, name: &'static str) -> Result<&'a str, HttpError> {
+    value
+        .and_then(|text| std::str::from_utf8(text).ok())
+        .ok_or(HttpError::BadParam(name))
 }
 
 /// Serialises responses into a reusable output buffer.
@@ -274,20 +308,26 @@ impl ResponseWriter {
     /// Seals the current body into a serialised response on the pending
     /// output and resets the body buffer for the next response.
     pub fn finish(&mut self, status: u16, reason: &str, keep_alive: bool) {
-        self.out.push_str("HTTP/1.1 ");
-        push_u64(&mut self.out, u64::from(status));
-        self.out.push(' ');
-        self.out.push_str(reason);
-        self.out
-            .push_str("\r\nContent-Type: text/plain\r\nContent-Length: ");
+        if status == 200 && reason == "OK" {
+            self.out
+                .push_str("HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: ");
+        } else {
+            self.out.push_str("HTTP/1.1 ");
+            push_u64(&mut self.out, u64::from(status));
+            self.out.push(' ');
+            self.out.push_str(reason);
+            self.out
+                .push_str("\r\nContent-Type: text/plain\r\nContent-Length: ");
+        }
         push_u64(
             &mut self.out,
             u64::try_from(self.body.len()).unwrap_or(u64::MAX),
         );
-        self.out.push_str("\r\nConnection: ");
-        self.out
-            .push_str(if keep_alive { "keep-alive" } else { "close" });
-        self.out.push_str("\r\n\r\n");
+        self.out.push_str(if keep_alive {
+            "\r\nConnection: keep-alive\r\n\r\n"
+        } else {
+            "\r\nConnection: close\r\n\r\n"
+        });
         self.out.push_str(&self.body);
         self.body.clear();
     }
@@ -321,17 +361,14 @@ impl ResponseWriter {
     }
 }
 
-/// One worker's reusable buffers: the read-side carry buffer and
-/// cursor, the response writer, and the batch-entry scratch. Created
-/// once per worker and reused across every connection it serves, so the
-/// steady state of the hot path allocates nothing.
+/// One worker's reusable buffers: the receive buffer, the response
+/// writer, and the batch-entry scratch. Created once per worker and
+/// reused across every connection it serves, so the steady state of the
+/// hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct ConnBuffers {
-    /// Unparsed socket bytes; `pos..` is the unconsumed tail.
-    carry: Vec<u8>,
-    /// Consumed-bytes cursor into `carry`; compaction rewinds it to 0
-    /// before every blocking read.
-    pos: usize,
+    /// Received bytes and the cursors around the unread ones.
+    rx: ReadBuf,
     /// The response serialisation buffers.
     writer: ResponseWriter,
     /// Decoded `/api/checkin-batch` entries, reused across requests.
@@ -341,16 +378,10 @@ pub struct ConnBuffers {
 impl ConnBuffers {
     /// Clears all state for a fresh connection, keeping capacity.
     fn reset(&mut self) {
-        self.carry.clear();
-        self.pos = 0;
+        self.rx.clear();
         self.writer.out.clear();
         self.writer.body.clear();
         self.batch.clear();
-    }
-
-    /// Bytes received but not yet consumed by a parsed request.
-    fn unread_len(&self) -> usize {
-        self.carry.len().saturating_sub(self.pos)
     }
 }
 
@@ -360,7 +391,7 @@ impl ConnBuffers {
 pub struct ConnStats {
     /// Requests routed (each produced exactly one response).
     pub requests: u64,
-    /// Capacity of the carry buffer when the connection ended — the
+    /// Capacity of the receive buffer when the connection ended — the
     /// carry-bound regression test pins that pipelining thousands of
     /// requests never grows it past one request plus read slack.
     pub carry_capacity: usize,
@@ -472,8 +503,7 @@ pub fn serve_stream<S: Read + Write>(
         remaining -= 1;
         match read_request(stream, conn, config) {
             Ok(Some(parsed)) => {
-                let end = parsed.end;
-                let request = parsed.request(&conn.carry, conn.pos);
+                let request = parsed.request(conn.rx.unread());
                 let keep = match route(core, &request, &mut conn.writer, &mut conn.batch) {
                     Ok(()) => true,
                     Err(err) => {
@@ -482,7 +512,7 @@ pub fn serve_stream<S: Read + Write>(
                     }
                 };
                 core.count_served();
-                conn.pos += end;
+                conn.rx.consume(parsed.end);
                 stats.requests += 1;
                 if !keep {
                     let _ = conn.writer.flush_to(stream);
@@ -509,13 +539,13 @@ pub fn serve_stream<S: Read + Write>(
             }
         }
     }
-    stats.carry_capacity = conn.carry.capacity();
+    stats.carry_capacity = conn.rx.capacity();
     stats
 }
 
-/// The byte ranges of one parsed request, relative to the carry
-/// cursor. Ranges stay valid across compaction because compaction only
-/// happens before blocking reads, never between parsing and routing.
+/// The byte ranges of one parsed request, as `(offset, length)` from
+/// the first unread byte. Ranges stay valid across the body's reads
+/// because the unread bytes only ever move as a whole, to the front.
 struct Parsed {
     method: (usize, usize),
     path: (usize, usize),
@@ -526,118 +556,110 @@ struct Parsed {
 }
 
 impl Parsed {
-    /// Materialises the borrowed [`Request`] over the carry buffer.
-    fn request<'a>(&self, carry: &'a [u8], pos: usize) -> Request<'a> {
+    /// Materialises the borrowed [`Request`] over the unread bytes; the
+    /// head they are cut from was validated while it was parsed.
+    fn request<'a>(&self, unread: &'a [u8]) -> Request<'a> {
         let slice = |(off, len): (usize, usize)| -> &'a [u8] {
-            carry.get(pos + off..pos + off + len).unwrap_or_default()
+            unread.get(off..off + len).unwrap_or_default()
         };
-        // The head was UTF-8-validated during parsing, so these never
-        // actually fall back.
         Request {
-            method: std::str::from_utf8(slice(self.method)).unwrap_or_default(),
-            path: std::str::from_utf8(slice(self.path)).unwrap_or_default(),
-            query: std::str::from_utf8(slice(self.query)).unwrap_or_default(),
+            method: slice(self.method),
+            path: slice(self.path),
+            query: slice(self.query),
             body: slice(self.body),
         }
     }
 }
 
-/// Flushes pending responses and compacts the carry buffer — the two
-/// things that must happen before the connection blocks in `read`.
-/// Flushing first keeps a request/response-lockstep peer from
-/// deadlocking; compacting here (and only here) keeps parsed ranges
-/// stable while bounding the buffer under pipelining.
-fn pre_read<S: Read + Write>(stream: &mut S, conn: &mut ConnBuffers) -> Result<(), HttpError> {
-    conn.writer.flush_to(stream)?;
-    if conn.pos > 0 {
-        let len = conn.carry.len();
-        conn.carry.copy_within(conn.pos.., 0);
-        conn.carry.truncate(len - conn.pos);
-        conn.pos = 0;
-    }
-    Ok(())
+/// What one read attempt gave the request parser.
+enum Received {
+    /// Some bytes arrived.
+    Bytes,
+    /// The peer closed the connection.
+    Closed,
+    /// The read timed out.
+    TimedOut,
 }
 
-/// Reads one request from `stream` into the carry buffer and parses it
-/// in place. `Ok(None)` means the peer closed cleanly at a request
+/// Flushes pending responses, then reads once into `conn`'s buffer with
+/// room for `want` unread bytes. Flushing first keeps a
+/// request/response-lockstep peer from deadlocking.
+fn receive<S: Read + Write>(
+    stream: &mut S,
+    conn: &mut ConnBuffers,
+    want: usize,
+) -> Result<Received, HttpError> {
+    conn.writer.flush_to(stream)?;
+    loop {
+        match conn.rx.fill(stream, want) {
+            Ok(0) => return Ok(Received::Closed),
+            Ok(_) => return Ok(Received::Bytes),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return Ok(Received::TimedOut)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(HttpError::Disconnected),
+        }
+    }
+}
+
+/// Reads one request from `stream` into the receive buffer and parses
+/// it in place. `Ok(None)` means the peer closed cleanly at a request
 /// boundary.
 fn read_request<S: Read + Write>(
     stream: &mut S,
     conn: &mut ConnBuffers,
     config: &ServerConfig,
 ) -> Result<Option<Parsed>, HttpError> {
-    let mut chunk = [0u8; 4096];
     // Phase 1: accumulate until the blank line ending the headers.
-    let header_end = loop {
-        let unread = conn.carry.get(conn.pos..).unwrap_or_default();
-        if let Some(end) = find_header_end(unread) {
-            break end;
+    let head_len = loop {
+        if let Some(len) = conn.rx.head_len() {
+            break len;
         }
-        if unread.len() > config.max_header_bytes {
+        let unread = conn.rx.unread().len();
+        if unread > config.max_header_bytes {
             return Err(HttpError::HeaderTooLarge);
         }
-        pre_read(stream, conn)?;
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if conn.unread_len() == 0 {
-                    Ok(None)
-                } else {
-                    Err(HttpError::Disconnected)
-                };
-            }
-            Ok(n) => conn
-                .carry
-                .extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return if conn.unread_len() == 0 {
-                    Ok(None)
-                } else {
-                    Err(HttpError::Timeout)
-                };
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(HttpError::Disconnected),
+        let idle = unread == 0;
+        match receive(stream, conn, 0)? {
+            Received::Bytes => {}
+            Received::Closed if idle => return Ok(None),
+            Received::Closed => return Err(HttpError::Disconnected),
+            Received::TimedOut if idle => return Ok(None),
+            Received::TimedOut => return Err(HttpError::Timeout),
         }
     };
-    if header_end > config.max_header_bytes {
+    if head_len > config.max_header_bytes {
         return Err(HttpError::HeaderTooLarge);
     }
 
     // Parse the head in place; only ranges and the content length leave
     // this block, so the borrow ends before the body phase reads more.
     let (method_len, path_len, query_len, content_length, is_post) = {
-        let unread = conn.carry.get(conn.pos..).unwrap_or_default();
-        let head = std::str::from_utf8(unread.get(..header_end).unwrap_or_default())
+        let head = Head::new(conn.rx.unread().get(..head_len).unwrap_or_default())
             .map_err(|_| HttpError::BadHeader)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or(HttpError::BadRequestLine)?;
-        let mut parts = request_line.split(' ');
-        let method = parts.next().ok_or(HttpError::BadRequestLine)?;
-        let target = parts.next().ok_or(HttpError::BadRequestLine)?;
-        let version = parts.next().ok_or(HttpError::BadRequestLine)?;
-        if parts.next().is_some() || !version.starts_with("HTTP/1.") || method.is_empty() {
+        let (method, rest) =
+            split_at_byte(head.start_line, b' ').ok_or(HttpError::BadRequestLine)?;
+        let (target, version) = split_at_byte(rest, b' ').ok_or(HttpError::BadRequestLine)?;
+        if version.contains(&b' ') || !version.starts_with(b"HTTP/1.") || method.is_empty() {
             return Err(HttpError::BadRequestLine);
         }
         let mut content_length: Option<usize> = None;
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                let length = value.trim().parse().map_err(|_| HttpError::BadHeader)?;
+        for field in head.fields() {
+            let (name, value) = field.ok_or(HttpError::BadHeader)?;
+            if name.eq_ignore_ascii_case(CONTENT_LENGTH) {
+                let length = parse_length(value).ok_or(HttpError::BadHeader)?;
                 if content_length.is_some_and(|first| first != length) {
                     return Err(HttpError::ConflictingLength);
                 }
                 content_length = Some(length);
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
                 return Err(HttpError::TransferEncoding);
             }
         }
-        let (path_len, query_len) = match target.split_once('?') {
+        let (path_len, query_len) = match split_at_byte(target, b'?') {
             Some((p, q)) => (p.len(), Some(q.len())),
             None => (target.len(), None),
         };
@@ -646,7 +668,7 @@ fn read_request<S: Read + Write>(
             path_len,
             query_len,
             content_length,
-            method == "POST",
+            method == b"POST",
         )
     };
 
@@ -660,21 +682,13 @@ fn read_request<S: Read + Write>(
     if length > config.max_body_bytes {
         return Err(HttpError::BodyTooLarge);
     }
-    let body_off = header_end + 4;
-    while conn.unread_len() < body_off + length {
-        pre_read(stream, conn)?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Disconnected),
-            Ok(n) => conn
-                .carry
-                .extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::Timeout)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(HttpError::Disconnected),
+    let body_off = head_len + 4;
+    let end = body_off + length;
+    while conn.rx.unread().len() < end {
+        match receive(stream, conn, end)? {
+            Received::Bytes => {}
+            Received::Closed => return Err(HttpError::Disconnected),
+            Received::TimedOut => return Err(HttpError::Timeout),
         }
     }
 
@@ -687,13 +701,255 @@ fn read_request<S: Read + Write>(
             None => (0, 0),
         },
         body: (body_off, length),
-        end: body_off + length,
+        end,
     }))
 }
 
-/// Index of the `\r\n\r\n` terminating the header block, if present.
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// The least free room a read is given: the receive buffer grows when
+/// less than this is left after its unread bytes.
+const READ_ROOM: usize = 4096;
+
+/// The name of the one header both ends of the wire read.
+pub(crate) const CONTENT_LENGTH: &[u8] = b"content-length";
+
+/// A connection's receive buffer, at both ends of the wire: the
+/// server's [`ConnBuffers`] and the replay client's connection.
+///
+/// `buf[start..end]` holds the bytes received and not yet consumed.
+/// Reads land in place at `end`; the buffer grows, and only then is
+/// the new part zeroed, when fewer than [`READ_ROOM`] bytes are free.
+/// The unread bytes move to the front before each read, never between
+/// parsing a message and consuming it, so a parsed message's ranges
+/// stay valid until the next read.
+#[derive(Debug, Default)]
+pub(crate) struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Where the search for a head's end resumes: no `\n` before it
+    /// (and at or after `start + 3`) ends a `\r\n\r\n`.
+    scanned: usize,
+    /// Bytes the head-end search has looked at, for the linear-work test.
+    #[cfg(test)]
+    scan_work: usize,
+}
+
+impl ReadBuf {
+    /// Forgets every byte, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+        self.scanned = 0;
+    }
+
+    /// The bytes received and not yet consumed.
+    pub(crate) fn unread(&self) -> &[u8] {
+        self.buf.get(self.start..self.end).unwrap_or_default()
+    }
+
+    /// Consumes the first `n` unread bytes and returns their
+    /// `(start, end)` range, readable with [`ReadBuf::bytes`] until the
+    /// next [`ReadBuf::fill`].
+    pub(crate) fn consume(&mut self, n: usize) -> (usize, usize) {
+        let from = self.start;
+        self.start = self.end.min(from + n);
+        (from, self.start)
+    }
+
+    /// The bytes of a range [`ReadBuf::consume`] returned.
+    pub(crate) fn bytes(&self, (start, end): (usize, usize)) -> &[u8] {
+        self.buf.get(start..end).unwrap_or_default()
+    }
+
+    /// The buffer's allocated size.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Moves the unread bytes to the front, makes room for at least
+    /// `want` unread bytes and [`READ_ROOM`] more than are held, and
+    /// reads once from `stream` straight into the free part. Returns the
+    /// bytes read (0 at end of stream).
+    pub(crate) fn fill<S: Read>(&mut self, stream: &mut S, want: usize) -> io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.scanned = self.scanned.saturating_sub(self.start);
+            self.start = 0;
+        }
+        let need = want.max(self.end + READ_ROOM);
+        if self.buf.len() < need {
+            let len = need.next_multiple_of(READ_ROOM);
+            self.buf.reserve_exact(len - self.buf.len());
+            self.buf.resize(len, 0);
+        }
+        let free = self.buf.get_mut(self.end..).unwrap_or_default();
+        let n = stream.read(free)?.min(free.len());
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Length of the head at the front of the unread bytes — the index
+    /// of their first `\r\n\r\n` — once it has arrived. Only the `\n`
+    /// bytes are candidates, and the search resumes where the last one
+    /// stopped, so every received byte is looked at once however the
+    /// head was split across reads.
+    pub(crate) fn head_len(&mut self) -> Option<usize> {
+        let mut at = self.scanned.max(self.start + 3);
+        while let Some(tail) = self.buf.get(at..self.end) {
+            let Some(i) = find_byte(tail, b'\n') else {
+                break;
+            };
+            #[cfg(test)]
+            {
+                self.scan_work += i + 1;
+            }
+            let lf = at + i;
+            if self.buf.get(lf - 3..lf) == Some(b"\r\n\r".as_slice()) {
+                self.scanned = lf + 1;
+                return Some(lf - 3 - self.start);
+            }
+            at = lf + 1;
+        }
+        #[cfg(test)]
+        {
+            self.scan_work += self.end.saturating_sub(at);
+        }
+        self.scanned = self.end;
+        None
+    }
+}
+
+/// A message head without its blank line: the start line, then one
+/// field per CRLF line. Both ends of the wire read heads through it.
+/// The head is checked to be UTF-8 once, with a word-at-a-time ASCII
+/// check and the full validation only when that fails; the lines and
+/// fields are then cut by byte scans.
+pub(crate) struct Head<'a> {
+    /// The request or status line.
+    pub(crate) start_line: &'a [u8],
+    /// The field lines after it.
+    rest: Option<&'a [u8]>,
+}
+
+impl<'a> Head<'a> {
+    /// Checks that `head` is UTF-8 and splits off its start line.
+    pub(crate) fn new(head: &'a [u8]) -> Result<Head<'a>, std::str::Utf8Error> {
+        if !head.is_ascii() {
+            std::str::from_utf8(head)?;
+        }
+        let mut lines = Head {
+            start_line: &[],
+            rest: Some(head),
+        };
+        lines.start_line = lines.next_line().unwrap_or_default();
+        Ok(lines)
+    }
+
+    /// The next CRLF-delimited line, as `str::split("\r\n")` yields them.
+    fn next_line(&mut self) -> Option<&'a [u8]> {
+        let rest = self.rest?;
+        let mut from = 0;
+        while let Some(i) = rest.get(from..).and_then(|tail| find_byte(tail, b'\n')) {
+            let lf = from + i;
+            if lf > 0 && rest.get(lf - 1) == Some(&b'\r') {
+                self.rest = rest.get(lf + 1..);
+                return rest.get(..lf - 1);
+            }
+            from = lf + 1;
+        }
+        self.rest = None;
+        Some(rest)
+    }
+
+    /// The header fields: each line split at its first `:` into a
+    /// [`trim`]med name and an untrimmed value, `None` for a line
+    /// without one. A head cut at its first blank line has no empty
+    /// lines.
+    pub(crate) fn fields(mut self) -> impl Iterator<Item = Option<(&'a [u8], &'a [u8])>> {
+        std::iter::from_fn(move || {
+            self.next_line()
+                .map(|line| split_at_byte(line, b':').map(|(name, value)| (trim(name), value)))
+        })
+    }
+}
+
+/// Index of the first `byte` in `haystack`, found eight bytes at a
+/// time: the scan under every framing search.
+pub(crate) fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let pattern = u64::from_ne_bytes([byte; 8]);
+    let mut words = haystack.chunks_exact(8);
+    let mut offset = 0;
+    for word in &mut words {
+        let Ok(word) = <[u8; 8]>::try_from(word) else {
+            break;
+        };
+        // `x` has a zero byte where `word` has `byte`. The lowest high bit
+        // left set marks the first one: a borrow only ever sets the high
+        // bits of bytes above a zero byte.
+        let x = u64::from_le_bytes(word) ^ pattern;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return usize::try_from(zeros.trailing_zeros() / 8)
+                .ok()
+                .map(|at| offset + at);
+        }
+        offset += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == byte)
+        .map(|at| offset + at)
+}
+
+/// `text` split around its first `byte`.
+pub(crate) fn split_at_byte(text: &[u8], byte: u8) -> Option<(&[u8], &[u8])> {
+    let at = find_byte(text, byte)?;
+    Some((text.get(..at)?, text.get(at + 1..)?))
+}
+
+/// `str::trim` over UTF-8 `text` (a piece of a [`Head`]): ASCII
+/// whitespace is stripped by a byte scan, and `str::trim` runs only
+/// when a non-ASCII byte is left at either end.
+pub(crate) fn trim(text: &[u8]) -> &[u8] {
+    // `char::is_whitespace` over ASCII: space and `\t` through `\r`.
+    let space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
+    let start = text.iter().position(|b| !space(b)).unwrap_or(text.len());
+    let end = text
+        .iter()
+        .rposition(|b| !space(b))
+        .map_or(start, |at| at + 1);
+    let inner = text.get(start..end).unwrap_or_default();
+    match (inner.first(), inner.last()) {
+        (Some(first), Some(last)) if !first.is_ascii() || !last.is_ascii() => {
+            std::str::from_utf8(inner).map_or(inner, |s| s.trim().as_bytes())
+        }
+        _ => inner,
+    }
+}
+
+/// `text` as `str::parse::<u64>` reads it — an optional `+`, then one or
+/// more decimal digits, without overflow — or `None`.
+pub(crate) fn parse_decimal(text: &[u8]) -> Option<u64> {
+    let digits = text.strip_prefix(b"+").unwrap_or(text);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+    })
+}
+
+/// A `Content-Length` value as `str::parse::<usize>` reads it once
+/// [`trim`]med.
+pub(crate) fn parse_length(value: &[u8]) -> Option<usize> {
+    parse_decimal(trim(value)).and_then(|n| usize::try_from(n).ok())
 }
 
 /// Dispatches a parsed request to the decision core, writing the
@@ -706,14 +962,15 @@ fn route(
     batch: &mut Vec<(u64, SimTime, u32)>,
 ) -> Result<(), HttpError> {
     match (request.method, request.path) {
-        ("POST", "/api/checkin") => {
-            let station = request.need::<u64>("station")?;
-            let at = SimTime::from_unix(request.need::<u64>("at")?);
-            let soc = request.need::<u32>("soc")?;
+        (b"POST", b"/api/checkin") => {
+            let [station, at, soc] = request.params([b"station", b"at", b"soc"]);
+            let station = need::<u64>(station, "station")?;
+            let at = SimTime::from_unix(need(at, "at")?);
+            let soc = need::<u32>(soc, "soc")?;
             core.check_in(station, at, soc).map_err(HttpError::Core)?;
             w.put_str("ok\n");
         }
-        ("POST", "/api/checkin-batch") => {
+        (b"POST", b"/api/checkin-batch") => {
             batch.clear();
             parse_checkin_batch(request.body, batch)?;
             let applied = core.check_in_batch(batch).map_err(HttpError::Core)?;
@@ -721,17 +978,19 @@ fn route(
             w.put_u64(applied);
             w.put_str("\n");
         }
-        ("POST", "/api/state") => {
-            let station = request.need::<u64>("station")?;
-            let at = SimTime::from_unix(request.need::<u64>("at")?);
-            let level = request.need::<u8>("level")?;
+        (b"POST", b"/api/state") => {
+            let [station, at, level] = request.params([b"station", b"at", b"level"]);
+            let station = need::<u64>(station, "station")?;
+            let at = SimTime::from_unix(need(at, "at")?);
+            let level = need::<u8>(level, "level")?;
             core.report_state(station, at, level)
                 .map_err(HttpError::Core)?;
             w.put_str("ok\n");
         }
-        ("GET", "/api/override") => {
-            let station = request.need::<u64>("station")?;
-            let at = SimTime::from_unix(request.need::<u64>("at")?);
+        (b"GET", b"/api/override") => {
+            let [station, at] = request.params([b"station", b"at"]);
+            let station = need::<u64>(station, "station")?;
+            let at = SimTime::from_unix(need(at, "at")?);
             let decision = core.override_for(station, at).map_err(HttpError::Core)?;
             match decision {
                 Some(state) => {
@@ -742,9 +1001,10 @@ fn route(
                 None => w.put_str("override=none\n"),
             }
         }
-        ("GET", "/api/update") => {
-            let station = request.need::<u64>("station")?;
-            let at = SimTime::from_unix(request.need::<u64>("at")?);
+        (b"GET", b"/api/update") => {
+            let [station, at] = request.params([b"station", b"at"]);
+            let station = need::<u64>(station, "station")?;
+            let at = SimTime::from_unix(need(at, "at")?);
             let update = core.update_for(station, at).map_err(HttpError::Core)?;
             match update {
                 Some(u) => {
@@ -759,11 +1019,12 @@ fn route(
                 None => w.put_str("update=none\n"),
             }
         }
-        ("POST", "/api/ack") => {
-            let station = request.need::<u64>("station")?;
-            let at = SimTime::from_unix(request.need::<u64>("at")?);
-            let file = request.param("file").ok_or(HttpError::BadParam("file"))?;
-            let md5_hex = request.param("md5").ok_or(HttpError::BadParam("md5"))?;
+        (b"POST", b"/api/ack") => {
+            let [station, at, file, md5] = request.params([b"station", b"at", b"file", b"md5"]);
+            let station = need::<u64>(station, "station")?;
+            let at = SimTime::from_unix(need(at, "at")?);
+            let file = need_text(file, "file")?;
+            let md5_hex = need_text(md5, "md5")?;
             let verified = core
                 .ack_update(station, at, file, md5_hex)
                 .map_err(HttpError::Core)?;
@@ -773,21 +1034,22 @@ fn route(
                 "verified=false\n"
             });
         }
-        ("GET", "/api/analytics/states") => core.power_counts().write_json(w.body_mut()),
-        ("GET", "/api/analytics/battery") => core.soc_histogram().write_json(w.body_mut()),
-        ("GET", "/api/telemetry") => core.telemetry_ndjson_into(w.body_mut()),
-        ("GET", "/health") => {
+        (b"GET", b"/api/analytics/states") => core.power_counts().write_json(w.body_mut()),
+        (b"GET", b"/api/analytics/battery") => core.soc_histogram().write_json(w.body_mut()),
+        (b"GET", b"/api/telemetry") => core.telemetry_ndjson_into(w.body_mut()),
+        (b"GET", b"/health") => {
             w.put_str("ok stations=");
             w.put_u64(core.stations());
             w.put_str(" served=");
             w.put_u64(core.requests_served());
             w.put_str("\n");
         }
-        (_, "/api/checkin" | "/api/checkin-batch" | "/api/state" | "/api/ack")
-        | (_, "/api/override" | "/api/update")
-        | (_, "/api/analytics/states" | "/api/analytics/battery" | "/api/telemetry" | "/health") => {
-            return Err(HttpError::MethodNotAllowed)
-        }
+        (_, b"/api/checkin" | b"/api/checkin-batch" | b"/api/state" | b"/api/ack")
+        | (_, b"/api/override" | b"/api/update")
+        | (
+            _,
+            b"/api/analytics/states" | b"/api/analytics/battery" | b"/api/telemetry" | b"/health",
+        ) => return Err(HttpError::MethodNotAllowed),
         _ => return Err(HttpError::NotFound),
     }
     w.finish(200, "OK", true);
@@ -910,10 +1172,187 @@ pub fn hex_decode_into(text: &str, out: &mut Vec<u8>) -> bool {
 mod tests {
     use super::*;
 
+    /// A receive buffer holding `bytes` as its unread bytes.
+    fn received(bytes: &[u8]) -> ReadBuf {
+        let mut rx = ReadBuf::default();
+        rx.fill(&mut io::Cursor::new(bytes), bytes.len())
+            .expect("in-memory read");
+        rx
+    }
+
     #[test]
     fn header_end_detection() {
-        assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n\r\n"), Some(14));
-        assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n"), None);
+        assert_eq!(received(b"GET / HTTP/1.1\r\n\r\n").head_len(), Some(14));
+        assert_eq!(received(b"GET / HTTP/1.1\r\n").head_len(), None);
+        assert_eq!(received(b"\r\n\r\nGET").head_len(), Some(0));
+        assert_eq!(received(b"A\n\r\n\r\r\n\r\n").head_len(), Some(5));
+    }
+
+    #[test]
+    fn a_head_read_a_byte_at_a_time_is_scanned_once() {
+        let config = ServerConfig::default();
+        let mut head = b"GET /health HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(config.max_header_bytes - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let mut conn = ConnBuffers::default();
+        let mut stream = OneByteReads(io::Cursor::new(head.clone()));
+        let parsed = read_request(&mut stream, &mut conn, &config).expect("a valid request");
+        assert_eq!(parsed.map(|p| p.end), Some(head.len()));
+        assert!(
+            conn.rx.scan_work <= head.len(),
+            "the head-end search looked at {} bytes of a {}-byte head",
+            conn.rx.scan_work,
+            head.len()
+        );
+    }
+
+    /// Serves its input one byte per read.
+    struct OneByteReads(io::Cursor<Vec<u8>>);
+
+    impl Read for OneByteReads {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    impl Write for OneByteReads {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn head_lines_split_as_str_split_does() {
+        for text in [
+            "A\r\nB: 1\r\nC",
+            "",
+            "A\r\r\nB\nC:\r\n:D",
+            "\r\nA",
+            "A\r\n",
+            "A\n\rB\r\n\r",
+        ] {
+            let mut head = Head::new(text.as_bytes()).expect("utf-8");
+            let mut lines = vec![head.start_line];
+            lines.extend(std::iter::from_fn(|| head.next_line()));
+            let want: Vec<&[u8]> = text.split("\r\n").map(str::as_bytes).collect();
+            assert_eq!(lines, want, "{text:?}");
+        }
+        assert!(Head::new(b"GET \xff HTTP/1.1").is_err());
+    }
+
+    #[test]
+    fn find_byte_finds_the_first_match() {
+        let text: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) | 1).collect();
+        for needle in [0u8, 1, b'\n', 0x80, 0xff, 0x81, 38] {
+            for start in 0..text.len() {
+                for mut hay in [text[start..].to_vec(), vec![needle; 3], vec![]] {
+                    let want = hay.iter().position(|&b| b == needle);
+                    assert_eq!(find_byte(&hay, needle), want, "{needle} in {hay:?}");
+                    // A near miss (one bit off) in front does not move it.
+                    hay.insert(0, needle ^ 1);
+                    let want = hay.iter().position(|&b| b == needle);
+                    assert_eq!(find_byte(&hay, needle), want, "{needle} in {hay:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trim_and_lengths_read_as_str_does() {
+        for text in [
+            "",
+            " ",
+            "5",
+            " 5 ",
+            "\t5\x0b",
+            "\u{a0}5",
+            "5\u{3000}",
+            "\u{a0} \u{85}5 \u{2028}",
+            " é ",
+            "+7",
+            "-7",
+            "7 7",
+            "18446744073709551615",
+            "18446744073709551616",
+            "\u{a0}",
+        ] {
+            assert_eq!(trim(text.as_bytes()), text.trim().as_bytes(), "{text:?}");
+            assert_eq!(
+                parse_length(text.as_bytes()),
+                text.trim().parse().ok(),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn query_parameters_are_scanned_once_first_value_wins() {
+        let request = Request {
+            method: b"GET",
+            path: b"/api/ack",
+            query: b"&station=4&flag&at=&station=5&md5=ab=cd",
+            body: b"",
+        };
+        let [station, flag, at, md5, file] =
+            request.params([b"station", b"flag", b"at", b"md5", b"file"]);
+        assert_eq!(station, Some(&b"4"[..]));
+        assert_eq!(
+            flag,
+            Some(&b""[..]),
+            "a pair without `=` has an empty value"
+        );
+        assert_eq!(at, Some(&b""[..]));
+        assert_eq!(md5, Some(&b"ab=cd"[..]), "the value runs past a second `=`");
+        assert_eq!(file, None);
+        assert_eq!(request.param("station"), Some(&b"4"[..]));
+    }
+
+    #[test]
+    fn parameters_parse_as_str_parse_does() {
+        for text in [
+            "0",
+            "7",
+            "+7",
+            "++7",
+            "-0",
+            "",
+            "+",
+            " 7",
+            "7 ",
+            "00012",
+            "255",
+            "256",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1e3",
+            "٣",
+        ] {
+            let want64 = text.parse::<u64>().ok();
+            assert_eq!(
+                need::<u64>(Some(text.as_bytes()), "v").ok(),
+                want64,
+                "{text:?}"
+            );
+            let want32 = text.parse::<u32>().ok();
+            assert_eq!(
+                need::<u32>(Some(text.as_bytes()), "v").ok(),
+                want32,
+                "{text:?}"
+            );
+            let want8 = text.parse::<u8>().ok();
+            assert_eq!(
+                need::<u8>(Some(text.as_bytes()), "v").ok(),
+                want8,
+                "{text:?}"
+            );
+        }
+        assert_eq!(need::<u64>(None, "at"), Err(HttpError::BadParam("at")));
     }
 
     #[test]

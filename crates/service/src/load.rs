@@ -63,7 +63,7 @@
 //! receipt's slot for the next fetch.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::iter::Peekable;
 use std::net::TcpStream;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -73,7 +73,10 @@ use glacsweb_fleet::{WakeTrace, KIND_COMMS, KIND_OVERRIDE, KIND_SAMPLE};
 use glacsweb_sim::SimTime;
 use glacsweb_station::md5::md5;
 
-use crate::http::{hex_decode_into, push_hex, push_u64};
+use crate::http::{
+    hex_decode_into, parse_decimal, parse_length, push_hex, push_u64, split_at_byte, Head, ReadBuf,
+    CONTENT_LENGTH,
+};
 
 /// What one replay step asks the server to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,28 +241,65 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Nearest-rank percentiles over a sample held as a histogram:
-    /// microseconds to the number of requests that took them.
-    fn from_histogram(histogram: &BTreeMap<u64, u64>) -> LatencyStats {
-        let n: u64 = histogram.values().sum();
+    /// Nearest-rank percentiles over the sample `histogram` counts.
+    fn from_histogram(histogram: &LatencyHistogram) -> LatencyStats {
+        let n: u64 = histogram.counts().map(|(_, count)| count).sum();
         let percentile = |permille: u64| {
             // Nearest rank: the smallest value with at least
             // `ceil(n * permille / 1000)` samples at or below it.
             let rank = (n * permille).div_ceil(1000).max(1);
             let mut seen = 0;
             histogram
-                .iter()
-                .find(|&(_, &count)| {
+                .counts()
+                .find(|&(_, count)| {
                     seen += count;
                     seen >= rank
                 })
-                .map_or(0, |(&us, _)| us)
+                .map_or(0, |(us, _)| us)
         };
         LatencyStats {
             p50_us: percentile(500),
             p99_us: percentile(990),
             p999_us: percentile(999),
         }
+    }
+}
+
+/// Latencies below this many microseconds are counted in a flat array;
+/// the rare slower ones in a map.
+const FLAT_LATENCY_US: usize = 4096;
+
+/// Request latencies, microseconds, as the number of requests that took
+/// each value: exact, with an array slot per value up to
+/// [`FLAT_LATENCY_US`] and a map entry per distinct value above it.
+struct LatencyHistogram {
+    flat: Vec<u64>,
+    above: BTreeMap<u64, u64>,
+}
+
+impl LatencyHistogram {
+    fn new() -> LatencyHistogram {
+        LatencyHistogram {
+            flat: vec![0; FLAT_LATENCY_US],
+            above: BTreeMap::new(),
+        }
+    }
+
+    /// Counts one request that took `us` microseconds.
+    fn record(&mut self, us: u64) {
+        match usize::try_from(us).ok().and_then(|i| self.flat.get_mut(i)) {
+            Some(count) => *count += 1,
+            None => *self.above.entry(us).or_default() += 1,
+        }
+    }
+
+    /// `(microseconds, requests)` for every value taken, in ascending
+    /// order.
+    fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0u64..)
+            .zip(self.flat.iter().copied())
+            .filter(|&(_, count)| count > 0)
+            .chain(self.above.iter().map(|(&us, &count)| (us, count)))
     }
 }
 
@@ -371,7 +411,7 @@ struct Folded {
     requests: u64,
     transcript_fnv: u64,
     transcript: Option<Vec<u8>>,
-    latencies: BTreeMap<u64, u64>,
+    latencies: LatencyHistogram,
 }
 
 /// Folds the clients' transcript lines in script order: each step's
@@ -382,7 +422,7 @@ fn fold(script: &Script, feeds: &mut [Feed], keep_transcript: bool) -> Folded {
         requests: 0,
         transcript_fnv: FNV_OFFSET,
         transcript: keep_transcript.then(Vec::new),
-        latencies: BTreeMap::new(),
+        latencies: LatencyHistogram::new(),
     };
     for step in &script.steps {
         let Some(feed) = feeds.get_mut(owner(step.station, feeds.len())) else {
@@ -398,7 +438,7 @@ fn fold(script: &Script, feeds: &mut [Feed], keep_transcript: bool) -> Folded {
         if let Some(t) = out.transcript.as_mut() {
             t.extend_from_slice(line);
         }
-        *out.latencies.entry(mark.latency_us).or_default() += 1;
+        out.latencies.record(mark.latency_us);
         out.requests += 1;
         feed.advance(mark);
     }
@@ -772,16 +812,14 @@ fn parse_update<'a>(body: &'a str, payload: &mut Vec<u8>) -> io::Result<(&'a str
     }
 }
 
-/// The client side of one keep-alive connection. Responses are parsed
-/// in place over `carry` from the cursor `pos`; the buffer compacts
-/// only before a blocking read, so a parsed body's range stays valid
-/// until the next response is read.
+/// The client side of one keep-alive connection. Responses are read
+/// into the same kind of receive buffer the server uses and framed by
+/// the same head scanner; a consumed body's range stays readable until
+/// the next response is read.
 struct Conn {
     stream: TcpStream,
-    /// Received bytes; `pos..` is the unconsumed tail.
-    carry: Vec<u8>,
-    /// Consumed-bytes cursor into `carry`.
-    pos: usize,
+    /// Received bytes and the cursors around the unread ones.
+    rx: ReadBuf,
 }
 
 impl Conn {
@@ -791,85 +829,69 @@ impl Conn {
         stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
-            carry: Vec::new(),
-            pos: 0,
+            rx: ReadBuf::default(),
         })
     }
 
-    /// Compacts the consumed bytes away, then blocks for more; `eof`
+    /// Blocks for more bytes, with room for `want` unread ones; `eof`
     /// names where a close would cut the response.
-    fn fill(&mut self, eof: &'static str) -> io::Result<()> {
-        if self.pos > 0 {
-            let len = self.carry.len();
-            self.carry.copy_within(self.pos.., 0);
-            self.carry.truncate(len - self.pos);
-            self.pos = 0;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
+    fn fill(&mut self, want: usize, eof: &'static str) -> io::Result<()> {
+        if self.rx.fill(&mut self.stream, want)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
         }
-        self.carry
-            .extend_from_slice(chunk.get(..n).unwrap_or_default());
         Ok(())
     }
 
     /// Reads one full response and consumes it; returns the status and
-    /// the body's `(start, end)` range in `carry`.
+    /// the body's range for [`Conn::text`].
     fn read_response(&mut self) -> io::Result<(u16, (usize, usize))> {
-        let header_end = loop {
-            let unread = self.carry.get(self.pos..).unwrap_or_default();
-            if let Some(end) = unread.windows(4).position(|w| w == b"\r\n\r\n") {
-                break end;
+        let head_len = loop {
+            if let Some(len) = self.rx.head_len() {
+                break len;
             }
-            self.fill("server closed mid-response")?;
+            self.fill(0, "server closed mid-response")?;
         };
-        let (status, length) = {
-            let head = self
-                .carry
-                .get(self.pos..self.pos + header_end)
-                .unwrap_or_default();
-            parse_head(std::str::from_utf8(head).map_err(invalid_data)?)?
-        };
-        let body_off = header_end + 4;
-        while self.carry.len() - self.pos < body_off + length {
-            self.fill("server closed mid-body")?;
+        let (status, length) = parse_head(self.rx.unread().get(..head_len).unwrap_or_default())?;
+        let end = head_len + 4 + length;
+        while self.rx.unread().len() < end {
+            self.fill(end, "server closed mid-body")?;
         }
-        let start = self.pos + body_off;
-        self.pos = start + length;
-        Ok((status, (start, self.pos)))
+        self.rx.consume(head_len + 4);
+        Ok((status, self.rx.consume(length)))
     }
 
-    /// A parsed body's text.
-    fn text(&self, (start, end): (usize, usize)) -> io::Result<&str> {
-        std::str::from_utf8(self.carry.get(start..end).unwrap_or_default()).map_err(invalid_data)
+    /// A consumed body's text.
+    fn text(&self, body: (usize, usize)) -> io::Result<&str> {
+        std::str::from_utf8(self.rx.bytes(body)).map_err(invalid_data)
     }
 }
 
-/// Status code and `Content-Length` (0 when absent) of a response head.
-fn parse_head(head: &str) -> io::Result<(u16, usize)> {
-    let mut lines = head.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
+/// Status code and `Content-Length` (0 when absent, the last one when
+/// repeated) of a response head.
+fn parse_head(head: &[u8]) -> io::Result<(u16, usize)> {
+    let head = Head::new(head).map_err(invalid_data)?;
+    let status = split_at_byte(head.start_line, b' ')
+        .map(|(_, rest)| split_at_byte(rest, b' ').map_or(rest, |(code, _)| code))
+        .and_then(parse_decimal)
+        .and_then(|code| u16::try_from(code).ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
     let mut length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                length = value.trim().parse().map_err(|e| {
-                    // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}"))
-                })?;
-            }
+    for (name, value) in head.fields().flatten() {
+        if name.eq_ignore_ascii_case(CONTENT_LENGTH) {
+            length = parse_length(value).ok_or_else(|| bad_length(value))?;
         }
     }
     Ok((status, length))
+}
+
+/// The error for a `Content-Length` value [`parse_length`] refused,
+/// naming the reason `str::parse` gives.
+fn bad_length(value: &[u8]) -> io::Error {
+    match std::str::from_utf8(value).map(|v| v.trim().parse::<usize>()) {
+        // glacsweb: allow(perf-hygiene, reason = "error path: the replay stops here")
+        Ok(Err(e)) => io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}")),
+        _ => io::Error::new(io::ErrorKind::InvalidData, "bad length"),
+    }
 }
 
 /// Wraps a decoding error as `InvalidData`.
@@ -951,9 +973,9 @@ mod tests {
     #[test]
     fn percentiles_use_nearest_rank() {
         let stats = |sample: &[u64]| {
-            let mut histogram = BTreeMap::new();
+            let mut histogram = LatencyHistogram::new();
             for &us in sample {
-                *histogram.entry(us).or_insert(0u64) += 1;
+                histogram.record(us);
             }
             let s = LatencyStats::from_histogram(&histogram);
             (s.p50_us, s.p99_us, s.p999_us)
@@ -971,6 +993,17 @@ mod tests {
             (10, 10, 50),
             "rank 999 of 1000 lands in the tail"
         );
+        // Values on both sides of the flat array's bound rank as one
+        // sample.
+        let bound = FLAT_LATENCY_US as u64;
+        let mut wide: Vec<u64> = (0..1000).map(|i| bound - 500 + i).collect();
+        wide.push(u64::MAX);
+        assert_eq!(
+            stats(&wide),
+            (bound - 500 + 500, bound - 500 + 990, bound - 500 + 999),
+            "ranks cross from the array into the map"
+        );
+        assert_eq!(stats(&[u64::MAX, 3]), (3, u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -1034,6 +1067,150 @@ mod tests {
         file(&mut receipts, 8); // takes the freed slot
         assert_eq!(receipts.len(), 2);
         assert_eq!(receipts[0].station, Some(8));
+    }
+
+    /// The response-head parser before the shared head scanner, kept
+    /// as the oracle the scanner-based [`parse_head`] must agree with.
+    fn parse_head_oracle(head: &str) -> io::Result<(u16, usize)> {
+        let mut lines = head.split("\r\n");
+        let status_line = lines
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
+        let status: u16 = status_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+        let mut length = 0usize;
+        for line in lines {
+            if let Some((name, value)) = line.split_once(':') {
+                if name.trim().eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().map_err(|e| {
+                        io::Error::new(io::ErrorKind::InvalidData, format!("bad length: {e}"))
+                    })?;
+                }
+            }
+        }
+        Ok((status, length))
+    }
+
+    /// Status lines the generated heads start with.
+    const STATUS_LINES: &[&str] = &[
+        "HTTP/1.1 200 OK",
+        "HTTP/1.1 404 Not Found",
+        "HTTP/1.1 431 Request Header Fields Too Large",
+        "HTTP/1.1  200 OK",
+        "HTTP/1.1 +200 OK",
+        "HTTP/1.1 70000 Big",
+        "HTTP/1.1 2x0 OK",
+        "HTTP/1.1 200",
+        "HTTP/1.1",
+        "",
+        " 200 OK",
+        "HTTP/1.1 200 OK:",
+    ];
+
+    /// Field lines the generated heads draw from: `Content-Length` with
+    /// case, whitespace and value variants, malformed lines and other
+    /// headers.
+    const FIELD_LINES: &[&str] = &[
+        "Content-Type: text/plain",
+        "Content-Length: 12",
+        "content-length: 3",
+        "CONTENT-LENGTH:0",
+        " Content-Length : 7 ",
+        "\tContent-length:\t9\t",
+        "Content-Length: \u{a0}5",
+        "Content-Length:\u{b}5\u{3000}",
+        "Content-Length: +4",
+        "Content-Length: -1",
+        "Content-Length: ",
+        "Content-Length: 5x",
+        "Content-Length: 99999999999999999999999",
+        "Content-Length 5",
+        "Content-Lengths: 5",
+        "Connection: keep-alive",
+        "X-Note: a:b",
+        "no colon at all",
+        ":",
+        "Content-Length: 6\rContent-Length: 8",
+        "Content-Length: 2\nX: y",
+    ];
+
+    /// A generated response head: a status line, field lines, and
+    /// byte overwrites (any byte, so CR, LF and non-UTF-8 bytes too).
+    fn generated_head(status: usize, fields: &[usize], flips: &[(usize, u8)]) -> Vec<u8> {
+        let mut head = STATUS_LINES[status].as_bytes().to_vec();
+        for &field in fields {
+            head.extend_from_slice(b"\r\n");
+            head.extend_from_slice(FIELD_LINES[field].as_bytes());
+        }
+        for &(at, byte) in flips {
+            if !head.is_empty() {
+                let at = at % head.len();
+                head[at] = byte;
+            }
+        }
+        head
+    }
+
+    /// What a parse gave, comparable across the two parsers.
+    fn outcome(result: io::Result<(u16, usize)>) -> Result<(u16, usize), (io::ErrorKind, String)> {
+        result.map_err(|e| (e.kind(), e.to_string()))
+    }
+
+    #[test]
+    fn head_parser_agrees_with_the_oracle_on_fixed_heads() {
+        for status in 0..STATUS_LINES.len() {
+            for field in 0..FIELD_LINES.len() {
+                let head = generated_head(status, &[0, field], &[]);
+                let text = std::str::from_utf8(&head).expect("fixed heads are UTF-8");
+                assert_eq!(
+                    outcome(parse_head(&head)),
+                    outcome(parse_head_oracle(text)),
+                    "{text:?}"
+                );
+            }
+        }
+        assert_eq!(
+            parse_head(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 9").ok(),
+            Some((200, 9)),
+            "the last Content-Length wins"
+        );
+        assert_eq!(
+            parse_head(b"HTTP/1.1 200 \xff").map_err(|e| e.kind()).err(),
+            Some(io::ErrorKind::InvalidData)
+        );
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// On any generated head, the scanner-based parser and the
+            /// oracle agree on the status, the length and every error
+            /// (kind and message); a non-UTF-8 head is `InvalidData`
+            /// for both.
+            #[test]
+            fn head_parser_agrees_with_the_oracle(
+                status in 0usize..STATUS_LINES.len(),
+                fields in proptest::collection::vec(0usize..FIELD_LINES.len(), 0..7),
+                flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+            ) {
+                let head = generated_head(status, &fields, &flips);
+                let got = outcome(parse_head(&head));
+                match std::str::from_utf8(&head) {
+                    Ok(text) => prop_assert_eq!(got, outcome(parse_head_oracle(text))),
+                    Err(e) => prop_assert_eq!(
+                        got,
+                        Err((io::ErrorKind::InvalidData, e.to_string()))
+                    ),
+                }
+            }
+        }
     }
 
     #[test]
