@@ -33,11 +33,12 @@
 //! * **Requests** are written straight into the window buffer with the
 //!   server's own integer and hex writers ([`push_u64`], [`push_hex`]);
 //!   a pending request keeps its target as a byte range of that buffer.
-//! * **Responses** are parsed in place over the connection's carry
-//!   buffer with a cursor; the body is a range of it, read before the
-//!   next response is. The carry compacts only before a blocking read —
-//!   the server's `pre_read` invariant — so it holds at most one window
-//!   of responses plus a read chunk.
+//! * **Responses** are read into the same kind of receive buffer the
+//!   server uses and framed by the same head scanner, in place; the
+//!   body is a range of the buffer, read before the next response is.
+//!   The buffer compacts only before a blocking read — the server's
+//!   invariant — so it holds at most one window of responses plus a
+//!   read's room.
 //! * **Transcript lines** are appended to a `Chunk`, with a mark per
 //!   line (its index, end and latency). A full chunk goes to the
 //!   calling thread over a bounded channel and comes back empty once
@@ -52,10 +53,11 @@
 //! client's next line: the line is hashed into the FNV-1a digest (and
 //! appended to the transcript only when
 //! [`ReplayConfig::keep_transcript`] asks for it), and its latency is
-//! counted in a histogram. A step inside a coalesced check-in batch
-//! has no line of its own and is passed over. Memory is bounded by
-//! those chunks per client plus one histogram entry per distinct
-//! latency; a client that runs ahead waits on its channel.
+//! counted in a histogram: a flat array up to `FLAT_LATENCY_US`, a map
+//! entry per distinct slower value. A step inside a coalesced check-in
+//! batch has no line of its own and is passed over. Memory is bounded
+//! by those chunks per client plus that histogram; a client that runs
+//! ahead waits on its channel.
 //!
 //! The §VI update check costs one MD5 per fetched update; the decoded
 //! payload lands in a reused buffer and the receipt is kept as the raw
@@ -852,7 +854,7 @@ impl Conn {
             self.fill(0, "server closed mid-response")?;
         };
         let (status, length) = parse_head(self.rx.unread().get(..head_len).unwrap_or_default())?;
-        let end = head_len + 4 + length;
+        let end = (head_len + 4).saturating_add(length);
         while self.rx.unread().len() < end {
             self.fill(end, "server closed mid-body")?;
         }
