@@ -574,8 +574,8 @@ enum Received {
     TimedOut,
 }
 
-/// Flushes pending responses, then reads once into `conn`'s buffer with
-/// room for `want` unread bytes. Flushing first keeps a
+/// Flushes pending responses, then reads once into `conn`'s buffer
+/// (see [`ReadBuf::fill`] for `want`). Flushing first keeps a
 /// request/response-lockstep peer from deadlocking.
 fn receive<S: Read + Write>(
     stream: &mut S,

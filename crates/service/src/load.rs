@@ -835,8 +835,8 @@ impl Conn {
         })
     }
 
-    /// Blocks for more bytes, with room for `want` unread ones; `eof`
-    /// names where a close would cut the response.
+    /// Blocks for more bytes, growing the buffer toward `want` unread
+    /// ones; `eof` names where a close would cut the response.
     fn fill(&mut self, want: usize, eof: &'static str) -> io::Result<()> {
         if self.rx.fill(&mut self.stream, want)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof));
