@@ -611,8 +611,11 @@ fn read_request<S: Read + Write>(
         if let Some(len) = conn.rx.head_len() {
             break len;
         }
+        // A head at the cap is still short of its blank line with three
+        // of that line's four bytes unread; past those, no head that
+        // fits can end, whatever the reads' sizes.
         let unread = conn.rx.unread().len();
-        if unread > config.max_header_bytes {
+        if unread > config.max_header_bytes.saturating_add(3) {
             return Err(HttpError::HeaderTooLarge);
         }
         let idle = unread == 0;
@@ -1220,6 +1223,36 @@ mod tests {
             conn.rx.scan_work,
             head.len()
         );
+    }
+
+    #[test]
+    fn a_head_near_the_cap_gets_one_verdict_however_it_was_split() {
+        let config = ServerConfig::default();
+        let cap = config.max_header_bytes;
+        for len in cap - 3..=cap + 1 {
+            let mut request = b"GET /health HTTP/1.1\r\nX-Pad: ".to_vec();
+            request.resize(len, b'a');
+            request.extend_from_slice(b"\r\n\r\n");
+            let whole = end_of_request(io::Cursor::new(request.clone()), &config);
+            let bytewise = end_of_request(OneByteReads(io::Cursor::new(request)), &config);
+            assert_eq!(bytewise, whole, "a {len}-byte head");
+            let want = if len <= cap {
+                Ok(Some(len + 4))
+            } else {
+                Err(HttpError::HeaderTooLarge)
+            };
+            assert_eq!(whole, want, "a {len}-byte head");
+        }
+    }
+
+    /// Reads one request off `stream` on a fresh connection: where it
+    /// ends, or why it was refused.
+    fn end_of_request<S: Read + Write>(
+        mut stream: S,
+        config: &ServerConfig,
+    ) -> Result<Option<usize>, HttpError> {
+        read_request(&mut stream, &mut ConnBuffers::default(), config)
+            .map(|parsed| parsed.map(|p| p.end))
     }
 
     /// Serves its input one byte per read.
