@@ -61,7 +61,7 @@ mod reference;
 
 pub use events::{EventRef, Events};
 pub use memory::{merge_all, Histogram, MemoryRecorder, BUCKET_BOUNDS, DEFAULT_EVENT_CAPACITY};
-pub use ndjson::{NdjsonWriter, NDJSON_SCHEMA};
+pub use ndjson::NDJSON_SCHEMA;
 
 use std::fmt;
 
