@@ -215,8 +215,10 @@ fn numeric_scope(rel: &str) -> bool {
 /// rule is what keeps casual allocations from creeping back in. So is
 /// the replay client that measures it (responses parsed in place,
 /// transcript lines in one arena) and the MD5 the §VI update check runs
-/// three times per station. So is the telemetry store, whose counter
-/// and histogram calls run inside every observed station window.
+/// three times per station. So are the §III state rules in the
+/// server's `state_sync.rs`, which every state report and override
+/// query runs. So is the telemetry store, whose counter and histogram
+/// calls run inside every observed station window.
 fn perf_scope(rel: &str) -> bool {
     rel.starts_with("crates/env/src/")
         || rel.starts_with("crates/power/src/")
@@ -232,6 +234,7 @@ fn perf_scope(rel: &str) -> bool {
         || rel == "crates/service/src/http.rs"
         || rel == "crates/service/src/core.rs"
         || rel == "crates/service/src/load.rs"
+        || rel == "crates/server/src/state_sync.rs"
         || rel == "crates/obs/src/memory.rs"
 }
 

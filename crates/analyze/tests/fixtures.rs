@@ -188,7 +188,8 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
     );
     assert_eq!(fire("crates/sim/src/event.rs", src, RuleId::PerfHygiene), 3);
     // The station's daily window path, the update check's MD5, the
-    // replay client and the telemetry store are in scope…
+    // replay client, the §III state rules every state report and
+    // override query runs, and the telemetry store are in scope…
     for hot_file in [
         "crates/probe/src/protocol.rs",
         "crates/probe/src/firmware.rs",
@@ -198,6 +199,7 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
         "crates/station/src/data.rs",
         "crates/station/src/md5.rs",
         "crates/service/src/load.rs",
+        "crates/server/src/state_sync.rs",
         "crates/obs/src/memory.rs",
     ] {
         assert_eq!(fire(hot_file, src, RuleId::PerfHygiene), 3, "{hot_file}");
@@ -210,6 +212,8 @@ fn perf_hygiene_fires_on_format_collect_and_clone_in_hot_paths() {
         "crates/station/src/station.rs",
         "crates/obs/src/lib.rs",
         "crates/obs/src/ndjson.rs",
+        "crates/server/src/server.rs",
+        "crates/server/src/warehouse.rs",
     ] {
         assert_eq!(fire(cold_file, src, RuleId::PerfHygiene), 0, "{cold_file}");
     }
