@@ -31,25 +31,43 @@ impl StateSync {
         StateSync::default()
     }
 
-    /// Records a station's daily state upload.
+    /// Records a station's daily state upload: the station's entry keeps
+    /// the report [`StateSync::newest`] retains, and every upload, kept
+    /// or not, lands in the history.
+    pub fn report(&mut self, from: StationId, date: CivilDate, state: PowerState) {
+        let kept = Self::newest(self.reported.get(&from).copied(), (date, state));
+        self.reported.insert(from, kept);
+        self.history.push((from, date, state));
+    }
+
+    /// The §III retention rule: the report a station's entry holds after
+    /// `report` arrives on top of `current`.
     ///
     /// Reports are keyed by the civil date the station computed its state
     /// for, and the **newest date wins**: a late-arriving report for an
     /// older date (a station re-sending yesterday's state after a comms
-    /// outage, or a pair of uploads racing across midnight) lands in the
-    /// history but never clobbers the station's current entry, so an
-    /// already-made override decision for today cannot regress to
-    /// yesterday's state. A second report for the *same* date supersedes
-    /// the first — a station re-uploading a corrected same-day state is
-    /// the freshest information available.
-    pub fn report(&mut self, from: StationId, date: CivilDate, state: PowerState) {
-        match self.reported.get(&from) {
-            Some(&(current, _)) if current > date => {}
-            _ => {
-                self.reported.insert(from, (date, state));
-            }
+    /// outage, or a pair of uploads racing across midnight) never
+    /// clobbers the station's current entry, so an already-made override
+    /// decision for today cannot regress to yesterday's state. A second
+    /// report for the *same* date supersedes the first — a station
+    /// re-uploading a corrected same-day state is the freshest
+    /// information available.
+    pub fn newest(
+        current: Option<(CivilDate, PowerState)>,
+        report: (CivilDate, PowerState),
+    ) -> (CivilDate, PowerState) {
+        match current {
+            Some(kept) if kept.0 > report.0 => kept,
+            _ => report,
         }
-        self.history.push((from, date, state));
+    }
+
+    /// The §III pair rule: the lower of a station's and its partner's
+    /// last reported states, `None` until both have reported — with only
+    /// one data point there is nothing to synchronise against, and the
+    /// station falls back to its local state anyway.
+    pub fn pair_minimum(own: Option<PowerState>, other: Option<PowerState>) -> Option<PowerState> {
+        Some(own?.min(other?))
     }
 
     /// Sets (or clears) the researchers' manual override cap.
@@ -74,15 +92,14 @@ impl StateSync {
         self.reported.get(&station).copied()
     }
 
-    /// Computes the override returned to `for_station`.
-    ///
-    /// Returns `None` until both stations have reported at least once —
-    /// with only one data point there is nothing to synchronise against,
-    /// and the station falls back to its local state anyway.
+    /// Computes the override returned to `for_station`: the
+    /// [`StateSync::pair_minimum`] of both stations' last reports, capped
+    /// by the manual cap if one is set.
     pub fn override_for(&self, for_station: StationId) -> Option<PowerState> {
-        let own = self.last_reported(for_station)?;
-        let other = self.last_reported(for_station.other())?;
-        let base = own.min(other);
+        let base = Self::pair_minimum(
+            self.last_reported(for_station),
+            self.last_reported(for_station.other()),
+        )?;
         Some(match self.manual_cap {
             Some(cap) => base.min(cap),
             None => base,
@@ -144,6 +161,25 @@ mod tests {
         s.report(StationId::Reference, date(23), PowerState::S1);
         assert_eq!(s.override_for(StationId::Base), Some(PowerState::S1));
         assert_eq!(s.history().len(), 3);
+    }
+
+    #[test]
+    fn the_rules_keep_the_newest_date_and_wait_for_both_stations() {
+        let kept = (date(23), PowerState::S2);
+        assert_eq!(StateSync::newest(None, kept), kept);
+        assert_eq!(
+            StateSync::newest(Some(kept), (date(22), PowerState::S3)),
+            kept,
+            "an older date never clobbers"
+        );
+        let corrected = (date(23), PowerState::S1);
+        assert_eq!(StateSync::newest(Some(kept), corrected), corrected);
+        assert_eq!(StateSync::pair_minimum(Some(PowerState::S3), None), None);
+        assert_eq!(StateSync::pair_minimum(None, Some(PowerState::S3)), None);
+        assert_eq!(
+            StateSync::pair_minimum(Some(PowerState::S3), Some(PowerState::S1)),
+            Some(PowerState::S1)
+        );
     }
 
     #[test]

@@ -4,16 +4,21 @@
 //! to exactly one reference station and the server's override decision
 //! is the minimum of the pair's last reported power states. A fleet of
 //! `N` stations therefore decomposes into `N / 2` independent pairs —
-//! station `2p` is pair `p`'s base, station `2p + 1` its reference —
-//! each owning its own [`SouthamptonServer`] decision core. Pairs never
-//! read each other's state, which is what makes the whole core shardable
-//! without changing a single decision.
+//! station `2p` is pair `p`'s base, station `2p + 1` its reference.
+//! Each station has one small record: its retained power-state report,
+//! its last state of charge and its staged code update. The §III rules
+//! that read and write the reports are [`StateSync::newest`] and
+//! [`StateSync::pair_minimum`], the same ones the deployment's
+//! [`SouthamptonServer`](glacsweb_server::SouthamptonServer) runs. Pairs
+//! never read each other's records, which is what makes the whole core
+//! shardable without changing a single decision.
 //!
 //! # Sharding and determinism
 //!
 //! Pairs are distributed round-robin over a fixed number of shards, each
 //! behind its own mutex so concurrent connections touching different
-//! pairs never contend. Every shard also carries a
+//! pairs never contend. A shard keeps its stations' records in one
+//! `Vec`, a pair's two side by side. Every shard also carries a
 //! [`MemoryRecorder`]; request handlers record only **commutative**
 //! telemetry (counters, daily rollups, histogram observations — never
 //! events or gauges), so however the shards' recorders are fed by racing
@@ -28,7 +33,7 @@
 //! aggregates — [`PowerCounts`] and [`SocHistogram`] — updated in place
 //! on every write (check-in or state report). An analytics read then
 //! only takes each shard lock long enough to copy two small `Copy`
-//! structs, instead of walking every pair under the lock: reads cost
+//! structs, instead of walking every station under the lock: reads cost
 //! `O(shards)`, not `O(stations)`, and no longer serialize against the
 //! write path for any meaningful time. The invariant — maintained
 //! aggregates equal a from-scratch scan after any interleaving of
@@ -38,10 +43,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use glacsweb_obs::{MemoryRecorder, Origin, Recorder};
-use glacsweb_server::SouthamptonServer;
-use glacsweb_sim::SimTime;
+use glacsweb_server::StateSync;
+use glacsweb_sim::{CivilDate, SimTime};
 use glacsweb_station::md5::{md5, to_hex};
-use glacsweb_station::{CodeUpdate, PowerState, StationId, Uplink};
+use glacsweb_station::{CodeUpdate, PowerState, StationId};
 
 use crate::http::{push_u64, HEX_DIGITS};
 
@@ -80,16 +85,14 @@ impl std::fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// One shard: a slice of the fleet's pairs plus this shard's telemetry
-/// and its maintained slice of the fleet-wide analytics aggregates.
+/// One shard: the records of a slice of the fleet's pairs plus this
+/// shard's telemetry and its maintained slice of the fleet-wide
+/// analytics aggregates.
 #[derive(Debug)]
 struct Shard {
-    /// Pair decision cores, indexed by `pair / shard_count`.
-    pairs: Vec<SouthamptonServer>,
-    /// Latest reported state of charge per station of this shard,
-    /// permille (index `slot * 2 + role`, see [`FleetCore::locate`]);
-    /// `None` until the station's first check-in.
-    last_soc: Vec<Option<u32>>,
+    /// One record per station of this shard, indexed by [`column`]: a
+    /// pair's base at `slot * 2`, its reference at `slot * 2 + 1`.
+    stations: Vec<Station>,
     /// Commutative-only telemetry (counters, rollups, observations).
     recorder: MemoryRecorder,
     /// Maintained per-state station counts for this shard's stations;
@@ -98,12 +101,27 @@ struct Shard {
     /// Maintained battery histogram over this shard's latest check-ins;
     /// updated on every check-in, summed across shards on read.
     soc: SocHistogram,
-    /// Code updates staged and not yet fetched, per station of this
-    /// shard (index `slot * 2 + role`, see [`FleetCore::locate`]).
-    pending_updates: Vec<u32>,
-    /// MD5 of each station's staged update (same index); `None` until
-    /// the first staging.
-    update_md5: Vec<Option<[u8; 16]>>,
+}
+
+/// What the server keeps of one station.
+#[derive(Debug, Clone, Copy, Default)]
+struct Station {
+    /// The power-state report [`StateSync::newest`] retained: the civil
+    /// date it was computed for and the state; `None` until the first.
+    report: Option<(CivilDate, PowerState)>,
+    /// Latest state of charge, permille; `None` until the first check-in.
+    last_soc: Option<u32>,
+    /// Code updates staged and not yet fetched.
+    pending_updates: u32,
+    /// MD5 of the staged update; `None` until the first staging.
+    update_md5: Option<[u8; 16]>,
+}
+
+impl Station {
+    /// The last reported power state.
+    fn state(&self) -> Option<PowerState> {
+        self.report.map(|(_, state)| state)
+    }
 }
 
 /// Station-count aggregate per power state — the read side the farm
@@ -117,16 +135,9 @@ pub struct PowerCounts {
 }
 
 impl PowerCounts {
-    /// Deterministic JSON rendering (fixed key order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(192);
-        self.write_json(&mut out);
-        out
-    }
-
-    /// Appends the JSON rendering of [`PowerCounts::to_json`] to `out` —
-    /// same bytes, no intermediate allocation (the HTTP hot path writes
-    /// straight into the response body buffer).
+    /// Appends the deterministic JSON rendering (fixed key order) to
+    /// `out`; the HTTP layer writes it straight into the response body
+    /// buffer.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"schema\":\"glacsweb-service/states-1\",\"states\":[");
         for (level, n) in self.reported.iter().enumerate() {
@@ -154,8 +165,8 @@ impl PowerCounts {
 
     /// Moves one station's count from `from` to `to`, where `None` is
     /// the never-reported bucket. The aggregate-maintenance primitive:
-    /// called with the pair server's last-reported state before and
-    /// after an upload, it keeps the counts equal to a full scan.
+    /// called with a station's last-reported state before and after an
+    /// upload, it keeps the counts equal to a full scan.
     fn transfer(&mut self, from: Option<PowerState>, to: Option<PowerState>) {
         if from == to {
             return;
@@ -191,15 +202,8 @@ pub struct SocHistogram {
 }
 
 impl SocHistogram {
-    /// Deterministic JSON rendering (fixed key order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        self.write_json(&mut out);
-        out
-    }
-
-    /// Appends the JSON rendering of [`SocHistogram::to_json`] to `out`
-    /// — same bytes, no intermediate allocation.
+    /// Appends the deterministic JSON rendering (fixed key order) to
+    /// `out`, as [`PowerCounts::write_json`] does.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"schema\":\"glacsweb-service/battery-1\",\"samples\":");
         push_u64(out, self.samples);
@@ -281,8 +285,7 @@ impl FleetCore {
             // Round-robin: shard s owns pairs s, s + shards, s + 2*shards, …
             let owned = (pairs.saturating_sub(s)).div_ceil(shards as u64);
             out.push(Mutex::new(Shard {
-                pairs: (0..owned).map(|_| SouthamptonServer::new()).collect(),
-                last_soc: vec![None; usize::try_from(owned * 2).unwrap_or(0)],
+                stations: vec![Station::default(); usize::try_from(owned * 2).unwrap_or(0)],
                 recorder: MemoryRecorder::default(),
                 counts: PowerCounts {
                     reported: [0; 4],
@@ -290,8 +293,6 @@ impl FleetCore {
                     unreported: owned * 2,
                 },
                 soc: SocHistogram::default(),
-                pending_updates: vec![0; usize::try_from(owned * 2).unwrap_or(0)],
-                update_md5: vec![None; usize::try_from(owned * 2).unwrap_or(0)],
             }));
         }
         Ok(FleetCore {
@@ -318,8 +319,7 @@ impl FleetCore {
 
     /// Maps a global station id to its shard, the pair's slot within the
     /// shard, and the station's §III role within the pair. The station's
-    /// own index in the shard's per-station columns is
-    /// [`column`]`(slot, role)`.
+    /// own index in the shard's records is [`column`]`(slot, role)`.
     fn locate(&self, station: u64) -> Result<(usize, usize, StationId), CoreError> {
         if station >= self.stations {
             return Err(CoreError::UnknownStation(station));
@@ -345,22 +345,6 @@ impl FleetCore {
             .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Runs `f` on the pair's decision core plus the shard's recorder.
-    fn with_pair<T>(
-        &self,
-        station: u64,
-        f: impl FnOnce(&mut SouthamptonServer, &mut MemoryRecorder, StationId) -> T,
-    ) -> Result<T, CoreError> {
-        let (shard, slot, role) = self.locate(station)?;
-        let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
-        let shard = &mut *guard;
-        let server = shard
-            .pairs
-            .get_mut(slot)
-            .ok_or(CoreError::UnknownStation(station))?;
-        Ok(f(server, &mut shard.recorder, role))
-    }
-
     /// Stages one MD5-advertised code update per station, so the
     /// update-fetch / checksum-ack flow has something to serve. The
     /// payload is a pure function of the station id, so staging only
@@ -372,22 +356,17 @@ impl FleetCore {
             let Some(mut guard) = self.lock(index) else {
                 continue;
             };
-            let shard = &mut *guard;
-            let columns = shard
-                .pending_updates
-                .iter_mut()
-                .zip(shard.update_md5.iter_mut());
-            for (local, (pending, digest)) in (0u64..).zip(columns) {
+            for (local, record) in (0u64..).zip(guard.stations.iter_mut()) {
                 // Slot `local / 2` holds pair `slot * shards + index`.
                 let pair = local / 2 * shards + index as u64;
-                *pending = pending.saturating_add(1);
-                *digest = Some(md5(&update_payload(pair * 2 + local % 2)));
+                record.pending_updates = record.pending_updates.saturating_add(1);
+                record.update_md5 = Some(md5(&update_payload(pair * 2 + local % 2)));
             }
         }
     }
 
     /// Runs `f` on the shard holding `station`, with the station's index
-    /// in the shard's per-station columns.
+    /// in the shard's records.
     fn with_station<T>(
         &self,
         station: u64,
@@ -451,35 +430,32 @@ impl FleetCore {
     }
 
     /// A station's daily power-state report (the §III upload); the civil
-    /// date is derived from the report instant. Maintains the per-shard
-    /// [`PowerCounts`] by observing the pair server's last-reported
-    /// state before and after the upload (newest-date-wins, so an upload
-    /// does not always change it).
+    /// date is derived from the report instant. The station keeps the
+    /// report [`StateSync::newest`] retains, so an upload does not always
+    /// change its state; the per-shard [`PowerCounts`] move with the
+    /// state before and after.
     pub fn report_state(&self, station: u64, at: SimTime, level: u8) -> Result<(), CoreError> {
         let state = PowerState::try_from_level(level).ok_or(CoreError::BadLevel(level))?;
-        let (shard, slot, role) = self.locate(station)?;
-        let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
-        let shard = &mut *guard;
-        let server = shard
-            .pairs
-            .get_mut(slot)
-            .ok_or(CoreError::UnknownStation(station))?;
-        let before = server.states().last_reported(role);
-        server.upload_power_state(role, at.date(), state);
-        let after = server.states().last_reported(role);
-        shard.counts.transfer(before, after);
-        shard.recorder.counter(at, ORIGIN, "state_reports", 1);
-        Ok(())
+        self.with_station(station, |shard, local| {
+            if let Some(record) = shard.stations.get_mut(local) {
+                let before = record.state();
+                record.report = Some(StateSync::newest(record.report, (at.date(), state)));
+                shard.counts.transfer(before, record.state());
+            }
+            shard.recorder.counter(at, ORIGIN, "state_reports", 1);
+        })
     }
 
-    /// The §III override decision for a station: the pair minimum,
+    /// The §III override decision for a station:
+    /// [`StateSync::pair_minimum`] of its own and its mate's last reports,
     /// `None` until both stations of the pair have reported.
     pub fn override_for(&self, station: u64, at: SimTime) -> Result<Option<PowerState>, CoreError> {
-        self.with_pair(station, |server, recorder, role| {
-            let decision = server.fetch_override(role);
-            recorder.counter(at, ORIGIN, "override_queries", 1);
+        self.with_station(station, |shard, local| {
+            let state = |index: usize| shard.stations.get(index).and_then(Station::state);
+            let decision = StateSync::pair_minimum(state(local), state(local ^ 1));
+            shard.recorder.counter(at, ORIGIN, "override_queries", 1);
             if decision.is_some() {
-                recorder.counter(at, ORIGIN, "override_decided", 1);
+                shard.recorder.counter(at, ORIGIN, "override_decided", 1);
             }
             decision
         })
@@ -490,15 +466,17 @@ impl FleetCore {
     /// [`update_payload`] as it is served.
     pub fn update_for(&self, station: u64, at: SimTime) -> Result<Option<CodeUpdate>, CoreError> {
         self.with_station(station, |shard, local| {
-            let pending = shard.pending_updates.get_mut(local).filter(|n| **n > 0);
-            let digest = shard.update_md5.get(local).copied().flatten();
-            let update = match (pending, digest) {
-                (Some(pending), Some(expected_md5)) => {
+            let update = match shard.stations.get_mut(local) {
+                Some(Station {
+                    pending_updates: pending @ 1..,
+                    update_md5: Some(expected_md5),
+                    ..
+                }) => {
                     *pending -= 1;
                     Some(CodeUpdate {
                         name: update_name(station),
                         payload: update_payload(station),
-                        expected_md5,
+                        expected_md5: *expected_md5,
                     })
                 }
                 _ => None,
@@ -527,7 +505,7 @@ impl FleetCore {
         self.with_station(station, |shard, local| {
             let base = local - local % 2;
             let verified = (0..2).any(|role| {
-                let digest = shard.update_md5.get(base + role).copied().flatten();
+                let digest = shard.stations.get(base + role).and_then(|r| r.update_md5);
                 let mate = station - station % 2 + role as u64;
                 digest.is_some_and(|d| is_update_name(file, mate) && is_hex_of(md5_hex, &d))
             });
@@ -541,7 +519,7 @@ impl FleetCore {
         })
     }
 
-    /// Per-power-state station counts over every pair's last reports:
+    /// Per-power-state station counts over every station's last report:
     /// the maintained per-shard counts summed in shard-index order. Each
     /// shard lock is held only long enough to copy a `Copy` struct.
     pub fn power_counts(&self) -> PowerCounts {
@@ -591,8 +569,8 @@ impl FleetCore {
     }
 }
 
-/// A station's index in its shard's per-station columns: `slot * 2`
-/// for the pair's base, `slot * 2 + 1` for its reference.
+/// A station's index in its shard's records: `slot * 2` for the pair's
+/// base, `slot * 2 + 1` for its reference, so `index ^ 1` is its mate.
 fn column(slot: usize, role: StationId) -> usize {
     slot * 2 + usize::from(role == StationId::Reference)
 }
@@ -602,7 +580,11 @@ fn column(slot: usize, role: StationId) -> usize {
 /// histogram, telemetry — are identical by construction. `local` is
 /// the station's [`column`] index.
 fn apply_check_in(shard: &mut Shard, local: usize, at: SimTime, soc: u32) {
-    match shard.last_soc.get_mut(local).map(|last| last.replace(soc)) {
+    match shard
+        .stations
+        .get_mut(local)
+        .map(|r| r.last_soc.replace(soc))
+    {
         Some(Some(prev)) => shard.soc.rebucket(prev, soc),
         Some(None) => shard.soc.sample(soc),
         None => {}
@@ -730,8 +712,12 @@ mod tests {
         assert_eq!(counts.reported[3], 1);
         assert_eq!(counts.reported[1], 1);
         assert_eq!(counts.unreported, 4);
-        assert!(hist.to_json().contains("\"samples\":3"));
-        assert!(counts.to_json().contains("\"unreported\":4"));
+        let mut json = String::new();
+        hist.write_json(&mut json);
+        assert!(json.contains("\"samples\":3"));
+        json.clear();
+        counts.write_json(&mut json);
+        assert!(json.contains("\"unreported\":4"));
     }
 
     #[test]

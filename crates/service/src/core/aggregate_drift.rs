@@ -1,39 +1,38 @@
-//! Property pin for the incremental analytics aggregates: after *any*
-//! interleaving of check-ins, state reports, and batch uploads — valid
-//! and invalid alike — the maintained per-shard aggregates must equal a
-//! from-scratch scan of the pair servers. A second property pins batch
-//! uploads to exact single-check-in equivalence, prefix-on-error
-//! semantics included. The scans live here, in test code: nothing on
-//! the serving path needs them.
+//! Property pins for the sharded core. After *any* interleaving of
+//! check-ins, state reports, override queries and batch uploads — valid
+//! and invalid alike:
+//!
+//! * the maintained per-shard aggregates equal a from-scratch scan of
+//!   the station records;
+//! * every override answer and the state counts equal those of one
+//!   [`SouthamptonServer`] per pair, the deployment's §III server, fed
+//!   the same valid reports;
+//! * a batch upload equals its single check-ins, prefix-on-error
+//!   semantics included.
+//!
+//! The scans and the oracle live here, in test code: nothing on the
+//! serving path needs them.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 
+use glacsweb_server::SouthamptonServer;
 use glacsweb_sim::SimTime;
-use glacsweb_station::StationId;
+use glacsweb_station::{PowerState, StationId, Uplink};
 
-use super::{FleetCore, PowerCounts, SocHistogram};
+use super::{FleetCore, PowerCounts, SocHistogram, Station};
 
 impl FleetCore {
-    /// [`FleetCore::power_counts`] recomputed by walking every pair:
-    /// the reference the maintained counts are checked against.
+    /// [`FleetCore::power_counts`] recomputed by walking every station
+    /// record: the reference the maintained counts are checked against.
     pub(super) fn power_counts_scan(&self) -> PowerCounts {
         let mut out = PowerCounts::default();
         for index in 0..self.shards.len() {
             let Some(guard) = self.lock(index) else {
                 continue;
             };
-            for server in &guard.pairs {
-                for role in [StationId::Base, StationId::Reference] {
-                    match server.states().last_reported(role) {
-                        Some(state) => {
-                            if let Some(slot) = out.reported.get_mut(usize::from(state.level())) {
-                                *slot += 1;
-                            }
-                        }
-                        None => out.unreported += 1,
-                    }
-                }
+            for state in guard.stations.iter().map(Station::state) {
+                out.count(state);
             }
         }
         out
@@ -48,7 +47,7 @@ impl FleetCore {
             let Some(guard) = self.lock(index) else {
                 continue;
             };
-            for &soc in guard.last_soc.iter().flatten() {
+            for soc in guard.stations.iter().filter_map(|r| r.last_soc) {
                 if let Some(slot) = out.buckets.get_mut(SocHistogram::bucket(soc)) {
                     *slot += 1;
                 }
@@ -59,10 +58,25 @@ impl FleetCore {
     }
 }
 
+impl PowerCounts {
+    /// Counts one more station whose last report is `state`.
+    fn count(&mut self, state: Option<PowerState>) {
+        match state {
+            Some(state) => {
+                if let Some(slot) = self.reported.get_mut(usize::from(state.level())) {
+                    *slot += 1;
+                }
+            }
+            None => self.unreported += 1,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     CheckIn { station: u64, hour: u64, soc: u32 },
     Report { station: u64, hour: u64, level: u8 },
+    Override { station: u64, hour: u64 },
     Batch(Vec<(u64, u64, u32)>),
 }
 
@@ -70,9 +84,28 @@ fn at(hour: u64) -> SimTime {
     SimTime::from_unix(hour * 3600)
 }
 
+/// A batch op's entries as [`FleetCore::check_in_batch`] takes them.
+fn batch(entries: &[(u64, u64, u32)]) -> Vec<(u64, SimTime, u32)> {
+    entries
+        .iter()
+        .map(|&(station, hour, soc)| (station, at(hour), soc))
+        .collect()
+}
+
+/// Station `station`'s §III role within its pair.
+fn role(station: u64) -> StationId {
+    if station.is_multiple_of(2) {
+        StationId::Base
+    } else {
+        StationId::Reference
+    }
+}
+
 /// Draws one op over `stations + 2` station ids (some unknown), with
 /// out-of-range state-of-charge and level values included, so error
-/// paths get interleaved with valid writes.
+/// paths get interleaved with valid writes. Report instants span about
+/// eight civil dates, so reports arrive out of date order and a date is
+/// often re-reported.
 fn sample_op(rng: &mut TestRng, stations: u64) -> Op {
     let entry = |rng: &mut TestRng| {
         (
@@ -81,7 +114,7 @@ fn sample_op(rng: &mut TestRng, stations: u64) -> Op {
             (rng.next_u64() % 1100) as u32,
         )
     };
-    match rng.next_u64() % 3 {
+    match rng.next_u64() % 4 {
         0 => {
             let (station, hour, soc) = entry(rng);
             Op::CheckIn { station, hour, soc }
@@ -90,6 +123,10 @@ fn sample_op(rng: &mut TestRng, stations: u64) -> Op {
             station: rng.next_u64() % (stations + 2),
             hour: rng.next_u64() % 200,
             level: (rng.next_u64() % 5) as u8,
+        },
+        2 => Op::Override {
+            station: rng.next_u64() % (stations + 2),
+            hour: rng.next_u64() % 200,
         },
         _ => {
             let len = 1 + (rng.next_u64() % 7) as usize;
@@ -131,12 +168,11 @@ proptest! {
                 Op::Report { station, hour, level } => {
                     let _ = core.report_state(*station, at(*hour), *level);
                 }
+                Op::Override { station, hour } => {
+                    let _ = core.override_for(*station, at(*hour));
+                }
                 Op::Batch(entries) => {
-                    let entries: Vec<(u64, SimTime, u32)> = entries
-                        .iter()
-                        .map(|&(station, hour, soc)| (station, at(hour), soc))
-                        .collect();
-                    let _ = core.check_in_batch(&entries);
+                    let _ = core.check_in_batch(&batch(entries));
                 }
             }
         }
@@ -153,16 +189,59 @@ proptest! {
     }
 
     #[test]
+    fn decisions_equal_one_southampton_server_per_pair(case in Scenario) {
+        let (stations, shards, ops) = case;
+        let core = FleetCore::new(stations, shards).expect("valid core");
+        let mut oracle = vec![SouthamptonServer::new(); (stations / 2) as usize];
+        // The oracle's answer for a station; `None` for an unknown one.
+        let decide = |oracle: &mut Vec<SouthamptonServer>, station: u64| {
+            let server = oracle.get_mut((station / 2) as usize)?;
+            Some(server.fetch_override(role(station)))
+        };
+        for op in &ops {
+            match op {
+                Op::CheckIn { station, hour, soc } => {
+                    let _ = core.check_in(*station, at(*hour), *soc);
+                }
+                Op::Report { station, hour, level } => {
+                    let outcome = core.report_state(*station, at(*hour), *level);
+                    let state = PowerState::try_from_level(*level);
+                    match (state, oracle.get_mut((*station / 2) as usize)) {
+                        (Some(state), Some(server)) => {
+                            prop_assert_eq!(outcome, Ok(()));
+                            server.upload_power_state(role(*station), at(*hour).date(), state);
+                        }
+                        _ => prop_assert!(outcome.is_err(), "{:?} was accepted", op),
+                    }
+                }
+                Op::Override { station, hour } => {
+                    let got = core.override_for(*station, at(*hour)).ok();
+                    prop_assert_eq!(got, decide(&mut oracle, *station), "after {:?}", op);
+                }
+                Op::Batch(entries) => {
+                    let _ = core.check_in_batch(&batch(entries));
+                }
+            }
+        }
+        let mut counts = PowerCounts::default();
+        for station in 0..stations {
+            let got = core.override_for(station, at(0)).ok();
+            prop_assert_eq!(got, decide(&mut oracle, station), "station {}", station);
+            let server = oracle.get((station / 2) as usize).expect("known station");
+            counts.count(server.states().last_reported(role(station)));
+        }
+        prop_assert_eq!(core.power_counts(), counts, "state counts differ from the oracle's");
+        prop_assert_eq!(core.power_counts_scan(), counts);
+    }
+
+    #[test]
     fn batch_uploads_equal_prefix_of_singles(case in Scenario) {
         let (stations, shards, ops) = case;
         let batched = FleetCore::new(stations, shards).expect("valid core");
         let singled = FleetCore::new(stations, shards).expect("valid core");
         for op in &ops {
             if let Op::Batch(entries) = op {
-                let entries: Vec<(u64, SimTime, u32)> = entries
-                    .iter()
-                    .map(|&(station, hour, soc)| (station, at(hour), soc))
-                    .collect();
+                let entries = batch(entries);
                 let outcome = batched.check_in_batch(&entries);
                 let mut applied = 0u64;
                 let mut first_err = None;

@@ -12,8 +12,9 @@
 //!
 //! * [`FleetCore`] ([`core`]) — the decision state: fleet stations are
 //!   grouped into §III pairs (station `2p` is pair `p`'s base, `2p + 1`
-//!   its reference), each pair owning an independent
-//!   `SouthamptonServer`. Pairs are sharded across a fixed number of
+//!   its reference), each station holding one small record decided by
+//!   the same [`StateSync`](glacsweb_server::StateSync) rules the
+//!   in-process server runs. Pairs are sharded across a fixed number of
 //!   mutexes, each shard carrying its own
 //!   [`MemoryRecorder`](glacsweb_obs::MemoryRecorder); merging shard
 //!   recorders in index order makes the `/api/telemetry` NDJSON a pure

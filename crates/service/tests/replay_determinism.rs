@@ -54,8 +54,10 @@ fn run(clients: usize, shards: usize, workers: usize, pipeline: usize, batch: bo
     )
     .expect("replay");
     let telemetry = core.telemetry_ndjson();
-    let states_json = core.power_counts().to_json();
-    let battery_json = core.soc_histogram().to_json();
+    let mut states_json = String::new();
+    core.power_counts().write_json(&mut states_json);
+    let mut battery_json = String::new();
+    core.soc_histogram().write_json(&mut battery_json);
     server.shutdown();
     RunOut {
         transcript: outcome.transcript.expect("kept transcript"),
