@@ -46,7 +46,7 @@ use glacsweb_obs::{MemoryRecorder, Origin, Recorder};
 use glacsweb_server::StateSync;
 use glacsweb_sim::{CivilDate, SimTime};
 use glacsweb_station::md5::{md5, to_hex};
-use glacsweb_station::{CodeUpdate, PowerState, StationId};
+use glacsweb_station::{CodeUpdate, PowerState};
 
 use crate::http::{push_u64, HEX_DIGITS};
 
@@ -90,8 +90,9 @@ impl std::error::Error for CoreError {}
 /// analytics aggregates.
 #[derive(Debug)]
 struct Shard {
-    /// One record per station of this shard, indexed by [`column`]: a
-    /// pair's base at `slot * 2`, its reference at `slot * 2 + 1`.
+    /// One record per station of this shard. Slot `k` holds pair
+    /// `k * shard_count + shard_index`: its base at index `2k`, its
+    /// reference at `2k + 1`, so a station's mate is at `index ^ 1`.
     stations: Vec<Station>,
     /// Commutative-only telemetry (counters, rollups, observations).
     recorder: MemoryRecorder,
@@ -317,22 +318,17 @@ impl FleetCore {
         self.served.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Maps a global station id to its shard, the pair's slot within the
-    /// shard, and the station's §III role within the pair. The station's
-    /// own index in the shard's records is [`column`]`(slot, role)`.
-    fn locate(&self, station: u64) -> Result<(usize, usize, StationId), CoreError> {
+    /// Maps a global station id to its shard and its index in the
+    /// shard's records (see [`Shard::stations`]).
+    fn locate(&self, station: u64) -> Result<(usize, usize), CoreError> {
         if station >= self.stations {
             return Err(CoreError::UnknownStation(station));
         }
         let pair = station / 2;
-        let role = if station.is_multiple_of(2) {
-            StationId::Base
-        } else {
-            StationId::Reference
-        };
         let shard = usize::try_from(pair % self.shards.len() as u64).unwrap_or(0);
-        let slot = usize::try_from(pair / self.shards.len() as u64).unwrap_or(0);
-        Ok((shard, slot, role))
+        let slot = pair / self.shards.len() as u64;
+        let local = usize::try_from(slot * 2 + station % 2).unwrap_or(0);
+        Ok((shard, local))
     }
 
     /// Locks shard `index`; a poisoned mutex is recovered rather than
@@ -372,9 +368,9 @@ impl FleetCore {
         station: u64,
         f: impl FnOnce(&mut Shard, usize) -> T,
     ) -> Result<T, CoreError> {
-        let (shard, slot, role) = self.locate(station)?;
+        let (shard, local) = self.locate(station)?;
         let mut guard = self.lock(shard).ok_or(CoreError::UnknownStation(station))?;
-        Ok(f(&mut guard, column(slot, role)))
+        Ok(f(&mut guard, local))
     }
 
     /// A station's periodic power-state check-in: records its battery
@@ -410,7 +406,7 @@ impl FleetCore {
             if soc > 1000 {
                 return Err(CoreError::BadSoc(soc));
             }
-            let (shard, slot, role) = self.locate(station)?;
+            let (shard, local) = self.locate(station)?;
             let reuse = matches!(&held, Some((idx, _)) if *idx == shard);
             if !reuse {
                 // Drop the old guard before taking the new one: at most
@@ -423,7 +419,7 @@ impl FleetCore {
             let Some((_, guard)) = held.as_mut() else {
                 return Err(CoreError::UnknownStation(station));
             };
-            apply_check_in(guard, column(slot, role), at, soc);
+            apply_check_in(guard, local, at, soc);
             applied += 1;
         }
         Ok(applied)
@@ -569,16 +565,10 @@ impl FleetCore {
     }
 }
 
-/// A station's index in its shard's records: `slot * 2` for the pair's
-/// base, `slot * 2 + 1` for its reference, so `index ^ 1` is its mate.
-fn column(slot: usize, role: StationId) -> usize {
-    slot * 2 + usize::from(role == StationId::Reference)
-}
-
 /// The one write path for a check-in, shared by the single and batch
 /// endpoints so their per-entry effects — decision state, maintained
 /// histogram, telemetry — are identical by construction. `local` is
-/// the station's [`column`] index.
+/// the station's index in [`Shard::stations`].
 fn apply_check_in(shard: &mut Shard, local: usize, at: SimTime, soc: u32) {
     match shard
         .stations
